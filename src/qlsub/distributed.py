@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, PartitionFailed, QlsubError, SingularHessian
 from .estimator import (
+    RCOND_MIN,
     FitResult,
     solve_weighted_qle,
     subsample_hessian,
@@ -179,7 +180,7 @@ def aggregate(summaries, n_total: float | None = None) -> FitResult:
     meat /= n_total**2
 
     cond = np.linalg.cond(weight)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > 1.0 / RCOND_MIN:
         raise SingularHessian(cond, "pooled curvature is singular")
     beta = np.linalg.solve(weight, weighted_beta)
     tmp = np.linalg.solve(bread, meat)

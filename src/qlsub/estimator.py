@@ -12,10 +12,12 @@ the sandwich variance estimators used for inference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 from .errors import EmptySample, SingularHessian
 from .families import LinkFamily
@@ -87,6 +89,23 @@ def _weights(p, m: int) -> np.ndarray:
     return 1.0 / p
 
 
+def _cholesky(a: np.ndarray):
+    """Cholesky factor of ``a``, guarded by LAPACK's reciprocal condition estimate.
+
+    A failed factorization, or a 1-norm reciprocal condition number below
+    ``RCOND_MIN``, raises :class:`SingularHessian` carrying ``1 / rcond``.
+    """
+    try:
+        factor = cho_factor(a)
+    except (np.linalg.LinAlgError, ValueError):
+        raise SingularHessian(math.inf) from None
+    # cho_factor returns the upper factor, which is what dpocon reads by default
+    rcond, info = dpocon(factor[0], np.linalg.norm(a, 1))
+    if info != 0 or not rcond >= RCOND_MIN:
+        raise SingularHessian(1.0 / rcond if rcond > 0 else math.inf)
+    return factor
+
+
 def weighted_score(x, y, family: LinkFamily, beta, p=None) -> np.ndarray:
     """Inverse-probability-weighted score vector at ``beta``."""
     x = np.asarray(x, dtype=np.float64)
@@ -153,13 +172,7 @@ def solve_weighted_qle(
         newton = 0.5 * (newton + newton.T)
         if ridge > 0.0:
             newton = newton + ridge * eye
-        cond = np.linalg.cond(newton)
-        if not np.isfinite(cond) or cond > 1.0 / RCOND_MIN:
-            raise SingularHessian(cond)
-        try:
-            delta = cho_solve(cho_factor(newton), score)
-        except np.linalg.LinAlgError as err:  # pragma: no cover - cond guard first
-            raise SingularHessian(cond, str(err)) from err
+        delta = cho_solve(_cholesky(newton), score)
 
         step = 1.0
         improved = False
@@ -233,9 +246,7 @@ def vc_contribution(x, y, family: LinkFamily, beta, p) -> np.ndarray:
 
 
 def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(bread)
-    if not np.isfinite(cond) or cond > 1.0 / RCOND_MIN:
-        raise SingularHessian(cond)
+    _cholesky(bread)
     tmp = np.linalg.solve(bread, meat)
     out = np.linalg.solve(bread, tmp.T).T
     return 0.5 * (out + out.T)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -30,13 +30,11 @@ from .sampling import (
     SamplingPlan,
     ScoreContext,
     block_mask,
-    linear_predictor,
-    row_norms,
+    record_scores,
     shrinkage_probability,
     threshold_quantile,
     warn_on_zero_scores,
     waterfill,
-    whitened_norms,
 )
 
 
@@ -75,12 +73,6 @@ class PassSample:
     @property
     def size(self) -> int:
         return self.indices.shape[0]
-
-
-def _pilot_h(x: np.ndarray, criterion: str, sigma0_inv: np.ndarray) -> np.ndarray:
-    if criterion == "mv":
-        return whitened_norms(x, sigma0_inv)
-    return row_norms(x)
 
 
 def run_pilot(
@@ -135,8 +127,8 @@ def run_pilot(
     sigma0_inv = cho_solve(factor, np.eye(d))
     sigma0_inv = 0.5 * (sigma0_inv + sigma0_inv.T)
 
-    resid = np.abs(py - family.mean(linear_predictor(px, beta0)))
-    scores = resid * _pilot_h(px, criterion, sigma0_inv)
+    # the gathered pilot records are scored as records 0, 1, ... of px
+    scores = record_scores(px, py, family, beta0, sigma0_inv if criterion == "mv" else None)
     psi_hat = float(scores.mean())
 
     return PilotResult(
@@ -157,40 +149,24 @@ def run_pilot(
     )
 
 
-def _block_scores(
-    xb: np.ndarray,
-    yb: np.ndarray,
-    family: LinkFamily,
-    pilot: PilotResult,
-    criterion: str,
-) -> np.ndarray:
-    resid = np.abs(yb - family.mean(linear_predictor(xb, pilot.beta0)))
-    if criterion == "mv":
-        return resid * whitened_norms(xb, pilot.sigma0_inv)
-    return resid * row_norms(xb)
-
-
 def _resolve_cap(
     stream: RecordStream,
     family: LinkFamily,
     pilot: PilotResult,
     plan: SamplingPlan,
+    ctx: ScoreContext,
     r: float,
-    n_pool: float,
 ) -> tuple[float, float]:
     """Cap value and the matching score normalizer for the chosen mode."""
     if plan.threshold_mode == "inf":
         return math.inf, pilot.psi_hat
     if plan.threshold_mode == "quantile":
-        cap = threshold_quantile(pilot.scores, r, n_pool)
+        cap = threshold_quantile(pilot.scores, r, ctx.n_pool)
         psi = float(np.minimum(pilot.scores, cap).mean())
         return cap, psi
     # exact mode: score the whole pool with the pilot estimate, then solve
     # the capped allocation on it
-    chunks = [
-        _block_scores(xb, yb, family, pilot, plan.criterion)
-        for _, xb, yb in stream.iter_blocks()
-    ]
+    chunks = [ctx.scores(xb, yb, family, start) for start, xb, yb in stream.iter_blocks()]
     scores = np.concatenate(chunks) if chunks else np.empty(0)
     cap, _ = waterfill(scores, r)
     psi = float(np.minimum(scores, cap).mean())
@@ -210,10 +186,13 @@ class ProbabilityRule:
     psi_eff: float
     ctx: ScoreContext | None
 
-    def block_probabilities(self, xb: np.ndarray, yb: np.ndarray, family: LinkFamily) -> np.ndarray:
+    def block_probabilities(
+        self, xb: np.ndarray, yb: np.ndarray, family: LinkFamily, offset: int = 0
+    ) -> np.ndarray:
+        """Capped probabilities of the records ``offset, offset + 1, ...``."""
         if self.uniform_only:
             return np.full(xb.shape[0], self.r / self.n_pool)
-        scores = _block_scores(xb, yb, family, self.pilot, self.plan.criterion)
+        scores = self.ctx.scores(xb, yb, family, offset)
         return np.minimum(
             shrinkage_probability(self.ctx, scores, self.r, self.plan.shrinkage), 1.0
         )
@@ -240,14 +219,14 @@ def resolve_rule(
     cap, psi_eff = math.inf, (pilot.psi_hat if not pilot.degenerate else 1.0)
     ctx = None
     if not uniform_only:
-        cap, psi_eff = _resolve_cap(stream, family, pilot, plan, r, n_pool)
         ctx = ScoreContext(
             beta0=pilot.beta0,
-            psi_hat=psi_eff,
+            psi_hat=pilot.psi_hat,
             sigma_inv=pilot.sigma0_inv if plan.criterion == "mv" else None,
             n_pool=n_pool,
-            cap=cap,
         )
+        cap, psi_eff = _resolve_cap(stream, family, pilot, plan, ctx, r)
+        ctx = replace(ctx, psi_hat=psi_eff, cap=cap)
     return ProbabilityRule(
         pilot=pilot,
         plan=plan,
@@ -286,16 +265,11 @@ def second_pass(
     zero_warned = False
     for start, xb, yb in stream.iter_blocks():
         block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
-        if rule.uniform_only:
-            probs = np.full(xb.shape[0], r / n_pool)
-        else:
-            scores = _block_scores(xb, yb, family, pilot, plan.criterion)
-            if not zero_warned and plan.shrinkage == 0.0 and np.any(scores == 0.0):
-                warn_on_zero_scores(scores, plan.shrinkage)
-                zero_warned = True
-            probs = np.minimum(
-                shrinkage_probability(rule.ctx, scores, r, plan.shrinkage), 1.0
-            )
+        probs = rule.block_probabilities(xb, yb, family, start)
+        # at rho = 0 a record's probability is zero exactly when its score is
+        if not zero_warned and rule.plan.shrinkage == 0.0 and np.any(probs == 0.0):
+            warn_on_zero_scores(probs, rule.plan.shrinkage)
+            zero_warned = True
         expected += float(probs.sum())
         mask = block_mask(seed, block_idx, probs, MAIN_STREAM)
         if mask.any():

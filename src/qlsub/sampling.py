@@ -48,7 +48,11 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class ScoreContext:
-    """Pilot quantities needed to turn a record score into a probability."""
+    """Pilot quantities that score a record and turn the score into a probability.
+
+    ``sigma_inv`` is the pilot curvature inverse for the mv criterion and
+    None for mvc.
+    """
 
     beta0: np.ndarray
     psi_hat: float
@@ -60,46 +64,115 @@ class ScoreContext:
         if not self.psi_hat > 0:
             raise ConfigError("pilot score normalizer must be positive")
 
+    def scores(self, x, y, family: LinkFamily, offset: int = 0) -> np.ndarray:
+        """Scores of the records ``offset, offset + 1, ...`` held in ``x``, ``y``."""
+        return record_scores(x, y, family, self.beta0, self.sigma_inv, offset)
+
+
+# Rows per BLAS call in the record kernel.  Every record's products are
+# computed in a call of exactly this shape, at row (global index % TILE_ROWS).
+TILE_ROWS = 1024
+
 
 def _rows(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x[None, :] if x.ndim == 1 else x
 
 
-def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Row-local dot products.
+def tile_products(x: np.ndarray, offset: int, *weights: np.ndarray) -> list[np.ndarray]:
+    """``x @ w`` for each ``w``, one fixed-shape BLAS call per record tile.
 
-    Implemented as an elementwise product plus per-row reduction so each
-    record's value is bit-identical no matter how the stream was blocked.
+    Row ``i`` of ``x`` is global record ``offset + i``.  Tiles of
+    ``TILE_ROWS`` rows are aligned to the global index: a full tile goes to
+    BLAS as it stands, and a partial tile at either edge of ``x`` is copied
+    into a zero-filled ``TILE_ROWS``-row buffer at row
+    ``(offset + i) % TILE_ROWS``.  A BLAS call of fixed shape accumulates
+    each output element in an order set by the call's shape and the row's
+    place in it, so every record's products are the same whatever the block
+    size, shard layout or source that delivered it, and no other row can
+    change them.
     """
-    return np.sum(x * beta, axis=1)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n, d = x.shape
+    weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
+    outs = [np.empty((n,) + w.shape[1:]) for w in weights]
+    i = 0
+    # a non-finite row yields non-finite outputs in that row only, which the
+    # scorer rejects through family.mean, so BLAS need not warn about them
+    with np.errstate(invalid="ignore", over="ignore"):
+        while i < n:
+            row = (offset + i) % TILE_ROWS
+            take = min(TILE_ROWS - row, n - i)
+            if take == TILE_ROWS:
+                for w, out in zip(weights, outs):
+                    np.matmul(x[i : i + take], w, out=out[i : i + take])
+            else:
+                tile = np.zeros((TILE_ROWS, d))
+                tile[row : row + take] = x[i : i + take]
+                for w, out in zip(weights, outs):
+                    out[i : i + take] = (tile @ w)[row : row + take]
+            i += take
+    return outs
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(x * x, axis=1))
+    """Euclidean norm of each row; the reduction never crosses rows."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def record_scores(x, y, family: LinkFamily, beta, sigma_inv=None, offset: int = 0) -> np.ndarray:
+    """Scores ``|y_i - mean(x_i' beta)| * h(x_i)`` of records offset, offset + 1, ...
+
+    ``h`` is the curvature-whitened norm ``||sigma_inv @ x_i||`` when
+    ``sigma_inv`` is given (mv) and the plain covariate norm otherwise
+    (mvc).  The products run through :func:`tile_products` and the norms
+    through :func:`row_norms`, so a record's score depends on its own row
+    and global index only.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if sigma_inv is None:
+        (eta,) = tile_products(x, offset, beta)
+        h = row_norms(x)
+    else:
+        z, eta = tile_products(x, offset, np.asarray(sigma_inv, dtype=np.float64).T, beta)
+        h = row_norms(z)
+    return np.abs(np.asarray(y, dtype=np.float64) - family.mean(eta)) * h
+
+
+def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``x @ beta`` with the rows taken as records 0, 1, ..., n - 1.
+
+    Each value comes from a ``TILE_ROWS``-row BLAS call at row
+    ``i % TILE_ROWS`` (see :func:`tile_products`).  It is the call
+    :func:`record_scores` makes for the same records, so the two agree bit
+    for bit, and no other row of ``x`` can change a record's value.
+    """
+    return tile_products(x, 0, beta)[0]
 
 
 def whitened_norms(x: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
-    """Norms of sigma_inv @ x_i per row, with a block-layout-stable reduction."""
-    z = np.einsum("ij,kj->ik", x, sigma_inv, optimize=False)
+    """Norms of ``sigma_inv @ x_i`` with the rows taken as records 0, 1, ...
+
+    The whitening is the scorer's fixed-tile BLAS call (see
+    :func:`tile_products`) and the norm a row-local reduction, so each value
+    depends only on its own row and its place in its tile.
+    """
+    z = tile_products(x, 0, np.asarray(sigma_inv, dtype=np.float64).T)[0]
     return row_norms(z)
 
 
 def score_mvc(x, y, family: LinkFamily, beta):
     """Residual magnitude times covariate norm."""
-    xs = _rows(x)
-    resid = np.abs(np.asarray(y, dtype=np.float64) - family.mean(linear_predictor(xs, np.asarray(beta))))
-    out = resid * row_norms(xs)
+    out = record_scores(_rows(x), y, family, beta)
     return out if np.asarray(x).ndim == 2 else float(out[0])
+
 
 def score_mv(x, y, family: LinkFamily, beta, sigma_inv):
     """Residual magnitude times curvature-whitened covariate norm."""
     if sigma_inv is None:
         raise ConfigError("the mv criterion requires the pilot curvature inverse")
-    xs = _rows(x)
-    si = np.asarray(sigma_inv, dtype=np.float64)
-    resid = np.abs(np.asarray(y, dtype=np.float64) - family.mean(linear_predictor(xs, np.asarray(beta))))
-    out = resid * whitened_norms(xs, si)
+    out = record_scores(_rows(x), y, family, beta, sigma_inv)
     return out if np.asarray(x).ndim == 2 else float(out[0])
 
 

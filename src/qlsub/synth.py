@@ -407,25 +407,28 @@ def timing_study(
     if repeats < 3:
         raise ValueError("need at least 3 repeats for stable medians")
     stream = ArrayStream(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    cells = [(method, float(r)) for method in methods for r in r_grid]
+    cell_times = {cell: [] for cell in cells}
+    # the cells take turns within each repeat, so a slow phase of the machine
+    # lands on every method alike rather than on whichever is timed first
+    for i in range(repeats):
+        for method, r in cells:
+            plan = SamplingPlan(
+                criterion=method,
+                expected_size=r,
+                shrinkage=rho,
+                seed=derive_seed(seed, 7, i),
+            )
+            start = time.perf_counter()
+            if k == 1:
+                run_two_step(stream, family, plan, r0)
+            else:
+                run_distributed(stream, family, plan, r0, k)
+            cell_times[method, r].append(time.perf_counter() - start)
     rows = []
-    for method in methods:
-        for r in r_grid:
-            times = []
-            for i in range(repeats):
-                plan = SamplingPlan(
-                    criterion=method,
-                    expected_size=float(r),
-                    shrinkage=rho,
-                    seed=derive_seed(seed, 7, i),
-                )
-                start = time.perf_counter()
-                if k == 1:
-                    run_two_step(stream, family, plan, r0)
-                else:
-                    run_distributed(stream, family, plan, r0, k)
-                times.append(time.perf_counter() - start)
-            q25, q50, q75 = np.quantile(times, [0.25, 0.5, 0.75])
-            rows.append(TimingRow(method, float(r), float(q50), float(q75 - q25)))
+    for method, r in cells:
+        q25, q50, q75 = np.quantile(cell_times[method, r], [0.25, 0.5, 0.75])
+        rows.append(TimingRow(method, r, float(q50), float(q75 - q25)))
     times = []
     for _ in range(repeats):
         start = time.perf_counter()

@@ -1,0 +1,238 @@
+"""Per-record scoring is bit-identical under any blocking, sharding or source.
+
+Every record's products go through one fixed-shape BLAS call at the tile row
+set by its global index (``sampling.tile_products``).  These tests vary the
+block size, shard bounds, partition count, worker threads, BLAS threads and
+source type, and require the scores, probabilities, draws and estimates to
+match a single-block in-memory run bit for bit.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qlsub
+from qlsub.distributed import run_distributed
+from qlsub.families import EXP
+from qlsub.ingest import ArrayStream, CsvStream, SubsetStream
+from qlsub.pipeline import resolve_rule, run_pilot, run_two_step, second_pass
+from qlsub.sampling import THRESHOLD_MODES, TILE_ROWS, SamplingPlan, tile_products
+
+N = 2600  # crosses two tile boundaries
+D = 4
+R0 = 200
+R = 300.0
+SEED = 71
+CRITERIA = ("mv", "mvc")
+EDGE_BLOCKS = (1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1)
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_bits(a, b):
+    a, b = bits(a), bits(b)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def data():
+    rng = np.random.default_rng(7)
+    x = np.column_stack([np.ones(N), rng.normal(0.0, 0.6, (N, D - 1))])
+    y = rng.poisson(np.exp(x @ np.array([0.3, 0.5, -0.4, 0.2]))).astype(np.float64)
+    return x, y
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory, data):
+    x, y = data
+    path = tmp_path_factory.mktemp("tiles") / "data.csv"
+    np.savetxt(path, np.column_stack([y, x]), fmt="%.17g", delimiter=",")
+    return str(path)
+
+
+def make_stream(source, data, csv_path, block):
+    if source == "csv":
+        return CsvStream(csv_path, block_size=block)
+    return ArrayStream(*data, block_size=block)
+
+
+def plan_for(criterion, mode):
+    return SamplingPlan(criterion=criterion, expected_size=R, threshold_mode=mode, seed=SEED)
+
+
+def scan_outcome(stream, criterion, mode):
+    """Scores, probabilities, second-pass draws and the two-step fit."""
+    plan = plan_for(criterion, mode)
+    pilot = run_pilot(stream, EXP, R0, SEED, criterion)
+    rule = resolve_rule(stream, EXP, pilot, plan, R)
+    scores, probs = [], []
+    for start, xb, yb in stream.iter_blocks():
+        scores.append(rule.ctx.scores(xb, yb, EXP, start))
+        probs.append(rule.block_probabilities(xb, yb, EXP, start))
+    sample = second_pass(stream, EXP, pilot, plan, R, SEED, rule=rule)
+    fit = run_two_step(stream, EXP, plan, R0)
+    return {
+        "pilot_scores": pilot.scores,
+        "scores": np.concatenate(scores),
+        "probs": np.concatenate(probs),
+        "cap": [rule.cap, rule.psi_eff],
+        "draw_p": sample.p,
+        "draw_idx": sample.indices.astype(np.float64),
+        "beta": fit.beta,
+        "variance": fit.variance,
+    }
+
+
+_REFERENCE = {}
+
+
+def reference(data, criterion, mode, k=None):
+    """The same quantities from one in-memory block (cached per key)."""
+    key = (criterion, mode, k)
+    if key not in _REFERENCE:
+        stream = ArrayStream(*data, block_size=N)
+        if k is None:
+            _REFERENCE[key] = scan_outcome(stream, criterion, mode)
+        else:
+            _REFERENCE[key] = run_distributed(stream, EXP, plan_for(criterion, mode), R0, k)
+    return _REFERENCE[key]
+
+
+def test_csv_source_holds_the_same_floats(data, csv_path):
+    x, y = data
+    _, xb, yb = next(CsvStream(csv_path, block_size=N).iter_blocks())
+    assert_same_bits(xb, x)
+    assert_same_bits(yb, y)
+
+
+@pytest.mark.parametrize("source", ["array", "csv"])
+@pytest.mark.parametrize("block", EDGE_BLOCKS)
+def test_edge_block_sizes_bit_identical(data, csv_path, source, block):
+    stream = make_stream(source, data, csv_path, block)
+    for criterion in CRITERIA:
+        for mode in THRESHOLD_MODES:
+            got = scan_outcome(stream, criterion, mode)
+            want = reference(data, criterion, mode)
+            for name in want:
+                assert_same_bits(got[name], want[name])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    block=st.one_of(st.sampled_from(EDGE_BLOCKS), st.integers(2, N)),
+    bounds=st.tuples(st.integers(0, N - 1), st.integers(1, N)).filter(lambda b: b[0] < b[1]),
+    source=st.sampled_from(["array", "csv"]),
+    k=st.sampled_from([1, 3, 4]),
+    threads=st.sampled_from([1, 2, 4]),
+    criterion=st.sampled_from(CRITERIA),
+    mode=st.sampled_from(THRESHOLD_MODES),
+)
+def test_random_layouts_bit_identical(data, csv_path, block, bounds, source, k, threads, criterion, mode):
+    stream = make_stream(source, data, csv_path, block)
+    want = reference(data, criterion, mode)
+
+    # an unaligned shard [lo, hi) scores its records as the whole scan does
+    lo, hi = bounds
+    shard = SubsetStream(stream, lo, hi)
+    pilot = run_pilot(stream, EXP, R0, SEED, criterion)
+    rule = resolve_rule(stream, EXP, pilot, plan_for(criterion, mode), R)
+    scores, probs = [], []
+    for start, xb, yb in shard.iter_blocks():
+        scores.append(rule.ctx.scores(xb, yb, EXP, start))
+        probs.append(rule.block_probabilities(xb, yb, EXP, start))
+    assert_same_bits(np.concatenate(scores), want["scores"][lo:hi])
+    assert_same_bits(np.concatenate(probs), want["probs"][lo:hi])
+
+    fit = run_distributed(stream, EXP, plan_for(criterion, mode), R0, k, threads=threads)
+    ref = reference(data, criterion, mode, k)
+    assert_same_bits(fit.beta, ref.beta)
+    assert_same_bits(fit.variance, ref.variance)
+    assert fit.info["partition_sizes"] == ref.info["partition_sizes"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    offset=st.integers(0, 4 * TILE_ROWS),
+    n=st.integers(1, 2 * TILE_ROWS + 3),
+    width=st.sampled_from([None, 1, 3, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_record_matches_its_own_padded_tile(offset, n, width, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 5)) * np.exp(rng.normal(size=(n, 5)))
+    w = rng.normal(size=5 if width is None else (5, width))
+    (out,) = tile_products(x, offset, w)
+    for i in np.unique(rng.integers(0, n, 12)):
+        row = (offset + i) % TILE_ROWS
+        alone = np.zeros((TILE_ROWS, 5))
+        alone[row] = x[i]
+        assert_same_bits(out[i], (alone @ w)[row])
+
+
+@pytest.mark.parametrize("offset", [0, 5, TILE_ROWS - 2, 3 * TILE_ROWS + 700])
+def test_non_finite_row_leaves_neighbours_unchanged(offset):
+    rng = np.random.default_rng(offset)
+    x = rng.normal(size=(2 * TILE_ROWS + 40, 6))
+    w = rng.normal(size=(6, 4))
+    beta = rng.normal(size=6)
+    clean = tile_products(x, offset, w, beta)
+    bad = [0, 1, TILE_ROWS // 2, TILE_ROWS + 3, x.shape[0] - 1]
+    poisoned = x.copy()
+    for j, i in enumerate(bad):
+        poisoned[i, j % 6] = (np.nan, np.inf, -np.inf)[j % 3]
+    dirty = tile_products(poisoned, offset, w, beta)
+    keep = np.setdiff1d(np.arange(x.shape[0]), bad)
+    for a, b in zip(clean, dirty):
+        assert_same_bits(a[keep], b[keep])
+        assert not np.isfinite(b[bad]).any()
+
+
+# The rule is built from fixed quantities rather than a pilot fit: only the
+# per-record scoring path is under test here.
+_PROBE = """
+import hashlib
+import numpy as np
+from qlsub import EXP, ArrayStream, SamplingPlan
+from qlsub.pipeline import ProbabilityRule
+from qlsub.sampling import ScoreContext
+
+rng = np.random.default_rng(5)
+x = np.column_stack([np.ones(6000), rng.normal(0.0, 0.15, (6000, 34))])
+y = rng.poisson(np.exp(x[:, :3] @ np.array([0.5, 0.4, -0.3]))).astype(np.float64)
+beta0 = rng.normal(0.0, 0.1, 35)
+a = rng.normal(size=(35, 35))
+stream = ArrayStream(x, y, block_size=1500)
+digest = hashlib.sha256()
+for criterion, sigma_inv in (("mv", 0.5 * (a + a.T)), ("mvc", None)):
+    plan = SamplingPlan(criterion=criterion, expected_size=400.0, seed=9)
+    ctx = ScoreContext(beta0=beta0, psi_hat=2.0, sigma_inv=sigma_inv, n_pool=6000.0, cap=9.0)
+    rule = ProbabilityRule(
+        pilot=None, plan=plan, r=400.0, n_pool=6000.0, uniform_only=False,
+        cap=9.0, psi_eff=2.0, ctx=ctx,
+    )
+    for start, xb, yb in stream.iter_blocks():
+        digest.update(rule.block_probabilities(xb, yb, EXP, start).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_probabilities_independent_of_blas_threads():
+    src = str(Path(qlsub.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
