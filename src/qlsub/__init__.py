@@ -13,7 +13,6 @@ from .errors import (
 )
 from .estimator import (
     FitResult,
-    WeightedObservation,
     full_data_variance,
     sandwich_variance,
     solve_weighted_qle,
@@ -21,15 +20,12 @@ from .estimator import (
     weighted_score,
 )
 from .families import EXP, IDENTITY, LOGISTIC, LinkFamily, get_family
-from .ingest import ArrayStream, CsvStream, RecordStream, partition_view, scan
+from .ingest import ArrayStream, CsvStream, RecordStream, partition_view
 from .pipeline import PilotResult, run_pilot, run_two_step, second_pass
 from .sampling import (
     SamplingPlan,
     ScoreContext,
     optimal_probabilities,
-    poisson_draw,
-    score_mv,
-    score_mvc,
     shrinkage_probability,
     threshold_quantile,
     waterfill,
@@ -72,7 +68,6 @@ __all__ = [
     "SamplingPlan",
     "ScoreContext",
     "SingularHessian",
-    "WeightedObservation",
     "aggregate",
     "fit_partition",
     "full_data_variance",
@@ -82,7 +77,6 @@ __all__ = [
     "make_spec",
     "optimal_probabilities",
     "partition_view",
-    "poisson_draw",
     "replicate",
     "rho_sweep",
     "run_distributed",
@@ -90,9 +84,6 @@ __all__ = [
     "run_replications",
     "run_two_step",
     "sandwich_variance",
-    "scan",
-    "score_mv",
-    "score_mvc",
     "second_pass",
     "shrinkage_probability",
     "solve_weighted_qle",

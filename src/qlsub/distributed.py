@@ -13,22 +13,23 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, PartitionFailed, QlsubError, SingularHessian
 from .estimator import (
-    RCOND_MIN,
     FitResult,
+    _cholesky,
+    _sandwich,
     solve_weighted_qle,
     subsample_hessian,
     vc_contribution,
 )
 from .families import LinkFamily
 from .ingest import RecordStream, partition_view
-from .pipeline import PilotResult, run_pilot, second_pass
-from .sampling import SamplingPlan, ScoreContext, shrinkage_probability
+from .pipeline import PilotResult, resolve_rule, run_pilot, second_pass
+from .sampling import SamplingPlan
 
 PILOT_PARTITION_ID = 0
 
@@ -100,19 +101,25 @@ def pilot_summary(
     carry second-stage probabilities: its curvature then scales like r0/r
     relative to a shard's, so the combination weights the pilot by its
     actual information instead of letting its 1/r0-scale noise dominate.
-    Its meat contribution propagates the pilot estimate's own sandwich
+    Those probabilities come from the rule a shard of ``machine_size``
+    records resolves.  The ``inf`` and ``quantile`` caps depend on the pilot
+    alone; the exact cap needs the score of every record, which the pilot
+    does not have, so in ``exact`` mode the quantile cap, the pilot's own
+    estimate of the same threshold, stands in for it.  The summary's meat
+    contribution propagates the pilot estimate's own sandwich
     variance (pilot term at p = r0/N) through that combination weight, so
     the pooled variance stays calibrated.
     """
-    p = pilot_stage_probabilities(pilot, family, plan, r, machine_size)
+    if plan.threshold_mode == "exact":
+        plan = replace(plan, threshold_mode="quantile")
+    rule = resolve_rule(None, family, pilot, plan, r, n_pool=machine_size)
+    p = rule.probabilities(pilot.scores)
     hessian = subsample_hessian(pilot.x, family, pilot.beta0, p=p, scale=machine_size)
     n_total = float(pilot.n_total)
     pilot_meat = vc_contribution(pilot.x, pilot.y, family, pilot.beta0, pilot.p)
-    pilot_var = np.linalg.solve(
-        pilot.sigma0, np.linalg.solve(pilot.sigma0, pilot_meat / n_total**2).T
-    ).T
+    pilot_var = _sandwich(pilot.sigma0, pilot_meat / n_total**2)
     scaled = machine_size * hessian
-    vc = scaled @ (0.5 * (pilot_var + pilot_var.T)) @ scaled
+    vc = scaled @ pilot_var @ scaled
     vc = 0.5 * (vc + vc.T)
     return PartitionSummary(
         partition_id=PILOT_PARTITION_ID,
@@ -121,27 +128,6 @@ def pilot_summary(
         vc_contrib=vc,
         n_records=float(machine_size),
         realized_size=pilot.realized_r0,
-    )
-
-
-def pilot_stage_probabilities(
-    pilot: PilotResult,
-    family: LinkFamily,
-    plan: SamplingPlan,
-    r: float,
-    n_pool: float,
-) -> np.ndarray:
-    """Second-stage probabilities of the pilot's own records, capped at one."""
-    if plan.criterion == "uniform" or pilot.degenerate:
-        return np.minimum(np.full(pilot.realized_r0, r / n_pool), 1.0)
-    ctx = ScoreContext(
-        beta0=pilot.beta0,
-        psi_hat=pilot.psi_hat,
-        sigma_inv=pilot.sigma0_inv if plan.criterion == "mv" else None,
-        n_pool=float(n_pool),
-    )
-    return np.minimum(
-        shrinkage_probability(ctx, pilot.scores, r, plan.shrinkage), 1.0
     )
 
 
@@ -179,13 +165,12 @@ def aggregate(summaries, n_total: float | None = None) -> FitResult:
     bread /= n_total
     meat /= n_total**2
 
-    cond = np.linalg.cond(weight)
-    if not np.isfinite(cond) or cond > 1.0 / RCOND_MIN:
-        raise SingularHessian(cond, "pooled curvature is singular")
+    try:
+        _cholesky(weight)
+    except SingularHessian as err:
+        raise SingularHessian(err.condition, "pooled curvature is singular") from None
     beta = np.linalg.solve(weight, weighted_beta)
-    tmp = np.linalg.solve(bread, meat)
-    variance = np.linalg.solve(bread, tmp.T).T
-    variance = 0.5 * (variance + variance.T)
+    variance = _sandwich(bread, meat)
 
     return FitResult(
         beta=beta,

@@ -28,27 +28,6 @@ MAX_HALVINGS = 30
 Z_975 = 1.959963985
 
 
-@dataclass(frozen=True)
-class WeightedObservation:
-    """One sampled record: covariates, response, and its draw probability."""
-
-    x: np.ndarray
-    y: float
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"inclusion probability {self.p} outside (0, 1]")
-
-
-def stack_observations(obs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert a sequence of WeightedObservation into (x, y, p) arrays."""
-    xs = np.asarray([o.x for o in obs], dtype=np.float64)
-    ys = np.asarray([o.y for o in obs], dtype=np.float64)
-    ps = np.asarray([o.p for o in obs], dtype=np.float64)
-    return xs, ys, ps
-
-
 @dataclass
 class FitResult:
     """Outcome of a weighted fit or an aggregation.
@@ -87,6 +66,16 @@ def _weights(p, m: int) -> np.ndarray:
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValueError("inclusion probabilities must lie in (0, 1]")
     return 1.0 / p
+
+
+def _gram(x: np.ndarray, w: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``x' diag(w) x / scale``, symmetrised after the division.
+
+    Every curvature and meat matrix of the package is built here, so their
+    summation order is set in one place.
+    """
+    g = x.T @ (x * w[:, None]) / scale
+    return 0.5 * (g + g.T)
 
 
 def _cholesky(a: np.ndarray):
@@ -167,9 +156,7 @@ def solve_weighted_qle(
     while not converged and iterations < max_iter:
         iterations += 1
         saturated = saturated or family.saturates(eta)
-        jw = w * family.mean_derivative(eta)
-        newton = x.T @ (x * jw[:, None])
-        newton = 0.5 * (newton + newton.T)
+        newton = _gram(x, w * family.mean_derivative(eta))
         if ridge > 0.0:
             newton = newton + ridge * eye
         delta = cho_solve(_cholesky(newton), score)
@@ -196,9 +183,7 @@ def solve_weighted_qle(
 
     if newton is None:
         # converged at the starting point; still report the curvature there
-        jw = w * family.mean_derivative(eta)
-        newton = x.T @ (x * jw[:, None])
-        newton = 0.5 * (newton + newton.T)
+        newton = _gram(x, w * family.mean_derivative(eta))
 
     return FitResult(
         beta=beta,
@@ -225,9 +210,7 @@ def subsample_hessian(x, family: LinkFamily, beta, p=None, scale: float = 1.0) -
     if scale < 1.0:
         raise ValueError("scale must be at least 1")
     w = _weights(p, x.shape[0])
-    jw = w * family.mean_derivative(x @ beta)
-    h = x.T @ (x * jw[:, None]) / float(scale)
-    return 0.5 * (h + h.T)
+    return _gram(x, w * family.mean_derivative(x @ beta), float(scale))
 
 
 def vc_contribution(x, y, family: LinkFamily, beta, p) -> np.ndarray:
@@ -240,9 +223,7 @@ def vc_contribution(x, y, family: LinkFamily, beta, p) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     resid = y - family.mean(x @ np.asarray(beta, dtype=np.float64))
-    w = resid**2 * (1.0 - p) / p**2
-    out = x.T @ (x * w[:, None])
-    return 0.5 * (out + out.T)
+    return _gram(x, resid**2 * (1.0 - p) / p**2)
 
 
 def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
@@ -281,7 +262,6 @@ def full_data_variance(x, y, family: LinkFamily, beta, probabilities) -> np.ndar
     probs = np.asarray(probabilities, dtype=np.float64)
     n = x.shape[0]
     resid2 = (y - family.mean(x @ np.asarray(beta, dtype=np.float64))) ** 2
-    meat = x.T @ (x * (resid2 * (1.0 / probs - 1.0))[:, None]) / float(n) ** 2
-    meat = 0.5 * (meat + meat.T)
+    meat = _gram(x, resid2 * (1.0 / probs - 1.0), float(n) ** 2)
     bread = subsample_hessian(x, family, beta, scale=n)
     return _sandwich(bread, meat)

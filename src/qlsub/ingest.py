@@ -10,19 +10,12 @@ file size; in-memory arrays expose the same interface for experiments.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
 DEFAULT_BLOCK_SIZE = 65536
-
-
-@dataclass
-class ScanSummary:
-    n_records: int
-    n_blocks: int
 
 
 class RecordStream:
@@ -159,9 +152,14 @@ class CsvStream(RecordStream):
                     )
             raise DataError(f"{path}: malformed block near line {numbers[0]}")
         if self._arity is None:
-            self._arity = block.shape[1]
-            if self.y_col >= self._arity:
-                raise DataError(f"response column {self.y_col} out of range")
+            arity = block.shape[1]
+            for kind, cols in (("response", [self.y_col]), ("covariate", self.x_cols or [])):
+                for col in cols:
+                    if not 0 <= col < arity:
+                        raise DataError(
+                            f"{path}: {kind} column {col} out of range for {arity} fields"
+                        )
+            self._arity = arity
         elif block.shape[1] != self._arity:
             for line, lineno in zip(lines, numbers):
                 if line.count(",") + 1 != self._arity:
@@ -250,25 +248,9 @@ class SubsetStream(RecordStream):
     def dim(self) -> int:
         return self.parent.dim
 
-    @property
-    def index_offset(self) -> int:
-        return self.lo
-
     def iter_blocks(self, lo: int = 0, hi: int | None = None):
         hi = self.n_records if hi is None else hi
         yield from self.parent.iter_blocks(self.lo + lo, self.lo + hi)
-
-
-def scan(stream: RecordStream, visitor) -> ScanSummary:
-    """Visit every record once with ``visitor(global_index, x_row, y)``."""
-    count = 0
-    blocks = 0
-    for start, x, y in stream.iter_blocks():
-        blocks += 1
-        for offset in range(x.shape[0]):
-            visitor(start + offset, x[offset], float(y[offset]))
-        count += x.shape[0]
-    return ScanSummary(n_records=count, n_blocks=blocks)
 
 
 def partition_view(stream: RecordStream, k: int) -> list[RecordStream]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -25,7 +25,7 @@ from .estimator import (
 )
 from .families import LinkFamily
 from .ingest import RecordStream
-from .rng import MAIN_STREAM, PILOT_STREAM, uniforms
+from .rng import MAIN_STREAM, PILOT_STREAM
 from .sampling import (
     SamplingPlan,
     ScoreContext,
@@ -33,7 +33,6 @@ from .sampling import (
     record_scores,
     shrinkage_probability,
     threshold_quantile,
-    warn_on_zero_scores,
     waterfill,
 )
 
@@ -60,19 +59,53 @@ class PilotResult:
 
 @dataclass
 class PassSample:
-    """Records captured by one Bernoulli scan, in global index order."""
+    """Records captured by one Bernoulli scan, in global index order.
+
+    ``min_p`` is the smallest probability any scanned record received.
+    """
 
     x: np.ndarray
     y: np.ndarray
     p: np.ndarray
     indices: np.ndarray
     expected_size: float
+    min_p: float
     cap: float = math.inf
-    info: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return self.indices.shape[0]
+
+
+def _scan(stream: RecordStream, seed: int, tag: int, block_probs, cap: float = math.inf) -> PassSample:
+    """Keep each record of ``stream`` independently with its own probability.
+
+    ``block_probs(start, x, y)`` gives the probabilities of the block's
+    records; the draw for record i is keyed on ``(seed, tag, i)``.
+    """
+    # empty leading pieces give a scan that keeps nothing the right shapes
+    xs, ys = [np.empty((0, stream.dim))], [np.empty(0)]
+    ps, idxs = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    expected, min_p = 0.0, math.inf
+    for start, xb, yb in stream.iter_blocks():
+        block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
+        probs = block_probs(start, xb, yb)
+        expected += float(probs.sum())
+        min_p = min(min_p, float(probs.min(initial=math.inf)))
+        mask = block_mask(seed, block_idx, probs, tag)
+        xs.append(xb[mask])
+        ys.append(yb[mask])
+        ps.append(probs[mask])
+        idxs.append(block_idx[mask])
+    return PassSample(
+        x=np.concatenate(xs),
+        y=np.concatenate(ys),
+        p=np.concatenate(ps),
+        indices=np.concatenate(idxs),
+        expected_size=expected,
+        min_p=min_p,
+        cap=cap,
+    )
 
 
 def run_pilot(
@@ -95,26 +128,16 @@ def run_pilot(
             stacklevel=2,
         )
     p0 = float(r0) / n
-    xs, ys, idxs = [], [], []
-    for start, xb, yb in stream.iter_blocks():
-        block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
-        mask = uniforms(seed, block_idx, PILOT_STREAM) < p0
-        if mask.any():
-            xs.append(xb[mask])
-            ys.append(yb[mask])
-            idxs.append(block_idx[mask])
-    realized = int(sum(a.shape[0] for a in xs))
+    sample = _scan(stream, seed, PILOT_STREAM, lambda start, xb, yb: np.full(xb.shape[0], p0))
+    realized = sample.size
     if realized < d + 1:
         raise PilotFailed(
             f"pilot captured only {realized} records for dimension {d}; raise r0"
         )
-    px = np.concatenate(xs)
-    py = np.concatenate(ys)
-    pidx = np.concatenate(idxs)
-    pp = np.full(realized, p0)
+    px, py = sample.x, sample.y
 
     try:
-        fit = solve_weighted_qle(px, py, family, p=pp, ridge=ridge)
+        fit = solve_weighted_qle(px, py, family, p=sample.p, ridge=ridge)
     except SingularHessian as err:
         raise PilotFailed(f"pilot Newton system is singular; raise r0 ({err})") from err
     beta0 = fit.beta
@@ -138,8 +161,8 @@ def run_pilot(
         sigma0_inv=sigma0_inv,
         x=px,
         y=py,
-        p=pp,
-        indices=pidx,
+        p=sample.p,
+        indices=sample.indices,
         realized_r0=realized,
         scores=scores,
         criterion=criterion,
@@ -175,68 +198,67 @@ def _resolve_cap(
 
 @dataclass(frozen=True)
 class ProbabilityRule:
-    """Resolved record-to-probability map for one sampling pass."""
+    """Resolved record-to-probability map for one sampling pass.
+
+    ``ctx`` holds the scoring quantities, cap and normalizer; it is None for
+    a uniform rule, which gives every record ``r / n_pool``.
+    """
 
     pilot: PilotResult
     plan: SamplingPlan
     r: float
     n_pool: float
-    uniform_only: bool
-    cap: float
-    psi_eff: float
     ctx: ScoreContext | None
+
+    def probabilities(self, scores: np.ndarray) -> np.ndarray:
+        """Capped probabilities of records with these scores."""
+        if self.ctx is None:
+            return np.full(scores.shape[0], self.r / self.n_pool)
+        return np.minimum(
+            shrinkage_probability(self.ctx, scores, self.r, self.plan.shrinkage), 1.0
+        )
 
     def block_probabilities(
         self, xb: np.ndarray, yb: np.ndarray, family: LinkFamily, offset: int = 0
     ) -> np.ndarray:
         """Capped probabilities of the records ``offset, offset + 1, ...``."""
-        if self.uniform_only:
-            return np.full(xb.shape[0], self.r / self.n_pool)
-        scores = self.ctx.scores(xb, yb, family, offset)
-        return np.minimum(
-            shrinkage_probability(self.ctx, scores, self.r, self.plan.shrinkage), 1.0
-        )
+        # a uniform rule reads no scores, so none are computed for it
+        return self.probabilities(yb if self.ctx is None else self.ctx.scores(xb, yb, family, offset))
 
 
 def resolve_rule(
-    stream: RecordStream,
+    stream: RecordStream | None,
     family: LinkFamily,
     pilot: PilotResult,
     plan: SamplingPlan,
     r: float,
     n_pool: float | None = None,
 ) -> ProbabilityRule:
-    """Bind the plan to this pass: threshold, normalizer, probability map."""
+    """Bind the plan to this pass: threshold, normalizer, probability map.
+
+    The pool size defaults to the stream's record count.  Only the exact
+    cap reads the stream, so with ``n_pool`` given and another threshold
+    mode ``stream`` may be None.
+    """
     n_pool = float(stream.n_records if n_pool is None else n_pool)
-    uniform_only = plan.criterion == "uniform"
-    if pilot.degenerate and not uniform_only:
-        warnings.warn(
-            "pilot residuals are all zero; falling back to uniform probabilities",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        uniform_only = True
-    cap, psi_eff = math.inf, (pilot.psi_hat if not pilot.degenerate else 1.0)
     ctx = None
-    if not uniform_only:
-        ctx = ScoreContext(
-            beta0=pilot.beta0,
-            psi_hat=pilot.psi_hat,
-            sigma_inv=pilot.sigma0_inv if plan.criterion == "mv" else None,
-            n_pool=n_pool,
-        )
-        cap, psi_eff = _resolve_cap(stream, family, pilot, plan, ctx, r)
-        ctx = replace(ctx, psi_hat=psi_eff, cap=cap)
-    return ProbabilityRule(
-        pilot=pilot,
-        plan=plan,
-        r=r,
-        n_pool=n_pool,
-        uniform_only=uniform_only,
-        cap=cap,
-        psi_eff=psi_eff,
-        ctx=ctx,
-    )
+    if plan.criterion != "uniform":
+        if pilot.degenerate:
+            warnings.warn(
+                "pilot residuals are all zero; falling back to uniform probabilities",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        else:
+            ctx = ScoreContext(
+                beta0=pilot.beta0,
+                psi_hat=pilot.psi_hat,
+                sigma_inv=pilot.sigma0_inv if plan.criterion == "mv" else None,
+                n_pool=n_pool,
+            )
+            cap, psi_eff = _resolve_cap(stream, family, pilot, plan, ctx, r)
+            ctx = replace(ctx, psi_hat=psi_eff, cap=cap)
+    return ProbabilityRule(pilot=pilot, plan=plan, r=r, n_pool=n_pool, ctx=ctx)
 
 
 def second_pass(
@@ -258,44 +280,22 @@ def second_pass(
         raise ConfigError(f"expected size {r} outside (0, {n_pool})")
     if rule is None:
         rule = resolve_rule(stream, family, pilot, plan, r)
-    cap, psi_eff = rule.cap, rule.psi_eff
-
-    xs, ys, ps, idxs = [], [], [], []
-    expected = 0.0
-    zero_warned = False
-    for start, xb, yb in stream.iter_blocks():
-        block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
-        probs = rule.block_probabilities(xb, yb, family, start)
-        # at rho = 0 a record's probability is zero exactly when its score is
-        if not zero_warned and rule.plan.shrinkage == 0.0 and np.any(probs == 0.0):
-            warn_on_zero_scores(probs, rule.plan.shrinkage)
-            zero_warned = True
-        expected += float(probs.sum())
-        mask = block_mask(seed, block_idx, probs, MAIN_STREAM)
-        if mask.any():
-            xs.append(xb[mask])
-            ys.append(yb[mask])
-            ps.append(probs[mask])
-            idxs.append(block_idx[mask])
-
-    if not xs:
-        return PassSample(
-            x=np.empty((0, stream.dim)),
-            y=np.empty(0),
-            p=np.empty(0),
-            indices=np.empty(0, dtype=np.int64),
-            expected_size=expected,
-            cap=cap,
-        )
-    return PassSample(
-        x=np.concatenate(xs),
-        y=np.concatenate(ys),
-        p=np.concatenate(ps),
-        indices=np.concatenate(idxs),
-        expected_size=expected,
-        cap=cap,
-        info={"psi_eff": psi_eff},
+    sample = _scan(
+        stream,
+        seed,
+        MAIN_STREAM,
+        lambda start, xb, yb: rule.block_probabilities(xb, yb, family, start),
+        cap=math.inf if rule.ctx is None else rule.ctx.cap,
     )
+    # at rho = 0 a record's probability is zero exactly when its score is
+    if rule.plan.shrinkage == 0.0 and sample.min_p == 0.0:
+        warnings.warn(
+            "records with zero score receive probability 0 under rho = 0; "
+            "the optimality premises may be violated",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return sample
 
 
 def run_two_step(
@@ -329,7 +329,7 @@ def run_two_step(
         raise EmptySample("second pass captured no records")
 
     p0 = float(r0) / n
-    pilot_p2 = rule.block_probabilities(pilot.x, pilot.y, family)
+    pilot_p2 = rule.probabilities(pilot.scores)
     fresh = ~np.isin(sample.indices, pilot.indices)
     x = np.concatenate([pilot.x, sample.x[fresh]])
     y = np.concatenate([pilot.y, sample.y[fresh]])

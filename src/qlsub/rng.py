@@ -54,9 +54,3 @@ def uniforms(seed: int, indices: np.ndarray, stream: int = MAIN_STREAM) -> np.nd
     z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * _INV53
 
-
-def uniform_one(seed: int, index: int, stream: int = MAIN_STREAM) -> float:
-    """Scalar version of :func:`uniforms` for record-at-a-time callers."""
-    key = derive_seed(seed, stream)
-    z = _mix_int(key + ((int(index) + 1) * _GAMMA & _MASK))
-    return (z >> 11) * _INV53

@@ -11,15 +11,13 @@ scores capped at probability one; :func:`waterfill` computes the exact cap.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateScores
-from .estimator import WeightedObservation
 from .families import LinkFamily
-from .rng import MAIN_STREAM, uniform_one, uniforms
+from .rng import MAIN_STREAM, uniforms
 
 CRITERIA = ("uniform", "mv", "mvc")
 THRESHOLD_MODES = ("inf", "quantile", "exact")
@@ -72,11 +70,6 @@ class ScoreContext:
 # Rows per BLAS call in the record kernel.  Every record's products are
 # computed in a call of exactly this shape, at row (global index % TILE_ROWS).
 TILE_ROWS = 1024
-
-
-def _rows(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x
 
 
 def tile_products(x: np.ndarray, offset: int, *weights: np.ndarray) -> list[np.ndarray]:
@@ -160,20 +153,6 @@ def whitened_norms(x: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
     """
     z = tile_products(x, 0, np.asarray(sigma_inv, dtype=np.float64).T)[0]
     return row_norms(z)
-
-
-def score_mvc(x, y, family: LinkFamily, beta):
-    """Residual magnitude times covariate norm."""
-    out = record_scores(_rows(x), y, family, beta)
-    return out if np.asarray(x).ndim == 2 else float(out[0])
-
-
-def score_mv(x, y, family: LinkFamily, beta, sigma_inv):
-    """Residual magnitude times curvature-whitened covariate norm."""
-    if sigma_inv is None:
-        raise ConfigError("the mv criterion requires the pilot curvature inverse")
-    out = record_scores(_rows(x), y, family, beta, sigma_inv)
-    return out if np.asarray(x).ndim == 2 else float(out[0])
 
 
 def waterfill(scores, r: float) -> tuple[float, int]:
@@ -263,35 +242,9 @@ def shrinkage_probability(ctx: ScoreContext, score, r: float, rho: float):
 def block_mask(seed: int, indices: np.ndarray, probs: np.ndarray, stream: int = MAIN_STREAM) -> np.ndarray:
     """Vectorized Bernoulli inclusion decisions keyed on (seed, index)."""
     probs = np.asarray(probs, dtype=np.float64)
-    bad = ~((probs >= 0.0) & (probs <= 1.0))
-    if np.any(bad):
+    # two reductions screen the block; a NaN fails both comparisons
+    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=1.0) <= 1.0):
+        bad = ~((probs >= 0.0) & (probs <= 1.0))
         idx = np.asarray(indices)[bad][0]
         raise ValueError(f"probability outside [0, 1] at record {int(idx)}")
     return uniforms(seed, indices, stream) < probs
-
-
-def poisson_draw(records, prob_fn, seed: int, stream: int = MAIN_STREAM):
-    """Single-pass Bernoulli thinning of a record stream.
-
-    ``records`` yields ``(index, x, y)`` triples; each record is included
-    independently with ``prob_fn(index, x, y)`` and included records carry
-    the probability used.  The decision for record i depends only on
-    (seed, i, p_i), so any block or shard layout reproduces it.
-    """
-    for index, x, y in records:
-        p = float(prob_fn(index, x, y))
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability outside [0, 1] at record {index}")
-        if uniform_one(seed, index, stream) < p:
-            yield WeightedObservation(x=np.asarray(x, dtype=np.float64), y=float(y), p=p)
-
-
-def warn_on_zero_scores(scores: np.ndarray, rho: float) -> None:
-    """Zero scores under rho = 0 can never enter the subsample."""
-    if rho == 0.0 and bool(np.any(np.asarray(scores) == 0.0)):
-        warnings.warn(
-            "records with zero score receive probability 0 under rho = 0; "
-            "the optimality premises may be violated",
-            RuntimeWarning,
-            stacklevel=3,
-        )

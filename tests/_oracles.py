@@ -3,12 +3,16 @@
 These deliberately avoid the code paths they are used to check: the
 allocation oracle solves the underlying convex program by projected
 gradient descent, and the regression oracle uses a QR-based least-squares
-route instead of normal equations.
+route instead of normal equations.  The scalar uniform is the
+record-at-a-time form of ``qlsub.rng.uniforms``, built from plain Python
+integers rather than numpy's uint64 arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from qlsub.rng import _GAMMA, _INV53, _MASK, MAIN_STREAM, _mix_int, derive_seed
 
 
 def project_capped_simplex(v: np.ndarray, total: float, cap: float = 1.0) -> np.ndarray:
@@ -112,3 +116,10 @@ def weighted_least_squares(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.nd
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)
     return beta
+
+
+def uniform_one(seed: int, index: int, stream: int = MAIN_STREAM) -> float:
+    """Scalar version of ``qlsub.rng.uniforms`` for record-at-a-time callers."""
+    key = derive_seed(seed, stream)
+    z = _mix_int(key + ((int(index) + 1) * _GAMMA & _MASK))
+    return (z >> 11) * _INV53

@@ -76,6 +76,23 @@ class TestExitCodes:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--x-cols", "1,2,99"], "covariate column 99 out of range"),
+            (["--x-cols", "1,-1"], "covariate column -1 out of range"),
+            (["--y-col", "-1"], "response column -1 out of range"),
+            (["--y-col", "8"], "response column 8 out of range"),
+        ],
+    )
+    def test_column_out_of_range_exits_three(self, case_csv, tmp_path, capsys, flags, message):
+        code = main(_fit_args(case_csv, str(tmp_path / "o.json"), flags))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "case1.csv" in err and message in err
+        assert "Traceback" not in err
+
+
 class TestFitDocuments:
     def test_byte_identical_reruns(self, case_csv, tmp_path):
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

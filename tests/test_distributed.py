@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,10 @@ from qlsub.distributed import (
     run_distributed,
 )
 from qlsub.errors import ConfigError, PartitionFailed, SingularHessian
-from qlsub.estimator import solve_weighted_qle
+from qlsub.estimator import solve_weighted_qle, subsample_hessian
 from qlsub.families import EXP
 from qlsub.ingest import ArrayStream
-from qlsub.pipeline import run_pilot, second_pass
+from qlsub.pipeline import resolve_rule, run_pilot, second_pass
 from qlsub.sampling import SamplingPlan
 from qlsub.synth import full_qle, generate_case, make_spec
 
@@ -196,3 +198,18 @@ def test_pilot_summary_scales_like_information(stream):
     shard = fit_partition(stream, EXP, pilot, plan, 1000.0, seed=29, partition_id=1)
     ratio = np.trace(summary.hessian) / np.trace(shard.hessian)
     assert 0.02 <= ratio <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["inf", "quantile", "exact"])
+def test_pilot_summary_weighted_by_shard_rule(stream, mode):
+    # at K = 1 the one shard is the whole stream, so the pilot partition
+    # carries the probabilities that shard's rule gives the pilot records;
+    # the exact cap is replaced by its pilot-only estimate, the quantile cap
+    plan = SamplingPlan(criterion="mv", expected_size=1000, threshold_mode=mode, seed=31)
+    pilot = run_pilot(stream, EXP, 300, seed=31, criterion="mv")
+    summary = pilot_summary(pilot, EXP, plan, 1000.0, machine_size=stream.n_records / 1)
+    shard_mode = "quantile" if mode == "exact" else mode
+    rule = resolve_rule(stream, EXP, pilot, replace(plan, threshold_mode=shard_mode), 1000.0)
+    p = rule.block_probabilities(pilot.x, pilot.y, EXP)
+    expected = subsample_hessian(pilot.x, EXP, pilot.beta0, p=p, scale=stream.n_records)
+    assert np.array_equal(summary.hessian, expected)

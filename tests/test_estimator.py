@@ -5,17 +5,15 @@ import pytest
 
 from qlsub.errors import EmptySample, SingularHessian
 from qlsub.estimator import (
-    WeightedObservation,
     full_data_variance,
     sandwich_variance,
     solve_weighted_qle,
-    stack_observations,
     subsample_hessian,
     vc_contribution,
     weighted_score,
 )
 from qlsub.families import EXP, IDENTITY
-from qlsub.sampling import optimal_probabilities, score_mv, waterfill
+from qlsub.sampling import optimal_probabilities, record_scores, waterfill
 from qlsub.synth import generate_case, make_spec
 
 from _oracles import weighted_least_squares
@@ -232,7 +230,7 @@ class TestFullDataVariance:
             y = rng.poisson(np.exp(x @ np.array([0.5, 0.5]))).astype(float)
             beta = solve_weighted_qle(x, y, EXP).beta
             sigma_inv = np.linalg.inv(subsample_hessian(x, EXP, beta, scale=n))
-            scores = score_mv(x, y, EXP, beta, sigma_inv)
+            scores = record_scores(x, y, EXP, beta, sigma_inv)
             if np.count_nonzero(scores > 0) <= r:
                 continue
             cap, _ = waterfill(scores, r)
@@ -242,15 +240,3 @@ class TestFullDataVariance:
             tr_unif = np.trace(full_data_variance(x, y, EXP, beta, np.full(n, r / n)))
             assert tr_opt <= tr_unif * (1 + 1e-9)
 
-
-def test_weighted_observation_validation_and_stacking():
-    with pytest.raises(ValueError):
-        WeightedObservation(x=np.array([1.0]), y=0.0, p=0.0)
-    obs = [
-        WeightedObservation(x=np.array([1.0, 2.0]), y=3.0, p=0.5),
-        WeightedObservation(x=np.array([4.0, 5.0]), y=6.0, p=1.0),
-    ]
-    x, y, p = stack_observations(obs)
-    assert x.shape == (2, 2)
-    np.testing.assert_array_equal(y, [3.0, 6.0])
-    np.testing.assert_array_equal(p, [0.5, 1.0])

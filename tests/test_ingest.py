@@ -6,7 +6,16 @@ import pytest
 from qlsub.errors import DataError
 from qlsub.estimator import solve_weighted_qle
 from qlsub.families import IDENTITY
-from qlsub.ingest import ArrayStream, CsvStream, SubsetStream, partition_view, scan
+from qlsub.ingest import ArrayStream, CsvStream, SubsetStream, partition_view
+
+
+def rows(stream):
+    """``(global_index, x_row, y)`` for every record of one scan, in order."""
+    return [
+        (start + i, xb[i], float(yb[i]))
+        for start, xb, yb in stream.iter_blocks()
+        for i in range(xb.shape[0])
+    ]
 
 
 def _write_csv(path, table):
@@ -24,20 +33,13 @@ def small_csv(tmp_path):
 class TestScan:
     def test_counts_rows(self, tmp_path):
         path = _write_csv(tmp_path / "t.csv", np.arange(6.0).reshape(3, 2))
-        seen = []
-        summary = scan(CsvStream(path), lambda i, x, y: seen.append(i))
-        assert summary.n_records == 3
+        seen = [i for i, _, _ in rows(CsvStream(path))]
         assert seen == [0, 1, 2]
 
     def test_two_scans_identical(self, small_csv):
         path, _ = small_csv
         stream = CsvStream(path, block_size=7)
-        first = [(i, y) for i in range(0)]
-        runs = []
-        for _ in range(2):
-            rows = []
-            scan(stream, lambda i, x, y: rows.append((i, tuple(x), y)))
-            runs.append(rows)
+        runs = [[(i, tuple(x), y) for i, x, y in rows(stream)] for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_indices_continuous_across_files(self, tmp_path):
@@ -47,15 +49,12 @@ class TestScan:
                 _write_csv(tmp_path / f"part{j}.csv", np.full((4, 2), float(j)))
             )
         stream = CsvStream(paths, block_size=3)
-        idx = []
-        scan(stream, lambda i, x, y: idx.append(i))
-        assert idx == list(range(20))
+        assert [i for i, _, _ in rows(stream)] == list(range(20))
 
     def test_block_size_does_not_change_content(self, small_csv):
         path, table = small_csv
         for bs in (1, 3, 64):
-            got = []
-            scan(CsvStream(path, block_size=bs), lambda i, x, y: got.append(y))
+            got = [y for _, _, y in rows(CsvStream(path, block_size=bs))]
             np.testing.assert_array_equal(got, table[:, 0])
 
 
@@ -64,13 +63,13 @@ class TestParsing:
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n5,6\n")
         with pytest.raises(DataError, match=r"bad\.csv:2"):
-            scan(CsvStream(str(path)), lambda i, x, y: None)
+            rows(CsvStream(str(path)))
 
     def test_arity_mismatch_reports_location(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2,3\n4,5\n6,7,8\n")
         with pytest.raises(DataError, match=r"ragged\.csv:2"):
-            scan(CsvStream(str(path)), lambda i, x, y: None)
+            rows(CsvStream(str(path)))
 
     def test_missing_file_is_data_error(self):
         with pytest.raises(DataError):
@@ -84,8 +83,7 @@ class TestParsing:
 
     def test_response_column_selection(self, tmp_path):
         path = _write_csv(tmp_path / "cols.csv", np.array([[1.0, 2.0, 3.0]]))
-        ys = []
-        scan(CsvStream(str(path), y_col=2, x_cols=[0]), lambda i, x, y: ys.append((y, tuple(x))))
+        ys = [(y, tuple(x)) for _, x, y in rows(CsvStream(str(path), y_col=2, x_cols=[0]))]
         assert ys == [(3.0, (1.0,))]
 
 
@@ -93,10 +91,8 @@ class TestTransforms:
     def test_intercept_injection(self, small_csv):
         path, table = small_csv
         stream = CsvStream(path, intercept=True)
-        rows = []
-        scan(stream, lambda i, x, y: rows.append(x))
         assert stream.dim == 4
-        assert all(row[0] == 1.0 for row in rows)
+        assert all(x[0] == 1.0 for _, x, _ in rows(stream))
         # stored file untouched
         np.testing.assert_array_equal(np.loadtxt(path, delimiter=","), table)
 
@@ -141,16 +137,12 @@ class TestPartition:
         shards = partition_view(stream, 5)
         assert [s.n_records for s in shards] == [3, 4, 5, 6, 7]
         # shard j sees only file j's rows
-        got = []
-        scan(shards[2], lambda i, x, y: got.append(y))
-        assert got == [2.0] * 5
+        assert [y for _, _, y in rows(shards[2])] == [2.0] * 5
 
     def test_global_indices_preserved(self):
         stream = ArrayStream(np.arange(20.0).reshape(10, 2), np.zeros(10))
         shards = partition_view(stream, 2)
-        idx = []
-        scan(shards[1], lambda i, x, y: idx.append(i))
-        assert idx == [5, 6, 7, 8, 9]
+        assert [i for i, _, _ in rows(shards[1])] == [5, 6, 7, 8, 9]
 
     def test_too_many_shards(self):
         with pytest.raises(DataError):
@@ -170,7 +162,8 @@ def test_memory_independent_of_file_size(tmp_path):
     def peak(path):
         stream = CsvStream(path, block_size=256)
         tracemalloc.start()
-        scan(stream, lambda i, x, y: None)
+        for _ in stream.iter_blocks():
+            pass
         _, high = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return high

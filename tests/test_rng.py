@@ -1,7 +1,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, uniform_one, uniforms
+from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, uniforms
+
+from _oracles import uniform_one
 
 
 def test_range_and_determinism():

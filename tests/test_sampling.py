@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlsub.errors import ConfigError, DegenerateScores
-from qlsub.estimator import stack_observations
 from qlsub.families import IDENTITY
 from qlsub.rng import MAIN_STREAM
 from qlsub.sampling import (
@@ -13,33 +12,38 @@ from qlsub.sampling import (
     ScoreContext,
     block_mask,
     optimal_probabilities,
-    poisson_draw,
-    score_mv,
-    score_mvc,
+    record_scores,
     shrinkage_probability,
     threshold_quantile,
     waterfill,
 )
+
+from _oracles import uniform_one
 
 positive_scores = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=4, max_size=12
 )
 
 
+def _score(x, y, beta):
+    """mvc score of one record through the block scorer."""
+    return float(record_scores(np.atleast_2d(x), np.atleast_1d(y), IDENTITY, beta)[0])
+
+
 class TestScores:
     def test_mvc_arithmetic(self):
         # residual 1 at beta'(3,4) = 1, covariate norm 5
-        val = score_mvc(np.array([3.0, 4.0]), 2.0, IDENTITY, np.array([1 / 3, 0.0]))
+        val = _score(np.array([3.0, 4.0]), 2.0, np.array([1 / 3, 0.0]))
         assert val == pytest.approx(5.0, rel=1e-12)
 
     def test_zero_residual_zero_score(self):
-        assert score_mvc(np.array([1.0, 1.0]), 2.0, IDENTITY, np.array([1.0, 1.0])) == 0.0
+        assert _score(np.array([1.0, 1.0]), 2.0, np.array([1.0, 1.0])) == 0.0
 
     def test_scaling_in_covariate_norm(self):
         x = np.array([1.0, 2.0])
         beta = np.zeros(2)
-        a = score_mvc(x, 1.5, IDENTITY, beta)
-        b = score_mvc(3.0 * x, 1.5, IDENTITY, beta)
+        a = _score(x, 1.5, beta)
+        b = _score(3.0 * x, 1.5, beta)
         assert b == pytest.approx(3.0 * a, rel=1e-12)
 
     def test_mv_identity_matrix_equals_mvc(self):
@@ -48,8 +52,8 @@ class TestScores:
         y = rng.normal(size=6)
         beta = rng.normal(size=3) * 0.1
         np.testing.assert_array_equal(
-            score_mv(x, y, IDENTITY, beta, np.eye(3)),
-            score_mvc(x, y, IDENTITY, beta),
+            record_scores(x, y, IDENTITY, beta, np.eye(3)),
+            record_scores(x, y, IDENTITY, beta),
         )
 
     def test_mv_scales_with_matrix(self):
@@ -58,14 +62,10 @@ class TestScores:
         y = rng.normal(size=5)
         beta = np.zeros(2)
         np.testing.assert_allclose(
-            score_mv(x, y, IDENTITY, beta, 2.0 * np.eye(2)),
-            2.0 * score_mvc(x, y, IDENTITY, beta),
+            record_scores(x, y, IDENTITY, beta, 2.0 * np.eye(2)),
+            2.0 * record_scores(x, y, IDENTITY, beta),
             rtol=1e-12,
         )
-
-    def test_mv_requires_matrix(self):
-        with pytest.raises(ConfigError):
-            score_mv(np.ones(2), 1.0, IDENTITY, np.zeros(2), None)
 
 
 class TestWaterfill:
@@ -191,34 +191,24 @@ class TestShrinkage:
 
 
 class TestPoissonDraw:
-    def _records(self, n):
-        rng = np.random.default_rng(5)
-        for i in range(n):
-            yield i, rng.normal(size=2), float(i)
-
     def test_certain_inclusion_returns_everything(self):
-        out = list(poisson_draw(self._records(50), lambda i, x, y: 1.0, seed=1))
-        assert len(out) == 50
-        assert all(o.p == 1.0 for o in out)
+        assert block_mask(1, np.arange(50), np.ones(50)).all()
 
     def test_zero_probability_returns_nothing(self):
-        assert list(poisson_draw(self._records(50), lambda i, x, y: 0.0, seed=1)) == []
+        assert not block_mask(1, np.arange(50), np.zeros(50)).any()
 
     def test_invalid_probability_identifies_record(self):
+        probs = np.where(np.arange(10) == 3, 1.5, 0.5)
         with pytest.raises(ValueError, match="record 3"):
-            list(
-                poisson_draw(
-                    self._records(10), lambda i, x, y: 1.5 if i == 3 else 0.5, seed=1
-                )
-            )
+            block_mask(1, np.arange(10), probs)
 
     def test_block_mask_matches_streaming_draw(self):
+        # each decision is the record-at-a-time draw u(seed, i) < p_i
         n = 2000
         probs = np.random.default_rng(3).uniform(0, 1, n)
         mask = block_mask(9, np.arange(n), probs, MAIN_STREAM)
-        records = ((i, np.array([1.0]), 0.0) for i in range(n))
-        drawn = [o for o in poisson_draw(records, lambda i, x, y: probs[i], seed=9)]
-        assert len(drawn) == int(mask.sum())
+        drawn = [uniform_one(9, i, MAIN_STREAM) < probs[i] for i in range(n)]
+        np.testing.assert_array_equal(mask, drawn)
 
     def test_binomial_concentration(self):
         # realized sizes within 3 sigma of the mean for 50 of 50 seeds is
@@ -263,9 +253,3 @@ class TestSamplingPlan:
         assert plan.shrinkage == 0.2
         assert plan.threshold_mode == "inf"
 
-
-def test_poisson_draw_observations_stack():
-    records = [(i, np.array([float(i), 1.0]), float(2 * i)) for i in range(20)]
-    out = list(poisson_draw(iter(records), lambda i, x, y: 0.7, seed=2))
-    x, y, p = stack_observations(out)
-    assert x.shape[1] == 2 and np.all(p == 0.7)

@@ -83,7 +83,7 @@ def scan_outcome(stream, criterion, mode):
         "pilot_scores": pilot.scores,
         "scores": np.concatenate(scores),
         "probs": np.concatenate(probs),
-        "cap": [rule.cap, rule.psi_eff],
+        "cap": [rule.ctx.cap, rule.ctx.psi_hat],
         "draw_p": sample.p,
         "draw_idx": sample.indices.astype(np.float64),
         "beta": fit.beta,
@@ -214,10 +214,7 @@ digest = hashlib.sha256()
 for criterion, sigma_inv in (("mv", 0.5 * (a + a.T)), ("mvc", None)):
     plan = SamplingPlan(criterion=criterion, expected_size=400.0, seed=9)
     ctx = ScoreContext(beta0=beta0, psi_hat=2.0, sigma_inv=sigma_inv, n_pool=6000.0, cap=9.0)
-    rule = ProbabilityRule(
-        pilot=None, plan=plan, r=400.0, n_pool=6000.0, uniform_only=False,
-        cap=9.0, psi_eff=2.0, ctx=ctx,
-    )
+    rule = ProbabilityRule(pilot=None, plan=plan, r=400.0, n_pool=6000.0, ctx=ctx)
     for start, xb, yb in stream.iter_blocks():
         digest.update(rule.block_probabilities(xb, yb, EXP, start).tobytes())
 print(digest.hexdigest())
