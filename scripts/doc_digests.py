@@ -5,14 +5,21 @@ hashes the JSON document of each cell of the matrix
 
 - ``fit`` x criterion {uniform, mvc, mv} x threshold {inf, quantile, exact};
 - ``fit-distributed`` x criterion {mvc, mv} x threshold {inf, quantile,
-  exact} x K {1, 4}, with ``--threads 2``.
+  exact} x K {1, 4}, with ``--threads 2``;
+- ``fit-distributed --partitions`` x criterion {mvc, mv} x threshold {inf,
+  quantile, exact}, on the same case split into 4 files (``gen-data
+  --files 4``), so the shards are the files;
+- ``fit`` and ``fit-distributed --k 4`` x threshold {inf, quantile, exact},
+  criterion mv, with ``--block-size 1000``.
 
 Two checkouts that should give the same documents print the same lines, so a
 refactor is checked by diffing this script's output before and after it::
 
-    python scripts/doc_digests.py > digests.txt
+    python scripts/doc_digests.py > after.txt
+    python scripts/doc_digests.py ../parent/src > before.txt
 
-The package is imported from the ``src`` directory next to this script.
+The package is imported from the ``src`` directory given as the optional
+argument, by default the one next to this script.
 """
 
 from __future__ import annotations
@@ -24,28 +31,35 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from qlsub.cli import main  # noqa: E402
-
 CASE = ["--case", "c1", "--n", "20000", "--seed", "11"]
 PLAN = ["--r", "1000", "--r0", "300", "--rho", "0.2", "--seed", "5"]
 THRESHOLDS = ("inf", "quantile", "exact")
+ONE_FILE = ["--data", "case.csv"]
+FOUR_FILES = ["--partitions", *(f"split.part{j}.csv" for j in range(4))]
 
 
 def cells():
     for criterion in ("uniform", "mvc", "mv"):
         for threshold in THRESHOLDS:
-            yield f"fit {criterion} {threshold}", ["fit", "--criterion", criterion, "--threshold", threshold]
+            yield f"fit {criterion} {threshold}", ["fit", "--criterion", criterion, "--threshold", threshold, *ONE_FILE]
     for criterion in ("mvc", "mv"):
         for threshold in THRESHOLDS:
             for k in (1, 4):
                 argv = ["fit-distributed", "--criterion", criterion, "--threshold", threshold,
-                        "--k", str(k), "--threads", "2"]
+                        "--k", str(k), "--threads", "2", *ONE_FILE]
                 yield f"fit-distributed {criterion} {threshold} k={k}", argv
+    for criterion in ("mvc", "mv"):
+        for threshold in THRESHOLDS:
+            argv = ["fit-distributed", "--criterion", criterion, "--threshold", threshold,
+                    "--threads", "2", *FOUR_FILES]
+            yield f"fit-distributed {criterion} {threshold} files=4", argv
+    for threshold in THRESHOLDS:
+        blocks = ["--criterion", "mv", "--threshold", threshold, "--block-size", "1000", *ONE_FILE]
+        yield f"fit mv {threshold} block=1000", ["fit", *blocks]
+        yield f"fit-distributed mv {threshold} k=4 block=1000", ["fit-distributed", "--k", "4", "--threads", "2", *blocks]
 
 
-def digest(argv: list[str]) -> str:
+def digest(main, argv: list[str]) -> str:
     """sha256 of the document ``qlsub`` writes for ``argv``, or the exit code."""
     with contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + ["--out", "doc.json"])
@@ -54,21 +68,26 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(Path("doc.json").read_bytes()).hexdigest()
 
 
-def run() -> int:
-    # the documents embed the --data path, so every run uses the same
-    # relative name inside a fresh directory
+def run(main) -> int:
+    # the documents embed the data paths, so every run uses the same
+    # relative names inside a fresh directory
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         with contextlib.redirect_stderr(io.StringIO()):
-            if main(["gen-data", *CASE, "--out", "case.csv"]) != 0:
-                print("gen-data failed", file=sys.stderr)
-                return 1
+            for argv in (["--out", "case.csv"], ["--files", "4", "--out", "split.csv"]):
+                if main(["gen-data", *CASE, *argv]) != 0:
+                    print("gen-data failed", file=sys.stderr)
+                    return 1
         failed = False
         for name, argv in cells():
-            value = digest(argv + ["--data", "case.csv", *PLAN])
+            value = digest(main, argv + PLAN)
             failed = failed or value.startswith("exit")
             print(f"{name:<36} {value}", flush=True)
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    from qlsub.cli import main
+
+    sys.exit(run(main))

@@ -5,11 +5,17 @@ indices: two scans of the same source yield identical record sequences, and
 the index of a record never depends on the block size or shard layout.
 CSV sources are read in bounded blocks so memory stays independent of the
 file size; in-memory arrays expose the same interface for experiments.
+
+A CSV record is a non-blank line of comma-separated numbers after the
+optional header line; ``#`` starts no comment.  A malformed or ragged record,
+or a non-finite selected field, raises ``DataError`` naming the file and line.
 """
 
 from __future__ import annotations
 
-import io
+import collections
+import itertools
+from typing import NoReturn
 
 import numpy as np
 
@@ -96,20 +102,20 @@ class CsvStream(RecordStream):
         self._file_counts: list[int] | None = None
         self._arity: int | None = None
 
-    # -- counting -----------------------------------------------------
+    # -- reading ------------------------------------------------------
+
+    def _records(self, fh):
+        """The records of an open file: its non-blank lines after the header."""
+        if self.skip_header:
+            fh.readline()
+        return filter(str.strip, fh)
 
     def _count_file(self, path: str) -> int:
-        count = 0
         try:
             with open(path, "r") as fh:
-                if self.skip_header:
-                    fh.readline()
-                for line in fh:
-                    if line.strip():
-                        count += 1
+                return sum(1 for _ in self._records(fh))
         except OSError as err:
             raise DataError(f"cannot read {path}: {err}") from err
-        return count
 
     def file_counts(self) -> list[int]:
         if self._file_counts is None:
@@ -132,43 +138,12 @@ class CsvStream(RecordStream):
 
     # -- parsing ------------------------------------------------------
 
-    def _parse_lines(self, lines: list[str], numbers: list[int], path: str) -> np.ndarray:
-        try:
-            block = np.loadtxt(io.StringIO("".join(lines)), delimiter=",", ndmin=2)
-        except ValueError:
-            # locate the offending row for a precise report
-            expected = self._arity
-            for line, lineno in zip(lines, numbers):
-                try:
-                    row = np.loadtxt(io.StringIO(line), delimiter=",", ndmin=2)
-                except ValueError as err:
-                    raise DataError(f"{path}:{lineno}: malformed row ({err})") from None
-                if expected is None:
-                    expected = row.shape[1]
-                elif row.shape[1] != expected:
-                    raise DataError(
-                        f"{path}:{lineno}: expected {expected} fields, "
-                        f"found {row.shape[1]}"
-                    )
-            raise DataError(f"{path}: malformed block near line {numbers[0]}")
-        if self._arity is None:
-            arity = block.shape[1]
-            for kind, cols in (("response", [self.y_col]), ("covariate", self.x_cols or [])):
-                for col in cols:
-                    if not 0 <= col < arity:
-                        raise DataError(
-                            f"{path}: {kind} column {col} out of range for {arity} fields"
-                        )
-            self._arity = arity
-        elif block.shape[1] != self._arity:
-            for line, lineno in zip(lines, numbers):
-                if line.count(",") + 1 != self._arity:
-                    raise DataError(
-                        f"{path}:{lineno}: expected {self._arity} fields, "
-                        f"found {line.count(',') + 1}"
-                    )
-            raise DataError(f"{path}: inconsistent arity near line {numbers[0]}")
-        return block
+    def _set_arity(self, path: str, arity: int) -> None:
+        for kind, cols in (("response", [self.y_col]), ("covariate", self.x_cols or [])):
+            for col in cols:
+                if not 0 <= col < arity:
+                    raise DataError(f"{path}: {kind} column {col} out of range for {arity} fields")
+        self._arity = arity
 
     def _split(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = block[:, self.y_col] * self.y_scale + self.y_shift
@@ -180,53 +155,58 @@ class CsvStream(RecordStream):
             x = np.hstack([np.ones((x.shape[0], 1)), x])
         return np.ascontiguousarray(x), np.ascontiguousarray(y)
 
-    def _read_records(self, fh, take: int, lineno: int) -> tuple[list[str], list[int], int]:
-        """Read up to ``take`` non-blank lines, tracking raw line numbers."""
-        lines: list[str] = []
-        numbers: list[int] = []
-        while len(lines) < take:
-            raw = fh.readline()
-            if not raw:
-                break
-            if raw.strip():
-                lines.append(raw)
-                numbers.append(lineno)
-            lineno += 1
-        return lines, numbers, lineno
+    def _parse(self, lines, path: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` of record lines; a ``ValueError`` says what is wrong with them."""
+        try:
+            block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        except ValueError as err:
+            raise ValueError(f"malformed row ({err})") from None
+        if self._arity is None:
+            self._set_arity(path, block.shape[1])
+        if block.shape[1] != self._arity:
+            raise ValueError(f"expected {self._arity} fields, found {block.shape[1]}")
+        x, y = self._split(block)
+        if not (np.isfinite(y).all() and np.isfinite(x).all()):
+            raise ValueError("non-finite value")
+        return x, y
+
+    def _locate(self, path: str, first: int) -> NoReturn:
+        """Raise a ``DataError`` naming the file line of the first bad record.
+
+        Runs only after the block from record ``first`` of ``path`` failed to
+        parse; it re-reads the file and parses the records one at a time.
+        """
+        with open(path, "r") as fh:
+            lines = enumerate(fh, start=1)
+            if self.skip_header:
+                next(lines, None)
+            records = ((lineno, line) for lineno, line in lines if line.strip())
+            for lineno, line in itertools.islice(records, first, None):
+                try:
+                    self._parse([line], path)
+                except ValueError as err:
+                    raise DataError(f"{path}:{lineno}: {err}") from None
+        raise DataError(f"{path}: changed while being read")
 
     def iter_blocks(self, lo: int = 0, hi: int | None = None):
         hi = self.n_records if hi is None else hi
         file_start = 0
         for path, count in zip(self.paths, self.file_counts()):
             file_end = file_start + count
-            if file_end <= lo or file_start >= hi:
-                file_start = file_end
-                continue
-            start_in_file = max(lo - file_start, 0)
-            stop_in_file = min(hi, file_end) - file_start
-            with open(path, "r") as fh:
-                lineno = 1
-                if self.skip_header:
-                    fh.readline()
-                    lineno += 1
-                skipped = 0
-                while skipped < start_in_file:
-                    raw = fh.readline()
-                    if not raw:
-                        break
-                    if raw.strip():
-                        skipped += 1
-                    lineno += 1
-                position = start_in_file
-                while position < stop_in_file:
-                    take = min(self.block_size, stop_in_file - position)
-                    lines, numbers, lineno = self._read_records(fh, take, lineno)
-                    if not lines:
-                        break
-                    block = self._parse_lines(lines, numbers, path)
-                    x, y = self._split(block)
-                    yield file_start + position, x, y
-                    position += len(lines)
+            first, stop = max(lo - file_start, 0), min(hi, file_end) - file_start
+            if first < stop:
+                with open(path, "r") as fh:
+                    records = self._records(fh)
+                    collections.deque(itertools.islice(records, first), maxlen=0)
+                    for position in range(first, stop, self.block_size):
+                        take = min(self.block_size, stop - position)
+                        try:
+                            x, y = self._parse(itertools.islice(records, take), path)
+                        except ValueError:
+                            self._locate(path, position)
+                        if x.shape[0] != take:
+                            raise DataError(f"{path}: changed while being read")
+                        yield file_start + position, x, y
             file_start = file_end
 
 

@@ -92,6 +92,25 @@ class TestExitCodes:
         assert "case1.csv" in err and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "lineno, field, value",
+        [(500, 0, "nan"), (1234, 3, "inf")],
+        ids=["nan-response", "inf-covariate"],
+    )
+    def test_non_finite_value_exits_three(self, case_csv, tmp_path, capsys, lineno, field, value):
+        with open(case_csv) as fh:
+            lines = fh.read().splitlines()
+        fields = lines[lineno - 1].split(",")
+        fields[field] = value
+        lines[lineno - 1] = ",".join(fields)
+        path = tmp_path / "damaged.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(_fit_args(str(path), str(tmp_path / "o.json")))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"damaged.csv:{lineno}: non-finite value" in err
+        assert "Traceback" not in err
+
 
 class TestFitDocuments:
     def test_byte_identical_reruns(self, case_csv, tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,58 @@ class TestParsing:
         with pytest.raises(DataError, match=r"ragged\.csv:2"):
             rows(CsvStream(str(path)))
 
+    def test_hash_line_is_a_malformed_record(self, tmp_path):
+        # "#" starts no comment: dropping the line would shift every later
+        # index and disagree with the record count
+        path = tmp_path / "hash.csv"
+        path.write_text("1,2\n#3,4\n5,6\n7,8\n")
+        stream = CsvStream(str(path))
+        assert stream.n_records == 4
+        with pytest.raises(DataError, match=r"hash\.csv:2: malformed row"):
+            rows(stream)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("9,oops", r"bad\.csv:5: malformed row"),
+            ("9", r"bad\.csv:5: expected 2 fields, found 1"),
+            ("nan,9", r"bad\.csv:5: non-finite value"),
+            ("9,-inf", r"bad\.csv:5: non-finite value"),
+        ],
+    )
+    def test_bad_record_in_later_block_names_its_line(self, tmp_path, bad, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2\n\n3,4\n5,6\n{bad}\n7,8\n")
+        with pytest.raises(DataError, match=message):
+            rows(CsvStream(str(path), block_size=2))
+
+    @pytest.mark.parametrize("bad", ["9,oops", "9,8,7", "inf,9"])
+    def test_bad_record_in_shard_names_its_line(self, tmp_path, bad):
+        lines = [f"{j},{j}" for j in range(12)]
+        lines[9] = bad
+        path = tmp_path / "shards.csv"
+        path.write_text("y,x\n" + "\n".join(lines) + "\n")
+        shards = partition_view(CsvStream(str(path), skip_header=True, block_size=3), 3)
+        rows(shards[0])
+        rows(shards[1])
+        with pytest.raises(DataError, match=r"shards\.csv:11: "):
+            rows(shards[2])
+
+    def test_non_finite_in_unused_column_is_ignored(self, tmp_path):
+        path = tmp_path / "unused.csv"
+        path.write_text("1,2,nan\n3,4,inf\n")
+        stream = CsvStream(str(path), x_cols=[1])
+        assert [(i, tuple(x), y) for i, x, y in rows(stream)] == [(0, (2.0,), 1.0), (1, (4.0,), 3.0)]
+
+    def test_file_shortened_after_count_is_data_error(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("1,2\n3,4\n5,6\n7,8\n9,10\n")
+        stream = CsvStream(str(path), block_size=4)
+        assert stream.n_records == 5
+        path.write_text("1,2\n3,4\n5,6\n")
+        with pytest.raises(DataError, match=r"short\.csv: changed while being read"):
+            rows(stream)
+
     def test_missing_file_is_data_error(self):
         with pytest.raises(DataError):
             CsvStream("/nonexistent/nope.csv").n_records
@@ -85,6 +138,40 @@ class TestParsing:
         path = _write_csv(tmp_path / "cols.csv", np.array([[1.0, 2.0, 3.0]]))
         ys = [(y, tuple(x)) for _, x, y in rows(CsvStream(str(path), y_col=2, x_cols=[0]))]
         assert ys == [(3.0, (1.0,))]
+
+
+class TestRecordContract:
+    """A record is a non-blank line: blank and whitespace-only lines, anywhere
+    in the file, leave the records and their indices unchanged."""
+
+    TABLE = np.arange(1.0, 25.0).reshape(8, 3) / 4.0
+
+    def _write(self, path, header: bool):
+        text = "".join(
+            ("\n" if i % 3 == 0 else "") + ("  \t \n" if i % 4 == 1 else "")
+            + ",".join(repr(float(v)) for v in row) + "\n"
+            for i, row in enumerate(self.TABLE)
+        )
+        path.write_text(("y,a,b\n" if header else "") + text + "\n \n\n")
+        return str(path)
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_scans_and_shards_match_arrays(self, tmp_path, header, block_size, k):
+        path = self._write(tmp_path / "gaps.csv", header)
+        stream = CsvStream(path, skip_header=header, block_size=block_size)
+        reference = ArrayStream(self.TABLE[:, 1:], self.TABLE[:, 0], block_size=block_size)
+
+        def records(source):
+            return [(i, tuple(x), y) for i, x, y in rows(source)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stream.n_records == 8 and stream.dim == 2
+            assert records(stream) == records(reference)
+            for shard, expected in zip(partition_view(stream, k), partition_view(reference, k)):
+                assert records(shard) == records(expected)
 
 
 class TestTransforms:
