@@ -20,7 +20,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from . import synth
 from .distributed import run_distributed
@@ -56,7 +55,9 @@ def _log(phase: str, started: float) -> None:
 def _z_for(level: float) -> float:
     if abs(level - 0.95) < 1e-12:
         return Z_975
-    return float(_norm.ppf(0.5 + level / 2.0))
+    from scipy.stats import norm  # about 0.7 s to import; only other levels need it
+
+    return float(norm.ppf(0.5 + level / 2.0))
 
 
 def _int_list(text: str) -> list[int]:

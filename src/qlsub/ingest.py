@@ -3,18 +3,25 @@
 A stream is a re-scannable table of (x, y) records with stable global
 indices: two scans of the same source yield identical record sequences, and
 the index of a record never depends on the block size or shard layout.
-CSV sources are read in bounded blocks so memory stays independent of the
-file size; in-memory arrays expose the same interface for experiments.
+In-memory arrays are served as views.  A CSV source is parsed once, in
+bounded blocks, into arrays mapped from a temporary file that every later
+scan, shard and thread slices, so Python memory stays independent of the
+file size and no record is parsed twice.
 
 A CSV record is a non-blank line of comma-separated numbers after the
 optional header line; ``#`` starts no comment.  A malformed or ragged record,
-or a non-finite selected field, raises ``DataError`` naming the file and line.
+a non-finite selected field or a byte that is not UTF-8 raises ``DataError``
+naming the file and line.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
+import mmap
+import os
+import tempfile
+import threading
+import weakref
 from typing import NoReturn
 
 import numpy as np
@@ -68,12 +75,18 @@ class ArrayStream(RecordStream):
 
 
 class CsvStream(RecordStream):
-    """Headerless numeric CSV files scanned block-by-block.
+    """Headerless numeric CSV files, parsed once into a private spill.
 
     ``paths`` may be one path or a list; indices run continuously across
     files in list order.  The response column may be affinely transformed at
     parse time (``y_scale * y + y_shift``), and a constant-one covariate can
     be injected without touching the stored files.
+
+    Records are parsed in index order, block by block and each exactly once,
+    the first time a scan reaches them.  Parsed blocks go to float64 arrays
+    mapped from an unlinked temporary file ((d + 1) * 8 bytes per record),
+    which every later scan, shard and thread slices; the file is deleted with
+    the stream.
     """
 
     def __init__(
@@ -101,6 +114,17 @@ class CsvStream(RecordStream):
         self.skip_header = bool(skip_header)
         self._file_counts: list[int] | None = None
         self._arity: int | None = None
+        # the parsed prefix: records [0, _parsed) are in _x / _y; the open
+        # file _file_index is read up to its record _position
+        self._lock = threading.Lock()
+        self._x: np.ndarray | None = None
+        self._y: np.ndarray | None = None
+        self._parsed = 0
+        self._file_index = 0
+        self._position = 0
+        self._records_iter = None
+        self._close_file = None
+        self._error: BaseException | None = None
 
     # -- reading ------------------------------------------------------
 
@@ -112,10 +136,18 @@ class CsvStream(RecordStream):
 
     def _count_file(self, path: str) -> int:
         try:
-            with open(path, "r") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 return sum(1 for _ in self._records(fh))
         except OSError as err:
             raise DataError(f"cannot read {path}: {err}") from err
+        except UnicodeDecodeError as err:
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        raise DataError(f"{path}:{lineno}: not UTF-8 text ({bad.reason})") from None
+            raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
 
     def file_counts(self) -> list[int]:
         if self._file_counts is None:
@@ -176,7 +208,7 @@ class CsvStream(RecordStream):
         Runs only after the block from record ``first`` of ``path`` failed to
         parse; it re-reads the file and parses the records one at a time.
         """
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             lines = enumerate(fh, start=1)
             if self.skip_header:
                 next(lines, None)
@@ -188,25 +220,75 @@ class CsvStream(RecordStream):
                     raise DataError(f"{path}:{lineno}: {err}") from None
         raise DataError(f"{path}: changed while being read")
 
+    def _spill(self, n: int, d: int) -> None:
+        """Map the arrays that hold every parsed record."""
+        nbytes = n * (d + 1) * 8
+        with tempfile.TemporaryFile() as fh:
+            # reserve the space now: a full disk then raises OSError here,
+            # not SIGBUS at a write into the map
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fh.fileno(), 0, nbytes)
+            else:
+                fh.truncate(nbytes)
+            spill = np.frombuffer(mmap.mmap(fh.fileno(), 0), dtype=np.float64)
+        self._x = spill[: n * d].reshape(n, d)
+        self._y = spill[n * d :]
+
+    def _parse_to(self, stop: int) -> None:
+        """Extend the parsed prefix to record ``stop``; safe across threads.
+
+        A failure ends the stream: every later call re-raises it.
+        """
+        with self._lock:
+            if self._parsed >= stop:
+                return
+            if self._error is not None:
+                raise self._error
+            try:
+                counts = self.file_counts()
+                while self._parsed < stop:
+                    path, count = self.paths[self._file_index], counts[self._file_index]
+                    if self._position == count:
+                        self._file_index += 1
+                        self._position = 0
+                        continue
+                    if self._records_iter is None:
+                        fh = open(path, "r", encoding="utf-8")
+                        self._close_file = weakref.finalize(self, fh.close)
+                        self._records_iter = self._records(fh)
+                    take = min(self.block_size, stop - self._parsed, count - self._position)
+                    try:
+                        x, y = self._parse(itertools.islice(self._records_iter, take), path)
+                    except ValueError:
+                        self._locate(path, self._position)
+                    if x.shape[0] != take:
+                        raise DataError(f"{path}: changed while being read")
+                    if self._x is None:
+                        self._spill(sum(counts), x.shape[1])
+                    self._x[self._parsed : self._parsed + take] = x
+                    self._y[self._parsed : self._parsed + take] = y
+                    self._parsed += take
+                    self._position += take
+                    if self._position == count:
+                        self._close_file()
+                        self._records_iter = None
+            except BaseException as err:
+                if self._close_file is not None:
+                    self._close_file()
+                self._error = err
+                raise
+
     def iter_blocks(self, lo: int = 0, hi: int | None = None):
         hi = self.n_records if hi is None else hi
         file_start = 0
-        for path, count in zip(self.paths, self.file_counts()):
+        for count in self.file_counts():
             file_end = file_start + count
             first, stop = max(lo - file_start, 0), min(hi, file_end) - file_start
-            if first < stop:
-                with open(path, "r") as fh:
-                    records = self._records(fh)
-                    collections.deque(itertools.islice(records, first), maxlen=0)
-                    for position in range(first, stop, self.block_size):
-                        take = min(self.block_size, stop - position)
-                        try:
-                            x, y = self._parse(itertools.islice(records, take), path)
-                        except ValueError:
-                            self._locate(path, position)
-                        if x.shape[0] != take:
-                            raise DataError(f"{path}: changed while being read")
-                        yield file_start + position, x, y
+            for position in range(first, stop, self.block_size):
+                start = file_start + position
+                end = start + min(self.block_size, stop - position)
+                self._parse_to(end)
+                yield start, self._x[start:end], self._y[start:end]
             file_start = file_end
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+import qlsub
 from qlsub.cli import main
 from qlsub.synth import make_spec, write_case_csv
 
@@ -111,6 +117,17 @@ class TestExitCodes:
         assert f"damaged.csv:{lineno}: non-finite value" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_byte_exits_three(self, case_csv, tmp_path, capsys):
+        lines = Path(case_csv).read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b",", b",\xff", 1)
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"".join(lines))
+        code = main(["fit-full", "--data", str(path), "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "latin.csv:2: not UTF-8" in err
+        assert "Traceback" not in err
+
 
 class TestFitDocuments:
     def test_byte_identical_reruns(self, case_csv, tmp_path):
@@ -166,6 +183,27 @@ class TestFitDocuments:
         assert code == 0
         doc = json.loads(open(out).read())
         assert len(doc["partition_sizes"]) == 5  # pilot + 4 shards
+
+
+class TestConfidenceLevel:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        src = str(Path(qlsub.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, qlsub.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_level_sets_normal_quantile(self, case_csv, tmp_path):
+        out = str(tmp_path / "doc.json")
+        assert main(_fit_args(case_csv, out, ["--level", "0.9"])) == 0
+        doc = json.loads(Path(out).read_text())
+        assert doc["ci_level"] == 0.9
+        estimate, se = np.array(doc["estimate"]), np.array(doc["std_errors"])
+        z = norm.ppf(0.95)
+        np.testing.assert_array_equal(doc["ci_upper"], estimate + z * se)
+        np.testing.assert_array_equal(doc["ci_lower"], estimate - z * se)
 
 
 class TestGenData:

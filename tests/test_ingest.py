@@ -1,13 +1,19 @@
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from qlsub.distributed import fit_partition, run_distributed
 from qlsub.errors import DataError
 from qlsub.estimator import solve_weighted_qle
-from qlsub.families import IDENTITY
+from qlsub.families import EXP, IDENTITY
 from qlsub.ingest import ArrayStream, CsvStream, SubsetStream, partition_view
+from qlsub.pipeline import run_pilot, run_two_step
+from qlsub.sampling import SamplingPlan
+from qlsub.synth import make_spec, write_case_csv
 
 
 def rows(stream):
@@ -258,3 +264,86 @@ def test_memory_independent_of_file_size(tmp_path):
     p_small, p_big = peak(small), peak(big)
     # block-bounded: a 10x file must not cost anywhere near 10x memory
     assert p_big < 2.0 * p_small + 65536
+
+
+class TestParseOnce:
+    """Every record of a CSV source is parsed exactly once per fit; later
+    scans, the exact-cap pass and every shard read the spilled records."""
+
+    @pytest.fixture(scope="class")
+    def case(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("once") / "c1.csv")
+        write_case_csv(make_spec("c1", 3000, seed=8), path)
+        table = np.loadtxt(path, delimiter=",")
+        return path, table[:, 1:], table[:, 0]
+
+    @pytest.fixture
+    def parsed_rows(self, monkeypatch):
+        counter = {"rows": 0}
+        parse = CsvStream._parse
+
+        def counting(stream, lines, path):
+            x, y = parse(stream, lines, path)
+            counter["rows"] += x.shape[0]
+            return x, y
+
+        monkeypatch.setattr(CsvStream, "_parse", counting)
+        return counter
+
+    @pytest.mark.parametrize("threshold", ["inf", "quantile", "exact"])
+    @pytest.mark.parametrize("distributed", [False, True], ids=["two-step", "k4"])
+    def test_each_record_parsed_once(self, case, parsed_rows, threshold, distributed):
+        path, x, y = case
+        plan = SamplingPlan(criterion="mv", expected_size=300, threshold_mode=threshold, seed=4)
+        stream = CsvStream(path, block_size=500)
+        if distributed:
+            result = run_distributed(stream, EXP, plan, r0=150, k=4, threads=2)
+            expected = run_distributed(ArrayStream(x, y, block_size=500), EXP, plan, r0=150, k=4)
+        else:
+            result = run_two_step(stream, EXP, plan, r0=150)
+            expected = run_two_step(ArrayStream(x, y, block_size=500), EXP, plan, r0=150)
+        assert parsed_rows["rows"] == x.shape[0]
+        np.testing.assert_array_equal(result.beta, expected.beta)
+
+    def test_threaded_shards_of_fresh_stream_match_arrays(self, case, parsed_rows):
+        # four threads race to extend the parsed prefix of a never-scanned
+        # stream; a lost update would parse a record twice or serve zeros
+        path, x, y = case
+        plan = SamplingPlan(criterion="mv", expected_size=300, threshold_mode="quantile", seed=6)
+        arrays = ArrayStream(x, y, block_size=256)
+        pilot = run_pilot(arrays, EXP, 150, plan.seed, plan.criterion)
+
+        def summaries(stream, pool):
+            jobs = [
+                pool.submit(fit_partition, shard, EXP, pilot, plan, 300.0, plan.seed, pid)
+                for pid, shard in enumerate(partition_view(stream, 4), start=1)
+            ]
+            return [job.result(timeout=60) for job in jobs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = summaries(CsvStream(path, block_size=64), pool)
+        finally:
+            sys.setswitchinterval(interval)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            want = summaries(arrays, pool)
+        assert parsed_rows["rows"] == x.shape[0]
+        for a, b in zip(got, want):
+            assert (a.partition_id, a.n_records, a.realized_size) == (
+                b.partition_id, b.n_records, b.realized_size,
+            )
+            for field in ("beta", "hessian", "vc_contrib"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    def test_failure_is_raised_again_by_later_scans(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n3,4\n5,oops\n7,8\n")
+        stream = CsvStream(str(path), block_size=2)
+        assert [i for i, _, _ in rows(SubsetStream(stream, 0, 2))] == [0, 1]
+        for _ in range(2):
+            with pytest.raises(DataError, match=r"bad\.csv:3: malformed row"):
+                rows(stream)
+        # the records parsed before the failure are still served
+        assert [y for _, _, y in rows(SubsetStream(stream, 0, 2))] == [1.0, 3.0]
