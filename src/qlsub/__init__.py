@@ -13,11 +13,9 @@ from .errors import (
 )
 from .estimator import (
     FitResult,
-    full_data_variance,
     sandwich_variance,
     solve_weighted_qle,
     subsample_hessian,
-    weighted_score,
 )
 from .families import EXP, IDENTITY, LOGISTIC, LinkFamily, get_family
 from .ingest import ArrayStream, CsvStream, RecordStream, partition_view
@@ -25,7 +23,6 @@ from .pipeline import PilotResult, run_pilot, run_two_step, second_pass
 from .sampling import (
     SamplingPlan,
     ScoreContext,
-    optimal_probabilities,
     shrinkage_probability,
     threshold_quantile,
     waterfill,
@@ -70,12 +67,10 @@ __all__ = [
     "SingularHessian",
     "aggregate",
     "fit_partition",
-    "full_data_variance",
     "full_qle",
     "generate_case",
     "get_family",
     "make_spec",
-    "optimal_probabilities",
     "partition_view",
     "replicate",
     "rho_sweep",
@@ -91,6 +86,5 @@ __all__ = [
     "threshold_quantile",
     "timing_study",
     "waterfill",
-    "weighted_score",
     "write_case_csv",
 ]

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConfigError, PartitionFailed, QlsubError, SingularHessian
 from .estimator import (
     FitResult,
-    _cholesky,
     _sandwich,
+    _spd_inverse,
     solve_weighted_qle,
     subsample_hessian,
     vc_contribution,
@@ -166,10 +166,9 @@ def aggregate(summaries, n_total: float | None = None) -> FitResult:
     meat /= n_total**2
 
     try:
-        _cholesky(weight)
+        beta = _spd_inverse(weight) @ weighted_beta
     except SingularHessian as err:
         raise SingularHessian(err.condition, "pooled curvature is singular") from None
-    beta = np.linalg.solve(weight, weighted_beta)
     variance = _sandwich(bread, meat)
 
     return FitResult(
@@ -206,6 +205,10 @@ def run_distributed(
     n_total = stream.n_records
     seed = plan.seed if seed is None else seed
     r = plan.expected_size
+    # an empty shard is reported by its own partition's fit
+    smallest = min(shard.n_records for shard in shards)
+    if 0 < smallest <= r:
+        raise ConfigError(f"expected size {r} is not below the smallest shard's {smallest} records")
     if k > r ** (1.0 / 3.0):
         warnings.warn(
             f"partition count {k} exceeds r^(1/3) = {r ** (1/3.0):.1f}; the "

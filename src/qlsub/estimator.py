@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
 
 from .errors import EmptySample, SingularHessian
 from .families import LinkFamily
@@ -78,33 +76,26 @@ def _gram(x: np.ndarray, w: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def _cholesky(a: np.ndarray):
-    """Cholesky factor of ``a``, guarded by LAPACK's reciprocal condition estimate.
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of the symmetric positive-definite ``a``, symmetrised.
 
-    A failed factorization, or a 1-norm reciprocal condition number below
-    ``RCOND_MIN``, raises :class:`SingularHessian` carrying ``1 / rcond``.
+    A non-finite entry, a failed Cholesky factorization, or a 1-norm
+    reciprocal condition number ``1 / (||a||_1 ||a^-1||_1)`` below
+    ``RCOND_MIN`` raises :class:`SingularHessian` carrying ``1 / rcond``.
+    The reciprocal condition number is the exact one that LAPACK's
+    ``dpocon`` estimates.
     """
+    if not np.isfinite(a).all():
+        raise SingularHessian(math.inf)
     try:
-        factor = cho_factor(a)
-    except (np.linalg.LinAlgError, ValueError):
+        np.linalg.cholesky(a)  # raises unless a is positive definite
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
         raise SingularHessian(math.inf) from None
-    # cho_factor returns the upper factor, which is what dpocon reads by default
-    rcond, info = dpocon(factor[0], np.linalg.norm(a, 1))
-    if info != 0 or not rcond >= RCOND_MIN:
+    rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    if not rcond >= RCOND_MIN:
         raise SingularHessian(1.0 / rcond if rcond > 0 else math.inf)
-    return factor
-
-
-def weighted_score(x, y, family: LinkFamily, beta, p=None) -> np.ndarray:
-    """Inverse-probability-weighted score vector at ``beta``."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if x.shape[1] != beta.shape[0]:
-        raise ValueError("dimension mismatch between covariates and beta")
-    w = _weights(p, x.shape[0])
-    resid = y - family.mean(x @ beta)
-    return x.T @ (w * resid)
+    return 0.5 * (inv + inv.T)
 
 
 def solve_weighted_qle(
@@ -159,7 +150,7 @@ def solve_weighted_qle(
         newton = _gram(x, w * family.mean_derivative(eta))
         if ridge > 0.0:
             newton = newton + ridge * eye
-        delta = cho_solve(_cholesky(newton), score)
+        delta = _spd_inverse(newton) @ score
 
         step = 1.0
         improved = False
@@ -227,9 +218,8 @@ def vc_contribution(x, y, family: LinkFamily, beta, p) -> np.ndarray:
 
 
 def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
-    _cholesky(bread)
-    tmp = np.linalg.solve(bread, meat)
-    out = np.linalg.solve(bread, tmp.T).T
+    inv = _spd_inverse(bread)
+    out = inv @ meat @ inv
     return 0.5 * (out + out.T)
 
 
@@ -248,20 +238,3 @@ def sandwich_variance(parts, family: LinkFamily, pooled_hessian, n_total: float)
     meat /= n_total**2
     return _sandwich(np.asarray(pooled_hessian, dtype=np.float64), meat)
 
-
-def full_data_variance(x, y, family: LinkFamily, beta, probabilities) -> np.ndarray:
-    """Asymptotic variance of the subsample estimator about the full-data fit.
-
-    Diagnostic routine over the full data: the bread is the full-data
-    curvature and the meat is the sampling variance of the weighted score
-    under independent Bernoulli inclusions with the given probabilities.
-    Used by tests and by the probability-optimality oracle.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    probs = np.asarray(probabilities, dtype=np.float64)
-    n = x.shape[0]
-    resid2 = (y - family.mean(x @ np.asarray(beta, dtype=np.float64))) ** 2
-    meat = _gram(x, resid2 * (1.0 / probs - 1.0), float(n) ** 2)
-    bread = subsample_hessian(x, family, beta, scale=n)
-    return _sandwich(bread, meat)

@@ -14,11 +14,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, EmptySample, PilotFailed, SingularHessian
 from .estimator import (
     FitResult,
+    _spd_inverse,
     sandwich_variance,
     solve_weighted_qle,
     subsample_hessian,
@@ -144,11 +144,9 @@ def run_pilot(
 
     sigma0 = subsample_hessian(px, family, beta0, scale=realized)
     try:
-        factor = cho_factor(sigma0)
-    except np.linalg.LinAlgError as err:
+        sigma0_inv = _spd_inverse(sigma0)
+    except SingularHessian as err:
         raise PilotFailed(f"pilot curvature is singular; raise r0 ({err})") from err
-    sigma0_inv = cho_solve(factor, np.eye(d))
-    sigma0_inv = 0.5 * (sigma0_inv + sigma0_inv.T)
 
     # the gathered pilot records are scored as records 0, 1, ... of px
     scores = record_scores(px, py, family, beta0, sigma0_inv if criterion == "mv" else None)

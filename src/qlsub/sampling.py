@@ -188,34 +188,6 @@ def waterfill(scores, r: float) -> tuple[float, int]:
     )
 
 
-def optimal_probabilities(scores, r: float, cap: float = math.inf) -> np.ndarray:
-    """Capped proportional-to-score probabilities with expected total r.
-
-    With ``(cap, k)`` from :func:`waterfill` the capped entries are assigned
-    exactly one and the rest split ``r - k`` proportionally, which is the
-    trace-optimal allocation.  With ``cap=inf`` this is plain proportional
-    allocation and entries may exceed one (callers cap at draw time).
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError("scores must be nonnegative")
-    if math.isinf(cap):
-        denom = float(s.sum())
-        if denom <= 0.0:
-            raise DegenerateScores("all scores are zero")
-        return r * s / denom
-    capped = s >= cap
-    k = int(np.count_nonzero(capped))
-    rest_sum = float(s[~capped].sum())
-    if r - k < 0 or (rest_sum <= 0.0 and r - k > 0):
-        raise DegenerateScores("cap inconsistent with the requested size")
-    p = np.empty_like(s)
-    p[capped] = 1.0
-    if rest_sum > 0.0:
-        p[~capped] = (r - k) * s[~capped] / rest_sum
-    return p
-
-
 def threshold_quantile(pilot_scores, r: float, n: float) -> float:
     """Empirical (1 - r/(2n)) quantile of the pilot scores."""
     s = np.asarray(pilot_scores, dtype=np.float64)

@@ -5,13 +5,20 @@ allocation oracle solves the underlying convex program by projected
 gradient descent, and the regression oracle uses a QR-based least-squares
 route instead of normal equations.  The scalar uniform is the
 record-at-a-time form of ``qlsub.rng.uniforms``, built from plain Python
-integers rather than numpy's uint64 arithmetic.
+integers rather than numpy's uint64 arithmetic.  The weighted score, the
+full-data variance and the capped proportional allocation are the textbook
+forms the package's scan-based paths are checked against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from qlsub.errors import DegenerateScores
+from qlsub.estimator import _gram, _sandwich, _weights, subsample_hessian
+from qlsub.families import LinkFamily
 from qlsub.rng import _GAMMA, _INV53, _MASK, MAIN_STREAM, _mix_int, derive_seed
 
 
@@ -123,3 +130,60 @@ def uniform_one(seed: int, index: int, stream: int = MAIN_STREAM) -> float:
     key = derive_seed(seed, stream)
     z = _mix_int(key + ((int(index) + 1) * _GAMMA & _MASK))
     return (z >> 11) * _INV53
+
+
+def weighted_score(x, y, family: LinkFamily, beta, p=None) -> np.ndarray:
+    """Inverse-probability-weighted score vector at ``beta``."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    if x.shape[1] != beta.shape[0]:
+        raise ValueError("dimension mismatch between covariates and beta")
+    w = _weights(p, x.shape[0])
+    resid = y - family.mean(x @ beta)
+    return x.T @ (w * resid)
+
+
+def full_data_variance(x, y, family: LinkFamily, beta, probabilities) -> np.ndarray:
+    """Asymptotic variance of the subsample estimator about the full-data fit.
+
+    The bread is the full-data curvature and the meat is the sampling
+    variance of the weighted score under independent Bernoulli inclusions
+    with the given probabilities.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    probs = np.asarray(probabilities, dtype=np.float64)
+    n = x.shape[0]
+    resid2 = (y - family.mean(x @ np.asarray(beta, dtype=np.float64))) ** 2
+    meat = _gram(x, resid2 * (1.0 / probs - 1.0), float(n) ** 2)
+    bread = subsample_hessian(x, family, beta, scale=n)
+    return _sandwich(bread, meat)
+
+
+def optimal_probabilities(scores, r: float, cap: float = math.inf) -> np.ndarray:
+    """Capped proportional-to-score probabilities with expected total r.
+
+    With ``(cap, k)`` from ``qlsub.sampling.waterfill`` the capped entries
+    are assigned exactly one and the rest split ``r - k`` proportionally,
+    which is the trace-optimal allocation.  With ``cap=inf`` this is plain
+    proportional allocation and entries may exceed one.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    if np.any(s < 0):
+        raise ValueError("scores must be nonnegative")
+    if math.isinf(cap):
+        denom = float(s.sum())
+        if denom <= 0.0:
+            raise DegenerateScores("all scores are zero")
+        return r * s / denom
+    capped = s >= cap
+    k = int(np.count_nonzero(capped))
+    rest_sum = float(s[~capped].sum())
+    if r - k < 0 or (rest_sum <= 0.0 and r - k > 0):
+        raise DegenerateScores("cap inconsistent with the requested size")
+    p = np.empty_like(s)
+    p[capped] = 1.0
+    if rest_sum > 0.0:
+        p[~capped] = (r - k) * s[~capped] / rest_sum
+    return p

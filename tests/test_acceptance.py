@@ -17,20 +17,23 @@ from qlsub.estimator import (
     solve_weighted_qle,
     subsample_hessian,
     vc_contribution,
-    weighted_score,
 )
 from qlsub.families import EXP, IDENTITY
 from qlsub.ingest import ArrayStream, CsvStream
 from qlsub.sampling import (
     SamplingPlan,
     ScoreContext,
-    optimal_probabilities,
     shrinkage_probability,
     waterfill,
 )
 from qlsub.synth import full_qle, generate_case, make_spec, timing_study
 
-from _oracles import min_weighted_inverse, weighted_least_squares
+from _oracles import (
+    min_weighted_inverse,
+    optimal_probabilities,
+    weighted_least_squares,
+    weighted_score,
+)
 
 
 def _report(number: int, message: str) -> None:

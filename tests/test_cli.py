@@ -81,6 +81,18 @@ class TestExitCodes:
         code = main(_fit_args(case_csv, str(tmp_path / "o.json"), ["--rho", "2.0"]))
         assert code == 2
 
+    def test_size_above_shard_exits_two(self, tmp_path, capsys):
+        # default --r 1000 against four shards of 500 records
+        path = tmp_path / "small.csv"
+        write_case_csv(make_spec("c1", 2000, seed=3), str(path))
+        out = tmp_path / "o.json"
+        code = main(["fit-distributed", "--data", str(path), "--k", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "expected size 1000.0 is not below the smallest shard's 500 records" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -134,12 +146,12 @@ class TestFitDocuments:
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(_fit_args(case_csv, out1)) == 0
         assert main(_fit_args(case_csv, out2)) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_document_contents(self, case_csv, tmp_path):
         out = str(tmp_path / "doc.json")
         assert main(_fit_args(case_csv, out)) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["command"] == "fit"
         assert len(doc["estimate"]) == 7
         assert len(doc["std_errors"]) == 7
@@ -156,8 +168,8 @@ class TestFitDocuments:
         fit_out = str(tmp_path / "fit.json")
         assert main(["fit-full", "--data", case_csv, "--out", full_out]) == 0
         assert main(_fit_args(case_csv, fit_out)) == 0
-        full = json.loads(open(full_out).read())
-        fit = json.loads(open(fit_out).read())
+        full = json.loads(Path(full_out).read_text())
+        fit = json.loads(Path(fit_out).read_text())
         delta = np.abs(np.array(fit["estimate"]) - np.array(full["estimate"]))
         # within 3 joint standard errors of the subsample fit
         joint = 3 * np.linalg.norm(fit["std_errors"])
@@ -181,7 +193,7 @@ class TestFitDocuments:
             ]
         )
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert len(doc["partition_sizes"]) == 5  # pilot + 4 shards
 
 
@@ -194,6 +206,28 @@ class TestConfidenceLevel:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_default_level_fits_leave_out_scipy(self, case_csv, tmp_path):
+        src = str(Path(qlsub.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = [
+            _fit_args(case_csv, str(tmp_path / "fit.json")),
+            ["fit-distributed", "--data", case_csv, "--k", "4", "--r", "600",
+             "--out", str(tmp_path / "dist.json")],
+        ]
+        probe = (
+            "import json, sys, qlsub, qlsub.cli\n"
+            "codes = [qlsub.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(runs)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[0, 0] []"
 
     def test_level_sets_normal_quantile(self, case_csv, tmp_path):
         out = str(tmp_path / "doc.json")
@@ -250,7 +284,7 @@ class TestExperimentCommands:
             ]
         )
         assert code == 0
-        rows = open(out).read().strip().splitlines()
+        rows = Path(out).read_text().strip().splitlines()
         assert rows[0].startswith("method,")
         assert len(rows) == 3
 
@@ -278,7 +312,7 @@ class TestExperimentCommands:
             ]
         )
         assert code == 0
-        assert len(open(out).read().strip().splitlines()) == 3
+        assert len(Path(out).read_text().strip().splitlines()) == 3
 
     def test_bench_table(self, tmp_path):
         out = str(tmp_path / "bench.csv")
@@ -302,7 +336,7 @@ class TestExperimentCommands:
             ]
         )
         assert code == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "method,r,median_seconds,iqr_seconds"
         assert len(lines) == 3
 
@@ -311,7 +345,7 @@ class TestFormatsAndPartitions:
     def test_csv_format_coefficient_table(self, case_csv, tmp_path):
         out = str(tmp_path / "fit.csv")
         assert main(_fit_args(case_csv, out, ["--format", "csv"])) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "coefficient,estimate,std_error,ci_lower,ci_upper"
         assert len(lines) == 8
 
@@ -324,7 +358,7 @@ class TestFormatsAndPartitions:
             ["fit-distributed", "--partitions", *paths, "--r", "400", "--seed", "2", "--out", out]
         )
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert len(doc["partition_sizes"]) == 4  # pilot + one shard per file
 
     def test_fit_distributed_requires_source(self, tmp_path):
@@ -333,10 +367,10 @@ class TestFormatsAndPartitions:
     def test_config_round_trips_through_json(self, case_csv, tmp_path):
         out = str(tmp_path / "rt.json")
         assert main(_fit_args(case_csv, out)) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert json.loads(json.dumps(doc["config"])) == doc["config"]
 
     def test_ridge_flag_reported(self, case_csv, tmp_path):
         out = str(tmp_path / "ridge.json")
         assert main(_fit_args(case_csv, out, ["--ridge", "1e-9"])) == 0
-        assert json.loads(open(out).read())["config"]["ridge"] == 1e-9
+        assert json.loads(Path(out).read_text())["config"]["ridge"] == 1e-9

@@ -3,20 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from qlsub import estimator
 from qlsub.errors import EmptySample, SingularHessian
 from qlsub.estimator import (
-    full_data_variance,
     sandwich_variance,
     solve_weighted_qle,
     subsample_hessian,
     vc_contribution,
-    weighted_score,
 )
 from qlsub.families import EXP, IDENTITY
-from qlsub.sampling import optimal_probabilities, record_scores, waterfill
+from qlsub.sampling import record_scores, waterfill
 from qlsub.synth import generate_case, make_spec
 
-from _oracles import weighted_least_squares
+from _oracles import (
+    full_data_variance,
+    optimal_probabilities,
+    weighted_least_squares,
+    weighted_score,
+)
 
 
 def _random_instance(rng, n=60, d=4):
@@ -240,3 +244,61 @@ class TestFullDataVariance:
             tr_unif = np.trace(full_data_variance(x, y, EXP, beta, np.full(n, r / n)))
             assert tr_opt <= tr_unif * (1 + 1e-9)
 
+
+
+class TestSingularityGuard:
+    """The numpy guard against LAPACK's ``dpocon`` on random SPD matrices.
+
+    ``dpocon`` estimates ``||a^-1||_1`` from below, so its reciprocal
+    condition number is at or above the exact one the guard computes, up to
+    rounding; the estimate is usually within a factor of 3.
+    """
+
+    @staticmethod
+    def _spd(rng, d, cond):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        a = (q * np.logspace(0.0, -math.log10(cond), d)) @ q.T
+        return 0.5 * (a + a.T)
+
+    def test_rcond_matches_lapack_estimate(self, monkeypatch):
+        from scipy.linalg import cho_factor
+        from scipy.linalg.lapack import dpocon
+
+        rng = np.random.default_rng(6)
+        exact, lapack, singular = [], [], []
+        for d in (2, 7, 35):
+            for cond in np.logspace(2, 15, 14):
+                for _ in range(72):
+                    a = self._spd(rng, d, cond)
+                    rcond, info = dpocon(cho_factor(a)[0], np.linalg.norm(a, 1))
+                    assert info == 0
+                    with monkeypatch.context() as m:
+                        m.setattr(estimator, "RCOND_MIN", math.inf)
+                        with pytest.raises(SingularHessian) as err:
+                            estimator._spd_inverse(a)
+                    try:
+                        estimator._spd_inverse(a)
+                        singular.append(False)
+                    except SingularHessian:
+                        singular.append(True)
+                    exact.append(1.0 / err.value.condition)
+                    lapack.append(rcond)
+        exact, lapack, singular = np.array(exact), np.array(lapack), np.array(singular)
+        ratio = lapack / exact
+        assert ratio.min() >= 0.8
+        assert ratio.max() <= 10.0
+        assert np.mean(ratio <= 3.0) >= 0.99
+        assert np.array_equal(singular, exact < estimator.RCOND_MIN)
+        # the verdicts differ only where the estimate sits just above the bound
+        near = (lapack >= estimator.RCOND_MIN) & (lapack < 10.0 * estimator.RCOND_MIN)
+        assert np.all((singular == (lapack < estimator.RCOND_MIN)) | near)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([np.inf, 1.0]), -np.eye(2)],
+        ids=["nan", "inf", "negative-definite"],
+    )
+    def test_unusable_matrix_is_singular(self, a):
+        with pytest.raises(SingularHessian) as err:
+            estimator._spd_inverse(a)
+        assert err.value.condition == math.inf

@@ -11,14 +11,13 @@ from qlsub.sampling import (
     SamplingPlan,
     ScoreContext,
     block_mask,
-    optimal_probabilities,
     record_scores,
     shrinkage_probability,
     threshold_quantile,
     waterfill,
 )
 
-from _oracles import uniform_one
+from _oracles import optimal_probabilities, uniform_one
 
 positive_scores = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=4, max_size=12
