@@ -116,8 +116,8 @@ def _config_dict(args, extra: dict | None = None) -> dict:
     return config
 
 
-def _fit_document(args, fit: FitResult, level: float) -> dict:
-    z = _z_for(level)
+def _fit_document(args, fit: FitResult) -> dict:
+    z = _z_for(args.level)
     doc = {
         "command": args.command,
         "config": _config_dict(args),
@@ -131,17 +131,19 @@ def _fit_document(args, fit: FitResult, level: float) -> dict:
         },
     }
     if fit.variance is not None:
-        se = fit.std_errors()
-        doc["std_errors"] = [float(v) for v in se]
-        doc["ci_lower"] = [float(v) for v in fit.beta - z * se]
-        doc["ci_upper"] = [float(v) for v in fit.beta + z * se]
-        doc["ci_level"] = level
+        lower, upper = fit.conf_int(z)
+        doc["std_errors"] = [float(v) for v in fit.std_errors()]
+        doc["ci_lower"] = [float(v) for v in lower]
+        doc["ci_upper"] = [float(v) for v in upper]
+        doc["ci_level"] = args.level
+    if "partition_sizes" in fit.info:
+        doc["partition_sizes"] = fit.info["partition_sizes"]
     return doc
 
 
 def _emit_fit(args, fit: FitResult) -> None:
-    doc = _fit_document(args, fit, args.level)
-    if getattr(args, "format", "json") == "csv":
+    doc = _fit_document(args, fit)
+    if args.format == "csv":
         rows = []
         for j, est in enumerate(doc["estimate"]):
             row = {"coefficient": j, "estimate": est}
@@ -174,8 +176,6 @@ def _cmd_fit_full(args) -> int:
     for _, xb, yb in stream.iter_blocks():
         xs.append(xb)
         ys.append(yb)
-    if not xs:
-        raise DataError("no records in input")
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     _log("load", started)
@@ -201,7 +201,7 @@ def _cmd_fit(args) -> int:
     stream = _stream_from_args(args)
     family = get_family(args.family)
     plan = _plan_from_args(args)
-    fit = run_two_step(stream, family, plan, args.r0, seed=args.seed, ridge=args.ridge)
+    fit = run_two_step(stream, family, plan, args.r0, ridge=args.ridge)
     _log(f"fit criterion={args.criterion} r={args.r}", started)
     _emit_fit(args, fit)
     return EXIT_OK
@@ -220,23 +220,9 @@ def _cmd_fit_distributed(args) -> int:
     stream = _stream_from_args(args)
     family = get_family(args.family)
     plan = _plan_from_args(args)
-    fit = run_distributed(
-        stream,
-        family,
-        plan,
-        args.r0,
-        args.k,
-        seed=args.seed,
-        threads=args.threads,
-        ridge=args.ridge,
-    )
+    fit = run_distributed(stream, family, plan, args.r0, args.k, threads=args.threads, ridge=args.ridge)
     _log(f"fit-distributed K={args.k} r={args.r}", started)
-    if getattr(args, "format", "json") == "csv":
-        _emit_fit(args, fit)
-    else:
-        doc = _fit_document(args, fit, args.level)
-        doc["partition_sizes"] = fit.info.get("partition_sizes", [])
-        _write_json(doc, args.out)
+    _emit_fit(args, fit)
     return EXIT_OK
 
 
@@ -348,10 +334,14 @@ def _add_plan_flags(sub) -> None:
 def _add_common_flags(sub) -> None:
     sub.add_argument("--family", choices=["identity", "exp", "logistic"], default="exp")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--level", type=float, default=0.95)
     sub.add_argument("--out", default=None)
+
+
+def _add_fit_flags(sub) -> None:
+    """The common flags plus the output flags of the three fit commands."""
+    _add_common_flags(sub)
+    sub.add_argument("--level", type=float, default=0.95)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,19 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("fit-full", help="full-data quasi-likelihood fit")
     _add_schema_flags(p)
-    _add_common_flags(p)
+    _add_fit_flags(p)
     p.set_defaults(func=_cmd_fit_full)
 
     p = commands.add_parser("fit", help="two-step subsampled fit")
     _add_schema_flags(p)
     _add_plan_flags(p)
-    _add_common_flags(p)
+    _add_fit_flags(p)
     p.set_defaults(func=_cmd_fit)
 
     p = commands.add_parser("fit-distributed", help="divide-and-conquer subsampled fit")
     _add_schema_flags(p, required=False)
     _add_plan_flags(p)
-    _add_common_flags(p)
+    _add_fit_flags(p)
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--k", type=int, default=0, help="number of logical shards")
     p.add_argument(
         "--partitions",

@@ -191,7 +191,6 @@ def run_distributed(
     plan: SamplingPlan,
     r0: float,
     k: int,
-    seed: int | None = None,
     threads: int | None = None,
     ridge: float = 0.0,
 ) -> FitResult:
@@ -203,7 +202,7 @@ def run_distributed(
     """
     shards = partition_view(stream, k)
     n_total = stream.n_records
-    seed = plan.seed if seed is None else seed
+    seed = plan.seed
     r = plan.expected_size
     # an empty shard is reported by its own partition's fit
     smallest = min(shard.n_records for shard in shards)

@@ -21,7 +21,6 @@ import mmap
 import os
 import tempfile
 import threading
-import weakref
 from typing import NoReturn
 
 import numpy as np
@@ -78,15 +77,15 @@ class CsvStream(RecordStream):
     """Headerless numeric CSV files, parsed once into a private spill.
 
     ``paths`` may be one path or a list; indices run continuously across
-    files in list order.  The response column may be affinely transformed at
-    parse time (``y_scale * y + y_shift``), and a constant-one covariate can
-    be injected without touching the stored files.
+    files in list order.  A constant can be added to the response at parse
+    time (``y + y_shift``), and a constant-one covariate can be injected
+    without touching the stored files.
 
-    Records are parsed in index order, block by block and each exactly once,
-    the first time a scan reaches them.  Parsed blocks go to float64 arrays
-    mapped from an unlinked temporary file ((d + 1) * 8 bytes per record),
-    which every later scan, shard and thread slices; the file is deleted with
-    the stream.
+    The first call that needs a record parses every file, in order, block by
+    block and each record exactly once, into float64 arrays mapped from an
+    unlinked temporary file ((d + 1) * 8 bytes per record).  From then on the
+    stream is an :class:`ArrayStream` over those arrays, which every scan,
+    shard and thread slices; the file is deleted with the stream.
     """
 
     def __init__(
@@ -95,7 +94,6 @@ class CsvStream(RecordStream):
         y_col: int = 0,
         x_cols=None,
         intercept: bool = False,
-        y_scale: float = 1.0,
         y_shift: float = 0.0,
         block_size: int = DEFAULT_BLOCK_SIZE,
         skip_header: bool = False,
@@ -106,7 +104,6 @@ class CsvStream(RecordStream):
         self.y_col = int(y_col)
         self.x_cols = None if x_cols is None else [int(c) for c in x_cols]
         self.intercept = bool(intercept)
-        self.y_scale = float(y_scale)
         self.y_shift = float(y_shift)
         if block_size < 1:
             raise DataError("block size must be positive")
@@ -114,16 +111,8 @@ class CsvStream(RecordStream):
         self.skip_header = bool(skip_header)
         self._file_counts: list[int] | None = None
         self._arity: int | None = None
-        # the parsed prefix: records [0, _parsed) are in _x / _y; the open
-        # file _file_index is read up to its record _position
         self._lock = threading.Lock()
-        self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._parsed = 0
-        self._file_index = 0
-        self._position = 0
-        self._records_iter = None
-        self._close_file = None
+        self._arrays: ArrayStream | None = None
         self._error: BaseException | None = None
 
     # -- reading ------------------------------------------------------
@@ -151,7 +140,10 @@ class CsvStream(RecordStream):
 
     def file_counts(self) -> list[int]:
         if self._file_counts is None:
-            self._file_counts = [self._count_file(p) for p in self.paths]
+            counts = [self._count_file(p) for p in self.paths]
+            if not sum(counts):
+                raise DataError(f"no records in {', '.join(self.paths)}")
+            self._file_counts = counts
         return self._file_counts
 
     @property
@@ -160,13 +152,10 @@ class CsvStream(RecordStream):
 
     @property
     def dim(self) -> int:
-        if self._arity is None:
-            for _ in self.iter_blocks(0, 1):
-                break
-            if self._arity is None:
-                raise DataError("empty source; cannot infer dimension")
-        ncov = self._arity - 1 if self.x_cols is None else len(self.x_cols)
-        return ncov + (1 if self.intercept else 0)
+        return self._load().dim
+
+    def iter_blocks(self, lo: int = 0, hi: int | None = None):
+        yield from self._load().iter_blocks(lo, hi)
 
     # -- parsing ------------------------------------------------------
 
@@ -178,7 +167,7 @@ class CsvStream(RecordStream):
         self._arity = arity
 
     def _split(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = block[:, self.y_col] * self.y_scale + self.y_shift
+        y = block[:, self.y_col] + self.y_shift
         if self.x_cols is None:
             x = np.delete(block, self.y_col, axis=1)
         else:
@@ -220,8 +209,8 @@ class CsvStream(RecordStream):
                     raise DataError(f"{path}:{lineno}: {err}") from None
         raise DataError(f"{path}: changed while being read")
 
-    def _spill(self, n: int, d: int) -> None:
-        """Map the arrays that hold every parsed record."""
+    def _spill(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` arrays for ``n`` records, mapped from an unlinked file."""
         nbytes = n * (d + 1) * 8
         with tempfile.TemporaryFile() as fh:
             # reserve the space now: a full disk then raises OSError here,
@@ -231,65 +220,44 @@ class CsvStream(RecordStream):
             else:
                 fh.truncate(nbytes)
             spill = np.frombuffer(mmap.mmap(fh.fileno(), 0), dtype=np.float64)
-        self._x = spill[: n * d].reshape(n, d)
-        self._y = spill[n * d :]
+        return spill[: n * d].reshape(n, d), spill[n * d :]
 
-    def _parse_to(self, stop: int) -> None:
-        """Extend the parsed prefix to record ``stop``; safe across threads.
+    def _load(self) -> ArrayStream:
+        """The parsed records, parsing every file on the first call; safe across threads.
 
-        A failure ends the stream: every later call re-raises it.
+        A failure ends the stream: every later call raises it again.
         """
         with self._lock:
-            if self._parsed >= stop:
-                return
             if self._error is not None:
                 raise self._error
-            try:
-                counts = self.file_counts()
-                while self._parsed < stop:
-                    path, count = self.paths[self._file_index], counts[self._file_index]
-                    if self._position == count:
-                        self._file_index += 1
-                        self._position = 0
-                        continue
-                    if self._records_iter is None:
-                        fh = open(path, "r", encoding="utf-8")
-                        self._close_file = weakref.finalize(self, fh.close)
-                        self._records_iter = self._records(fh)
-                    take = min(self.block_size, stop - self._parsed, count - self._position)
+            if self._arrays is None:
+                try:
+                    self._arrays = ArrayStream(*self._parse_files(), block_size=self.block_size)
+                except BaseException as err:
+                    self._error = err
+                    raise
+            return self._arrays
+
+    def _parse_files(self) -> tuple[np.ndarray, np.ndarray]:
+        counts = self.file_counts()
+        xs, ys, start = None, None, 0
+        for path, count in zip(self.paths, counts):
+            with open(path, "r", encoding="utf-8") as fh:
+                records = self._records(fh)
+                for position in range(0, count, self.block_size):
+                    take = min(self.block_size, count - position)
                     try:
-                        x, y = self._parse(itertools.islice(self._records_iter, take), path)
+                        x, y = self._parse(itertools.islice(records, take), path)
                     except ValueError:
-                        self._locate(path, self._position)
+                        self._locate(path, position)
                     if x.shape[0] != take:
                         raise DataError(f"{path}: changed while being read")
-                    if self._x is None:
-                        self._spill(sum(counts), x.shape[1])
-                    self._x[self._parsed : self._parsed + take] = x
-                    self._y[self._parsed : self._parsed + take] = y
-                    self._parsed += take
-                    self._position += take
-                    if self._position == count:
-                        self._close_file()
-                        self._records_iter = None
-            except BaseException as err:
-                if self._close_file is not None:
-                    self._close_file()
-                self._error = err
-                raise
-
-    def iter_blocks(self, lo: int = 0, hi: int | None = None):
-        hi = self.n_records if hi is None else hi
-        file_start = 0
-        for count in self.file_counts():
-            file_end = file_start + count
-            first, stop = max(lo - file_start, 0), min(hi, file_end) - file_start
-            for position in range(first, stop, self.block_size):
-                start = file_start + position
-                end = start + min(self.block_size, stop - position)
-                self._parse_to(end)
-                yield start, self._x[start:end], self._y[start:end]
-            file_start = file_end
+                    if xs is None:
+                        xs, ys = self._spill(sum(counts), x.shape[1])
+                    xs[start : start + take] = x
+                    ys[start : start + take] = y
+                    start += take
+        return xs, ys
 
 
 class SubsetStream(RecordStream):

@@ -51,10 +51,8 @@ class PilotResult:
     indices: np.ndarray
     realized_r0: int
     scores: np.ndarray
-    criterion: str
     n_total: int
     degenerate: bool
-    fit: FitResult
 
 
 @dataclass
@@ -137,10 +135,9 @@ def run_pilot(
     px, py = sample.x, sample.y
 
     try:
-        fit = solve_weighted_qle(px, py, family, p=sample.p, ridge=ridge)
+        beta0 = solve_weighted_qle(px, py, family, p=sample.p, ridge=ridge).beta
     except SingularHessian as err:
         raise PilotFailed(f"pilot Newton system is singular; raise r0 ({err})") from err
-    beta0 = fit.beta
 
     sigma0 = subsample_hessian(px, family, beta0, scale=realized)
     try:
@@ -163,10 +160,8 @@ def run_pilot(
         indices=sample.indices,
         realized_r0=realized,
         scores=scores,
-        criterion=criterion,
         n_total=n,
         degenerate=psi_hat <= 0.0,
-        fit=fit,
     )
 
 
@@ -301,7 +296,6 @@ def run_two_step(
     family: LinkFamily,
     plan: SamplingPlan,
     r0: float,
-    seed: int | None = None,
     ridge: float = 0.0,
 ) -> FitResult:
     """Pilot pass, shrinkage-probability pass, and the final weighted fit.
@@ -314,7 +308,7 @@ def run_two_step(
     pilot probability instead would freeze their score noise at the 1/r0
     scale and destroy the 1/r convergence of the final estimator.
     """
-    seed = plan.seed if seed is None else seed
+    seed = plan.seed
     n = stream.n_records
     r = plan.expected_size
     if not 0 < r < n:

@@ -42,57 +42,120 @@ def _fit_args(case_csv, out, extra=()):
     ]
 
 
+def _damaged(case_csv, path, lineno, edit):
+    """A copy of ``case_csv`` at ``path`` whose line ``lineno`` is ``edit(line)``."""
+    lines = Path(case_csv).read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _set_field(field, value):
+    def edit(line):
+        fields = line.split(",")
+        fields[field] = value
+        return ",".join(fields)
+
+    return edit
+
+
+@pytest.fixture(scope="module")
+def inputs(case_csv, tmp_path_factory):
+    """Input files of the exit-code cases, by key."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "empty.csv").write_text("")
+    (root / "three.csv").write_text("1,2\n3,4\n5,6\n")
+    table = np.column_stack([np.arange(50.0), np.ones(50), np.ones(50) * 2.0])
+    np.savetxt(root / "collinear.csv", table, fmt="%.17g", delimiter=",")
+    write_case_csv(make_spec("c1", 2000, seed=3), str(root / "small.csv"))
+    latin = Path(case_csv).read_bytes().splitlines(keepends=True)
+    latin[1] = latin[1].replace(b",", b",\xff", 1)
+    (root / "latin.csv").write_bytes(b"".join(latin))
+    for sub in ("nan", "inf"):
+        (root / sub).mkdir()
+    files = {key: str(root / f"{key}.csv") for key in ("empty", "three", "collinear", "small", "latin", "missing")}
+    return files | {
+        "case": case_csv,
+        "ragged": _damaged(case_csv, root / "ragged.csv", 700, lambda line: "1,2,3"),
+        "hash": _damaged(case_csv, root / "hash.csv", 300, lambda line: "#" + line),
+        "nan": _damaged(case_csv, root / "nan" / "damaged.csv", 500, _set_field(0, "nan")),
+        "inf": _damaged(case_csv, root / "inf" / "damaged.csv", 1234, _set_field(3, "inf")),
+    }
+
+
+def _expect_exit(inputs, tmp_path, capsys, argv, code, message):
+    """The CLI on ``argv`` exits ``code`` with ``message``, no traceback and no output file.
+
+    ``@key`` in ``argv`` names a file of ``inputs``.
+    """
+    out = tmp_path / "o.json"
+    argv = [inputs[arg[1:]] if arg.startswith("@") else arg for arg in argv]
+    try:
+        got = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects the command line
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+FIT = ["fit", "--criterion", "mv", "--r", "800", "--r0", "200", "--seed", "7"]
+
+# each row: command line, exit code, a fragment of the message
+EXIT_MATRIX = [
+    pytest.param([*FIT, "--data", "@ragged"], 3, "ragged.csv:700: expected 8 fields, found 3", id="ragged-row"),
+    pytest.param([*FIT, "--data", "@hash"], 3, "hash.csv:300: malformed row", id="hash-line"),
+    pytest.param(["fit", "--data", "@empty"], 3, "no records in", id="empty-fit"),
+    pytest.param(["fit-full", "--data", "@empty"], 3, "no records in", id="empty-fit-full"),
+    pytest.param(["fit-distributed", "--data", "@empty", "--k", "2"], 3, "no records in", id="empty-fit-distributed"),
+    pytest.param(
+        ["fit-distributed", "--data", "@three", "--k", "5", "--r", "1"], 3,
+        "cannot split 3 records into 5 shards", id="k-above-n",
+    ),
+    pytest.param(
+        [*FIT[:-4], "--r0", "3", "--data", "@case"], 4, "pilot captured only", id="pilot-below-d",
+        marks=pytest.mark.filterwarnings("ignore:pilot size"),
+    ),
+    pytest.param([*FIT, "--data", "@case", "--threads", "2"], 2, "unrecognized arguments: --threads", id="fit-threads"),
+    pytest.param(
+        ["experiment", "--case", "c1", "--level", "0.9"], 2, "unrecognized arguments: --level", id="experiment-level",
+    ),
+]
+
+
 class TestExitCodes:
-    def test_unknown_flag_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--nonsense"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("argv, code, message", EXIT_MATRIX)
+    def test_exit_code(self, inputs, tmp_path, capsys, argv, code, message):
+        _expect_exit(inputs, tmp_path, capsys, argv, code, message)
 
-    def test_unknown_command_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    # the rows below predate the matrix and keep their test names
 
-    def test_missing_file_exits_three(self, tmp_path):
-        code = main(
-            ["fit-full", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.json")]
-        )
-        assert code == 3
+    def test_unknown_flag_exits_two(self, inputs, tmp_path, capsys):
+        argv = ["fit", "--data", "@case", "--nonsense"]
+        _expect_exit(inputs, tmp_path, capsys, argv, 2, "unrecognized arguments: --nonsense")
 
-    def test_numerical_failure_exits_four(self, tmp_path):
+    def test_unknown_command_exits_two(self, inputs, tmp_path, capsys):
+        _expect_exit(inputs, tmp_path, capsys, ["frobnicate"], 2, "invalid choice: 'frobnicate'")
+
+    def test_missing_file_exits_three(self, inputs, tmp_path, capsys):
+        _expect_exit(inputs, tmp_path, capsys, ["fit-full", "--data", "@missing"], 3, "missing.csv")
+
+    def test_numerical_failure_exits_four(self, inputs, tmp_path, capsys):
         # collinear design: singular Newton system
-        table = np.column_stack([np.arange(50.0), np.ones(50), np.ones(50) * 2.0])
-        path = tmp_path / "collinear.csv"
-        np.savetxt(path, table, fmt="%.17g", delimiter=",")
-        code = main(
-            [
-                "fit-full",
-                "--data",
-                str(path),
-                "--family",
-                "identity",
-                "--out",
-                str(tmp_path / "o.json"),
-            ]
-        )
-        assert code == 4
+        argv = ["fit-full", "--data", "@collinear", "--family", "identity"]
+        _expect_exit(inputs, tmp_path, capsys, argv, 4, "numerical failure")
 
-    def test_bad_plan_exits_two(self, case_csv, tmp_path):
-        code = main(_fit_args(case_csv, str(tmp_path / "o.json"), ["--rho", "2.0"]))
-        assert code == 2
+    def test_bad_plan_exits_two(self, inputs, tmp_path, capsys):
+        argv = [*FIT, "--data", "@case", "--rho", "2.0"]
+        _expect_exit(inputs, tmp_path, capsys, argv, 2, "configuration error")
 
-    def test_size_above_shard_exits_two(self, tmp_path, capsys):
+    def test_size_above_shard_exits_two(self, inputs, tmp_path, capsys):
         # default --r 1000 against four shards of 500 records
-        path = tmp_path / "small.csv"
-        write_case_csv(make_spec("c1", 2000, seed=3), str(path))
-        out = tmp_path / "o.json"
-        code = main(["fit-distributed", "--data", str(path), "--k", "4", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "expected size 1000.0 is not below the smallest shard's 500 records" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
+        argv = ["fit-distributed", "--data", "@small", "--k", "4"]
+        message = "expected size 1000.0 is not below the smallest shard's 500 records"
+        _expect_exit(inputs, tmp_path, capsys, argv, 2, message)
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -103,42 +166,21 @@ class TestExitCodes:
             (["--y-col", "8"], "response column 8 out of range"),
         ],
     )
-    def test_column_out_of_range_exits_three(self, case_csv, tmp_path, capsys, flags, message):
-        code = main(_fit_args(case_csv, str(tmp_path / "o.json"), flags))
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "case1.csv" in err and message in err
-        assert "Traceback" not in err
+    def test_column_out_of_range_exits_three(self, inputs, tmp_path, capsys, flags, message):
+        argv = [*FIT, "--data", "@case", *flags]
+        _expect_exit(inputs, tmp_path, capsys, argv, 3, f"case1.csv: {message}")
 
     @pytest.mark.parametrize(
-        "lineno, field, value",
-        [(500, 0, "nan"), (1234, 3, "inf")],
+        "key, lineno",
+        [("nan", 500), ("inf", 1234)],
         ids=["nan-response", "inf-covariate"],
     )
-    def test_non_finite_value_exits_three(self, case_csv, tmp_path, capsys, lineno, field, value):
-        with open(case_csv) as fh:
-            lines = fh.read().splitlines()
-        fields = lines[lineno - 1].split(",")
-        fields[field] = value
-        lines[lineno - 1] = ",".join(fields)
-        path = tmp_path / "damaged.csv"
-        path.write_text("\n".join(lines) + "\n")
-        code = main(_fit_args(str(path), str(tmp_path / "o.json")))
-        err = capsys.readouterr().err
-        assert code == 3
-        assert f"damaged.csv:{lineno}: non-finite value" in err
-        assert "Traceback" not in err
+    def test_non_finite_value_exits_three(self, inputs, tmp_path, capsys, key, lineno):
+        argv = [*FIT, "--data", f"@{key}"]
+        _expect_exit(inputs, tmp_path, capsys, argv, 3, f"damaged.csv:{lineno}: non-finite value")
 
-    def test_non_utf8_byte_exits_three(self, case_csv, tmp_path, capsys):
-        lines = Path(case_csv).read_bytes().splitlines(keepends=True)
-        lines[1] = lines[1].replace(b",", b",\xff", 1)
-        path = tmp_path / "latin.csv"
-        path.write_bytes(b"".join(lines))
-        code = main(["fit-full", "--data", str(path), "--out", str(tmp_path / "o.json")])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "latin.csv:2: not UTF-8" in err
-        assert "Traceback" not in err
+    def test_non_utf8_byte_exits_three(self, inputs, tmp_path, capsys):
+        _expect_exit(inputs, tmp_path, capsys, ["fit-full", "--data", "@latin"], 3, "latin.csv:2: not UTF-8")
 
 
 class TestFitDocuments:

@@ -110,10 +110,10 @@ class TestParsing:
         path = tmp_path / "shards.csv"
         path.write_text("y,x\n" + "\n".join(lines) + "\n")
         shards = partition_view(CsvStream(str(path), skip_header=True, block_size=3), 3)
-        rows(shards[0])
-        rows(shards[1])
-        with pytest.raises(DataError, match=r"shards\.csv:11: "):
-            rows(shards[2])
+        # the first read parses the whole source, so every shard fails alike
+        for shard in shards:
+            with pytest.raises(DataError, match=r"shards\.csv:11: "):
+                rows(shard)
 
     def test_non_finite_in_unused_column_is_ignored(self, tmp_path):
         path = tmp_path / "unused.csv"
@@ -341,9 +341,8 @@ class TestParseOnce:
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,4\n5,oops\n7,8\n")
         stream = CsvStream(str(path), block_size=2)
-        assert [i for i, _, _ in rows(SubsetStream(stream, 0, 2))] == [0, 1]
-        for _ in range(2):
+        # a range that ends before the bad record fails too: the first read
+        # parses the whole source
+        for source in (SubsetStream(stream, 0, 2), stream, stream, SubsetStream(stream, 0, 2)):
             with pytest.raises(DataError, match=r"bad\.csv:3: malformed row"):
-                rows(stream)
-        # the records parsed before the failure are still served
-        assert [y for _, _, y in rows(SubsetStream(stream, 0, 2))] == [1.0, 3.0]
+                rows(source)

@@ -118,7 +118,7 @@ class TestTwoStep:
     def test_uniform_plan_matches_rho_one_optimal(self, stream):
         # shrinkage 1 collapses the probabilities to r/N, so the subsample
         # and estimate coincide with the uniform plan under a shared seed
-        kw = dict(r0=200, seed=23)
+        kw = dict(r0=200)
         unif = run_two_step(
             stream, EXP, SamplingPlan(criterion="uniform", expected_size=500, seed=23), **kw
         )
