@@ -1,0 +1,145 @@
+"""Pair parent and change benchmark runs and summarize them in one JSON file.
+
+Reads the result files that ``qlbench/run.py`` writes under
+``.qlbench/results/`` and keeps the end-to-end runs (``--trace 0``, not
+``--smoke``).  A run belongs to the parent or to the change by the digest of
+the ``src/qlsub`` it measured (``machine.src_sha256``).  Runs of one workload
+and seed pair up in the order they were made; a run without a partner is
+counted but not used.  For each workload and end-to-end metric of
+``BENCHMARK.json`` the summary gives each side's median and quartiles over
+the paired runs and the number of pairs the change wins::
+
+    python scripts/bench_pairs.py --parent ../parent/src --change src \\
+        --results .qlbench/results ../parent/.qlbench/results --out BENCH_9.json
+
+``--parent`` and ``--change`` take a ``src`` directory, whose ``qlsub/*.py``
+files are hashed as the benchmark hashes them, or the hex digest itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+MACHINE_KEYS = ("cpu_model", "nproc", "llc", "python", "numpy", "blas")
+
+
+def src_digest(spec: str) -> str:
+    """The digest named by ``spec``: a ``src`` directory or a hex digest."""
+    path = Path(spec)
+    if path.is_dir():
+        files = sorted((path / "qlsub").glob("*.py"))
+        if not files:
+            raise SystemExit(f"bench_pairs: no qlsub/*.py under {spec}")
+        return hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+    return spec
+
+
+def load_runs(dirs) -> list[dict]:
+    """End-to-end, non-smoke result records of the given directories, oldest first."""
+    runs = []
+    for d in dirs:
+        for path in sorted(Path(d).glob("*.json")):
+            if path.name.endswith(".trace.json"):
+                continue
+            record = json.loads(path.read_text())
+            details = record.get("details", {})
+            if details.get("trace") == 0 and not details.get("smoke"):
+                record["file"] = path.name
+                runs.append(record)
+    # the file name ends in the run's start time and process id
+    return sorted(runs, key=lambda r: r["file"].rsplit("-", 2)[-2:])
+
+
+def _spread(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def summarize(runs, digests: dict, metrics: list[dict]) -> dict:
+    """The paired summary of ``runs``; ``digests`` maps each side to its src digest."""
+    side_of = {digest: side for side, digest in digests.items()}
+    grouped = defaultdict(lambda: {side: [] for side in SIDES})
+    for run in runs:
+        side = side_of.get(run["machine"]["src_sha256"])
+        if side:
+            grouped[run["details"]["workload"], run["machine"]["seed"]][side].append(run)
+
+    pairs = defaultdict(list)
+    unpaired = defaultdict(int)
+    for (workload, _), sides in sorted(grouped.items()):
+        n = min(len(sides["parent"]), len(sides["change"]))
+        pairs[workload].extend(zip(sides["parent"][:n], sides["change"][:n]))
+        unpaired[workload] += len(sides["parent"]) + len(sides["change"]) - 2 * n
+
+    workloads = {}
+    for workload, matched in sorted(pairs.items()):
+        if not matched:
+            continue
+        entry = {
+            "pairs": len(matched),
+            "unpaired_runs": unpaired[workload],
+            "seeds": [p["machine"]["seed"] for p, _ in matched],
+            "failed": {side: sum(pair[j]["failed"] for pair in matched) for j, side in enumerate(SIDES)},
+            "attempted": {side: sum(pair[j]["attempted"] for pair in matched) for j, side in enumerate(SIDES)},
+            "metrics": {},
+        }
+        for metric in metrics:
+            name, lower = metric["name"], metric["better"] == "lower"
+            values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in matched]
+            wins = sum((c < p) if lower else (c > p) for p, c in values)
+            entry["metrics"][name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent": _spread([p for p, _ in values]),
+                "change": _spread([c for _, c in values]),
+                "change_wins": wins,
+            }
+        workloads[workload] = entry
+
+    used = [run for matched in pairs.values() for pair in matched for run in pair]
+    machines = []
+    for run in used:
+        machine = {key: run["machine"].get(key) for key in MACHINE_KEYS}
+        if machine not in machines:
+            machines.append(machine)
+    summary = {"machine": machines[0] if len(machines) == 1 else machines, "workloads": workloads}
+    for side in SIDES:
+        commits = {run["machine"]["git_commit"] for run in used if run["machine"]["src_sha256"] == digests[side]}
+        summary[side] = {"src_sha256": digests[side], "commits": sorted(c or "none" for c in commits)}
+    return summary
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(prog="bench_pairs", description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="parent src directory or its digest")
+    p.add_argument("--change", required=True, help="change src directory or its digest")
+    p.add_argument("--results", nargs="+", default=[str(ROOT / ".qlbench" / "results")])
+    p.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+    digests = {"parent": src_digest(args.parent), "change": src_digest(args.change)}
+    if digests["parent"] == digests["change"]:
+        raise SystemExit("bench_pairs: parent and change measured the same source")
+    metrics = json.loads(Path(args.benchmark).read_text())["end_to_end"]
+    summary = summarize(load_runs(args.results), digests, metrics)
+    if not summary["workloads"]:
+        raise SystemExit("bench_pairs: no paired runs found")
+    Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    for workload, entry in summary["workloads"].items():
+        for name, m in entry["metrics"].items():
+            print(f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} {m['unit']}"
+                  f" (change wins {m['change_wins']}/{entry['pairs']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

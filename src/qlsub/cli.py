@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -34,7 +35,7 @@ from .errors import (
     SingularHessian,
 )
 from .estimator import Z_975, FitResult
-from .families import get_family
+from .families import LinkFamily, get_family
 from .ingest import CsvStream
 from .pipeline import run_two_step
 from .sampling import SamplingPlan
@@ -80,30 +81,25 @@ def _write_json(doc: dict, path: str | None) -> None:
 def _write_table(rows: list[dict], path: str | None) -> None:
     if not rows:
         return
-    fieldnames = list(rows[0].keys())
-    if path:
-        fh = open(path, "w", newline="")
-    else:
-        fh = sys.stdout
-    try:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
 
 
-def _stream_from_args(args) -> CsvStream:
-    return CsvStream(
-        args.data,
-        y_col=args.y_col,
-        x_cols=_int_list(args.x_cols) if args.x_cols else None,
-        intercept=args.intercept,
-        y_shift=args.y_shift,
-        block_size=args.block_size,
-        skip_header=args.header,
-    )
+def _fit_input(args) -> tuple[CsvStream, LinkFamily]:
+    """The fit command's stream and family; a response outside the family's range is a data error."""
+    x_cols = _int_list(args.x_cols) if args.x_cols else None
+    stream = CsvStream(args.data, y_col=args.y_col, x_cols=x_cols, intercept=args.intercept,
+                       y_shift=args.y_shift, block_size=args.block_size, skip_header=args.header)
+    family = get_family(args.family)
+    lo, hi = family.response_range
+    for start, _, y in stream.iter_blocks():
+        bad = np.flatnonzero((y < lo) | (y > hi))
+        if bad.size:
+            raise DataError(f"{stream.where(start + int(bad[0]))}: response {float(y[bad[0]])} outside "
+                            f"[{lo:g}, {hi:g}] of the {family.name} family")
+    return stream, family
 
 
 def _config_dict(args, extra: dict | None = None) -> dict:
@@ -170,8 +166,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_fit_full(args) -> int:
     started = time.perf_counter()
-    stream = _stream_from_args(args)
-    family = get_family(args.family)
+    stream, family = _fit_input(args)
     xs, ys = [], []
     for _, xb, yb in stream.iter_blocks():
         xs.append(xb)
@@ -198,9 +193,8 @@ def _plan_from_args(args) -> SamplingPlan:
 
 def _cmd_fit(args) -> int:
     started = time.perf_counter()
-    stream = _stream_from_args(args)
-    family = get_family(args.family)
     plan = _plan_from_args(args)
+    stream, family = _fit_input(args)
     fit = run_two_step(stream, family, plan, args.r0, ridge=args.ridge)
     _log(f"fit criterion={args.criterion} r={args.r}", started)
     _emit_fit(args, fit)
@@ -217,9 +211,8 @@ def _cmd_fit_distributed(args) -> int:
         raise ConfigError("provide --data or --partitions")
     if args.k == 0:
         args.k = 1
-    stream = _stream_from_args(args)
-    family = get_family(args.family)
     plan = _plan_from_args(args)
+    stream, family = _fit_input(args)
     fit = run_distributed(stream, family, plan, args.r0, args.k, threads=args.threads, ridge=args.ridge)
     _log(f"fit-distributed K={args.k} r={args.r}", started)
     _emit_fit(args, fit)

@@ -63,8 +63,6 @@ def fit_partition(
 ) -> PartitionSummary:
     """Sample and fit one shard; failures carry the partition id."""
     n_j = shard.n_records
-    if n_j == 0:
-        raise PartitionFailed(partition_id, "empty partition")
     try:
         sample = second_pass(shard, family, pilot, plan, r, seed)
         if sample.size == 0:
@@ -204,9 +202,8 @@ def run_distributed(
     n_total = stream.n_records
     seed = plan.seed
     r = plan.expected_size
-    # an empty shard is reported by its own partition's fit
     smallest = min(shard.n_records for shard in shards)
-    if 0 < smallest <= r:
+    if smallest <= r:
         raise ConfigError(f"expected size {r} is not below the smallest shard's {smallest} records")
     if k > r ** (1.0 / 3.0):
         warnings.warn(

@@ -17,7 +17,8 @@ import numpy as np
 # overshoot and step-halving needs finite scores to recover.
 ETA_MAX = 700.0
 
-_KINDS = ("identity", "exp", "logistic")
+# closed response range of each kind: the values its mean function can reach
+_RANGES = {"identity": (-np.inf, np.inf), "exp": (0.0, np.inf), "logistic": (0.0, 1.0)}
 
 
 def _check_finite(eta):
@@ -35,8 +36,13 @@ class LinkFamily:
     name: str
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _RANGES:
             raise ValueError(f"unknown family kind {self.kind!r}")
+
+    @property
+    def response_range(self) -> tuple[float, float]:
+        """Closed range ``(lo, hi)`` of responses the mean function can reach."""
+        return _RANGES[self.kind]
 
     def mean(self, eta):
         """Mean response at linear predictor ``eta`` (scalar or array)."""

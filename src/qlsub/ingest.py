@@ -123,6 +123,22 @@ class CsvStream(RecordStream):
             fh.readline()
         return filter(str.strip, fh)
 
+    def _numbered(self, fh):
+        """``(line number, line)`` of each record of an open file."""
+        lines = enumerate(fh, start=1)
+        if self.skip_header:
+            next(lines, None)
+        return ((lineno, line) for lineno, line in lines if line.strip())
+
+    def where(self, index: int) -> str:
+        """``path:line`` of global record ``index``; re-reads its file."""
+        for path, count in zip(self.paths, self.file_counts()):
+            if index < count:
+                with open(path, "r", encoding="utf-8") as fh:
+                    lineno, _ = next(itertools.islice(self._numbered(fh), index, None))
+                return f"{path}:{lineno}"
+            index -= count
+
     def _count_file(self, path: str) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -198,11 +214,7 @@ class CsvStream(RecordStream):
         parse; it re-reads the file and parses the records one at a time.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            lines = enumerate(fh, start=1)
-            if self.skip_header:
-                next(lines, None)
-            records = ((lineno, line) for lineno, line in lines if line.strip())
-            for lineno, line in itertools.islice(records, first, None):
+            for lineno, line in itertools.islice(self._numbered(fh), first, None):
                 try:
                     self._parse([line], path)
                 except ValueError as err:
@@ -287,7 +299,8 @@ def partition_view(stream: RecordStream, k: int) -> list[RecordStream]:
     """Split a stream into K contiguous shards covering it exactly once.
 
     Splitting one source gives shard sizes differing by at most one; when the
-    source is a file list with exactly K files, shards align with the files.
+    source is a file list with exactly K files, shards align with the files,
+    and a file without records is a ``DataError``.
     """
     n = stream.n_records
     if k < 1:
@@ -297,6 +310,9 @@ def partition_view(stream: RecordStream, k: int) -> list[RecordStream]:
     if k == 1:
         return [stream]
     if isinstance(stream, CsvStream) and len(stream.paths) == k:
+        for path, count in zip(stream.paths, stream.file_counts()):
+            if not count:
+                raise DataError(f"{path}: no records")
         bounds = np.concatenate(([0], np.cumsum(stream.file_counts())))
     else:
         base, extra = divmod(n, k)

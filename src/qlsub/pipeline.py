@@ -322,7 +322,9 @@ def run_two_step(
 
     p0 = float(r0) / n
     pilot_p2 = rule.probabilities(pilot.scores)
-    fresh = ~np.isin(sample.indices, pilot.indices)
+    # both index lists are sorted; np.isin would import numpy.ma on first use
+    at = np.minimum(np.searchsorted(pilot.indices, sample.indices), pilot.indices.size - 1)
+    fresh = pilot.indices[at] != sample.indices
     x = np.concatenate([pilot.x, sample.x[fresh]])
     y = np.concatenate([pilot.y, sample.y[fresh]])
     p2 = np.concatenate([pilot_p2, sample.p[fresh]])

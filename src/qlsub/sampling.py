@@ -69,90 +69,104 @@ class ScoreContext:
 
 # Rows per BLAS call in the record kernel.  Every record's products are
 # computed in a call of exactly this shape, at row (global index % TILE_ROWS).
-TILE_ROWS = 1024
+TILE_ROWS = 512
+# Whole tiles per stacked product, so a chunk is still in cache when normed.
+CHUNK_TILES = 8
+
+
+def _tiled(x: np.ndarray, offset: int, w: np.ndarray):
+    """``(i, x[i:j], x[i:j] @ w)`` over consecutive pieces of ``x``.
+
+    Row ``i`` of ``x`` is global record ``offset + i``.  Tiles of
+    ``TILE_ROWS`` rows are aligned to the global index.  A run of up to
+    ``CHUNK_TILES`` whole tiles is one stacked matmul, one BLAS call per
+    tile; a partial tile at either edge of ``x`` is copied into a
+    zero-filled ``TILE_ROWS``-row buffer at row ``(offset + i) % TILE_ROWS``.
+    """
+    n, d = x.shape
+    i = 0
+    while i < n:
+        row = (offset + i) % TILE_ROWS
+        take = min(TILE_ROWS - row, n - i)
+        if take == TILE_ROWS:
+            take = min(n - i, CHUNK_TILES * TILE_ROWS) // TILE_ROWS * TILE_ROWS
+            tiles = x[i : i + take].reshape(-1, TILE_ROWS, d)
+            prod = np.matmul(tiles, w).reshape((take,) + w.shape[1:])
+        else:
+            tile = np.zeros((TILE_ROWS, d))
+            tile[row : row + take] = x[i : i + take]
+            prod = (tile @ w)[row : row + take]
+        yield i, x[i : i + take], prod
+        i += take
 
 
 def tile_products(x: np.ndarray, offset: int, *weights: np.ndarray) -> list[np.ndarray]:
     """``x @ w`` for each ``w``, one fixed-shape BLAS call per record tile.
 
-    Row ``i`` of ``x`` is global record ``offset + i``.  Tiles of
-    ``TILE_ROWS`` rows are aligned to the global index: a full tile goes to
-    BLAS as it stands, and a partial tile at either edge of ``x`` is copied
-    into a zero-filled ``TILE_ROWS``-row buffer at row
-    ``(offset + i) % TILE_ROWS``.  A BLAS call of fixed shape accumulates
-    each output element in an order set by the call's shape and the row's
-    place in it, so every record's products are the same whatever the block
-    size, shard layout or source that delivered it, and no other row can
-    change them.
+    Row ``i`` of ``x`` is global record ``offset + i``; the tiles are those
+    of :func:`_tiled`.  A BLAS call of fixed shape accumulates each output
+    element in an order set by the call's shape and the row's place in it,
+    so every record's products are the same whatever the block size, shard
+    layout or source that delivered it, and no other row can change them.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    n, d = x.shape
     weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
-    outs = [np.empty((n,) + w.shape[1:]) for w in weights]
-    i = 0
+    outs = [np.empty((x.shape[0],) + w.shape[1:]) for w in weights]
     # a non-finite row yields non-finite outputs in that row only, which the
     # scorer rejects through family.mean, so BLAS need not warn about them
     with np.errstate(invalid="ignore", over="ignore"):
-        while i < n:
-            row = (offset + i) % TILE_ROWS
-            take = min(TILE_ROWS - row, n - i)
-            if take == TILE_ROWS:
-                for w, out in zip(weights, outs):
-                    np.matmul(x[i : i + take], w, out=out[i : i + take])
-            else:
-                tile = np.zeros((TILE_ROWS, d))
-                tile[row : row + take] = x[i : i + take]
-                for w, out in zip(weights, outs):
-                    out[i : i + take] = (tile @ w)[row : row + take]
-            i += take
+        for w, out in zip(weights, outs):
+            for i, rows, prod in _tiled(x, offset, w):
+                out[i : i + len(rows)] = prod
     return outs
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; the reduction never crosses rows."""
+def score_parts(x: np.ndarray, offset: int, beta, sigma_inv=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(x_i' beta, h(x_i))`` of records offset, offset + 1, ... held in ``x``.
+
+    Each tile is multiplied by one augmented matrix in the calls of
+    :func:`tile_products`: ``[beta | sigma_inv']`` for mv, ``beta`` as a
+    one-column matrix for mvc.  ``x_i' beta`` is the first column, and ``h``
+    the row-local norm of the other columns (mv) or of ``x_i`` (mvc), taken
+    while the chunk is in cache.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
+    w = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+    if sigma_inv is not None:
+        w = np.hstack([w, np.asarray(sigma_inv, dtype=np.float64).T])
+    eta, h2 = np.empty(x.shape[0]), np.empty(x.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, rows, prod in _tiled(x, offset, w):
+            z = rows if sigma_inv is None else prod[:, 1:]
+            eta[i : i + len(rows)] = prod[:, 0]
+            h2[i : i + len(rows)] = np.einsum("ij,ij->i", z, z)
+    return eta, np.sqrt(h2)
 
 
 def record_scores(x, y, family: LinkFamily, beta, sigma_inv=None, offset: int = 0) -> np.ndarray:
     """Scores ``|y_i - mean(x_i' beta)| * h(x_i)`` of records offset, offset + 1, ...
 
-    ``h`` is the curvature-whitened norm ``||sigma_inv @ x_i||`` when
-    ``sigma_inv`` is given (mv) and the plain covariate norm otherwise
-    (mvc).  The products run through :func:`tile_products` and the norms
-    through :func:`row_norms`, so a record's score depends on its own row
-    and global index only.
+    ``h`` is ``||sigma_inv @ x_i||`` when ``sigma_inv`` is given (mv) and
+    ``||x_i||`` otherwise (mvc); both factors come from :func:`score_parts`.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if sigma_inv is None:
-        (eta,) = tile_products(x, offset, beta)
-        h = row_norms(x)
-    else:
-        z, eta = tile_products(x, offset, np.asarray(sigma_inv, dtype=np.float64).T, beta)
-        h = row_norms(z)
+    eta, h = score_parts(x, offset, beta, sigma_inv)
     return np.abs(np.asarray(y, dtype=np.float64) - family.mean(eta)) * h
 
 
 def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``x @ beta`` with the rows taken as records 0, 1, ..., n - 1.
+    """``x @ beta``: bit for bit the ``x_i' beta`` of ``score_parts(x, 0, beta)`` (mvc)."""
+    return tile_products(x, 0, np.asarray(beta, dtype=np.float64).reshape(-1, 1))[0][:, 0]
 
-    Each value comes from a ``TILE_ROWS``-row BLAS call at row
-    ``i % TILE_ROWS`` (see :func:`tile_products`).  It is the call
-    :func:`record_scores` makes for the same records, so the two agree bit
-    for bit, and no other row of ``x`` can change a record's value.
-    """
-    return tile_products(x, 0, beta)[0]
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Row norms: bit for bit the ``h`` of ``score_parts(x, 0, beta)`` (mvc)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
 def whitened_norms(x: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
-    """Norms of ``sigma_inv @ x_i`` with the rows taken as records 0, 1, ...
-
-    The whitening is the scorer's fixed-tile BLAS call (see
-    :func:`tile_products`) and the norm a row-local reduction, so each value
-    depends only on its own row and its place in its tile.
-    """
-    z = tile_products(x, 0, np.asarray(sigma_inv, dtype=np.float64).T)[0]
-    return row_norms(z)
+    """``||sigma_inv @ x_i||``: bit for bit the ``h`` of ``score_parts(x, 0, b, sigma_inv)``, any ``b``."""
+    return score_parts(x, 0, np.zeros(np.shape(sigma_inv)[0]), sigma_inv)[1]
 
 
 def waterfill(scores, r: float) -> tuple[float, int]:
@@ -194,7 +208,14 @@ def threshold_quantile(pilot_scores, r: float, n: float) -> float:
     if s.size == 0:
         raise ValueError("pilot scores must be nonempty")
     level = min(max(1.0 - r / (2.0 * n), 0.0), 1.0)
-    return float(np.quantile(s, level))
+    # np.quantile's linear rule: the order statistics around (n - 1) * level,
+    # blended as numpy's _lerp does (np.quantile's first call imports numpy.ma)
+    pos = (s.size - 1) * level
+    j = math.floor(pos)
+    k = min(j + 1, s.size - 1)
+    a, b = np.partition(s, [j, k])[[j, k]]
+    t = pos - j
+    return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
 
 def shrinkage_probability(ctx: ScoreContext, score, r: float, rho: float):
@@ -203,7 +224,7 @@ def shrinkage_probability(ctx: ScoreContext, score, r: float, rho: float):
     ``(1 - rho) * r * (score ^ cap) / (n * psi_hat) + rho * r / n``; the
     uniform term floors every probability at ``rho * r / n`` so records with
     near-zero residuals cannot blow up the weighted estimating equation.
-    Callers cap the result at one before drawing.
+    Capped at one, it is bit for bit ``ProbabilityRule.probabilities``.
     """
     s = np.asarray(score, dtype=np.float64)
     capped = np.minimum(s, ctx.cap) if not math.isinf(ctx.cap) else s
@@ -212,7 +233,11 @@ def shrinkage_probability(ctx: ScoreContext, score, r: float, rho: float):
 
 
 def block_mask(seed: int, indices: np.ndarray, probs: np.ndarray, stream: int = MAIN_STREAM) -> np.ndarray:
-    """Vectorized Bernoulli inclusion decisions keyed on (seed, index)."""
+    """Bernoulli inclusion decisions keyed on (seed, stream, index).
+
+    Bit for bit the draws of ``pipeline._scan``: ``stream`` is ``MAIN_STREAM``
+    in ``second_pass`` and ``PILOT_STREAM`` in ``run_pilot``.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     # two reductions screen the block; a NaN fails both comparisons
     if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=1.0) <= 1.0):

@@ -1,0 +1,87 @@
+"""``scripts/bench_pairs.py`` on synthetic benchmark result files."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+PARENT, CHANGE = "a" * 64, "b" * 64
+METRICS = [
+    {"name": "wall_rel", "unit": "x_ref", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1},
+]
+
+
+def write_run(root, workload, seed, digest, stamp, wall, rss=100.0, trace=0, smoke=False, failed=0):
+    record = {
+        "correct": True,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {"wall_rel": {"value": wall, "unit": "x_ref"}, "peak_rss_mb": {"value": rss, "unit": "MiB"}},
+        "details": {"workload": workload, "trace": trace, "smoke": smoke},
+        "machine": {"seed": seed, "src_sha256": digest, "git_commit": "c" + digest[:6], "cpu_model": "cpu",
+                    "nproc": 2, "llc": "L3", "python": "3", "numpy": "2", "blas": "openblas"},
+    }
+    path = Path(root) / f"{workload}-seed{seed}-trace{trace}-20260101T0000{stamp:02d}-{1000 + stamp}.json"
+    path.write_text(json.dumps(record))
+
+
+@pytest.fixture
+def results(tmp_path):
+    root = tmp_path / "results"
+    root.mkdir()
+    # three seeds on w1, parent run first in each pair; the change is faster
+    # in two pairs and slower in one
+    for j, (seed, parent, change) in enumerate([(1, 2.0, 1.0), (2, 2.2, 1.1), (3, 1.0, 1.5)]):
+        write_run(root, "w1", seed, PARENT, 10 * j, parent, rss=100.0)
+        write_run(root, "w1", seed, CHANGE, 10 * j + 1, change, rss=90.0, failed=j)
+    write_run(root, "w1", 4, PARENT, 50, 9.9)  # no partner
+    write_run(root, "w1", 1, CHANGE, 51, 0.1, trace=1)  # traced: not an end-to-end run
+    write_run(root, "w1", 2, CHANGE, 52, 0.1, smoke=True)
+    write_run(root, "w1", 3, "f" * 64, 53, 0.1)  # another source
+    (root / "w1-seed1-trace1-20260101T000051-1051.trace.json").write_text("[]")
+    return root
+
+
+def test_pairs_runs_by_source_digest(results):
+    summary = bench_pairs.summarize(bench_pairs.load_runs([results]), {"parent": PARENT, "change": CHANGE}, METRICS)
+    w1 = summary["workloads"]["w1"]
+    assert w1["pairs"] == 3
+    assert w1["unpaired_runs"] == 1
+    assert w1["seeds"] == [1, 2, 3]
+    assert w1["failed"] == {"parent": 0, "change": 3}
+    wall = w1["metrics"]["wall_rel"]
+    assert wall["change_wins"] == 2
+    assert wall["parent"] == pytest.approx({"median": 2.0, "q1": 1.5, "q3": 2.1})
+    assert wall["change"] == pytest.approx({"median": 1.1, "q1": 1.05, "q3": 1.3})
+    assert w1["metrics"]["peak_rss_mb"]["change_wins"] == 3
+    assert summary["parent"] == {"src_sha256": PARENT, "commits": ["caaaaaa"]}
+    assert summary["change"]["commits"] == ["cbbbbbb"]
+    assert summary["machine"]["cpu_model"] == "cpu"
+
+
+def test_main_writes_the_summary(results, tmp_path, capsys):
+    src = tmp_path / "src" / "qlsub"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\n")
+    (src / "b.py").write_text("y = 2\n")
+    digest = hashlib.sha256(b"x = 1\ny = 2\n").hexdigest()
+    assert bench_pairs.src_digest(str(tmp_path / "src")) == digest
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": METRICS}))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", PARENT, "--change", CHANGE, "--results", str(results), "--benchmark", str(bench)]
+    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["workloads"]["w1"]["metrics"]["wall_rel"]["change_wins"] == 2
+    assert "w1 wall_rel: 2 -> 1.1 x_ref (change wins 2/3)" in capsys.readouterr().out
+    with pytest.raises(SystemExit, match="no paired runs"):
+        bench_pairs.main(["--parent", PARENT, "--change", "e" * 64, "--results", str(results),
+                          "--benchmark", str(bench), "--out", str(out)])

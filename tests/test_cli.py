@@ -73,13 +73,21 @@ def inputs(case_csv, tmp_path_factory):
     (root / "latin.csv").write_bytes(b"".join(latin))
     for sub in ("nan", "inf"):
         (root / sub).mkdir()
-    files = {key: str(root / f"{key}.csv") for key in ("empty", "three", "collinear", "small", "latin", "missing")}
+    text = Path(case_csv).read_text()
+    # cut mid-record, after the last comma: the last field is empty
+    (root / "truncated.csv").write_text(text[: text.rindex(",") + 1])
+    (root / "headed.csv").write_text("y,x1,x2,x3,x4,x5,x6,x7\n" + text)
+    files = {
+        key: str(root / f"{key}.csv")
+        for key in ("empty", "three", "collinear", "small", "latin", "missing", "truncated", "headed")
+    }
     return files | {
         "case": case_csv,
         "ragged": _damaged(case_csv, root / "ragged.csv", 700, lambda line: "1,2,3"),
         "hash": _damaged(case_csv, root / "hash.csv", 300, lambda line: "#" + line),
         "nan": _damaged(case_csv, root / "nan" / "damaged.csv", 500, _set_field(0, "nan")),
         "inf": _damaged(case_csv, root / "inf" / "damaged.csv", 1234, _set_field(3, "inf")),
+        "negative": _damaged(case_csv, root / "negative.csv", 321, _set_field(0, "-2")),
     }
 
 
@@ -117,6 +125,20 @@ EXIT_MATRIX = [
     pytest.param(
         [*FIT[:-4], "--r0", "3", "--data", "@case"], 4, "pilot captured only", id="pilot-below-d",
         marks=pytest.mark.filterwarnings("ignore:pilot size"),
+    ),
+    pytest.param([*FIT, "--data", "@truncated"], 3, "truncated.csv:8000: malformed row", id="truncated-record"),
+    pytest.param([*FIT, "--data", "@headed"], 3, "headed.csv:1: malformed row", id="header-without-flag"),
+    pytest.param(
+        ["fit-distributed", "--partitions", "@small", "@small", "@empty", "@small", "--r", "200"], 3,
+        "empty.csv: no records", id="empty-partition-file",
+    ),
+    pytest.param(
+        [*FIT, "--data", "@case", "--family", "logistic"], 3,
+        "case1.csv:1: response 5.0 outside [0, 1] of the logistic family", id="logistic-on-counts",
+    ),
+    pytest.param(
+        [*FIT, "--data", "@negative"], 3,
+        "negative.csv:321: response -2.0 outside [0, inf] of the exp family", id="exp-negative-response",
     ),
     pytest.param([*FIT, "--data", "@case", "--threads", "2"], 2, "unrecognized arguments: --threads", id="fit-threads"),
     pytest.param(
@@ -181,6 +203,13 @@ class TestExitCodes:
 
     def test_non_utf8_byte_exits_three(self, inputs, tmp_path, capsys):
         _expect_exit(inputs, tmp_path, capsys, ["fit-full", "--data", "@latin"], 3, "latin.csv:2: not UTF-8")
+
+    @pytest.mark.parametrize("command", ["fit", "fit-full", "fit-distributed"])
+    def test_response_range_applies_after_shift(self, inputs, tmp_path, capsys, command):
+        argv = [command, "--data", inputs["negative"], "--out", str(tmp_path / "o.json")]
+        assert main([*argv, "--y-shift", "2"]) == 0
+        assert main(argv) == 3
+        assert "negative.csv:321: response -2.0" in capsys.readouterr().err
 
 
 class TestFitDocuments:
@@ -256,11 +285,14 @@ class TestConfidenceLevel:
             _fit_args(case_csv, str(tmp_path / "fit.json")),
             ["fit-distributed", "--data", case_csv, "--k", "4", "--r", "600",
              "--out", str(tmp_path / "dist.json")],
+            _fit_args(case_csv, str(tmp_path / "quantile.json"), ["--threshold", "quantile"]),
         ]
+        # nor numpy.ma, which np.quantile and np.isin import on first use
         probe = (
             "import json, sys, qlsub, qlsub.cli\n"
             "codes = [qlsub.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe, json.dumps(runs)],
@@ -269,7 +301,7 @@ class TestConfidenceLevel:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "[0, 0] []"
+        assert out.stdout.strip() == "[0, 0, 0] []"
 
     def test_level_sets_normal_quantile(self, case_csv, tmp_path):
         out = str(tmp_path / "doc.json")

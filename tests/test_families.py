@@ -101,3 +101,15 @@ def test_get_family_resolution():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         LinkFamily("cauchy", "cauchy")
+
+
+def test_response_ranges():
+    assert IDENTITY.response_range == (-math.inf, math.inf)
+    assert EXP.response_range == (0.0, math.inf)
+    assert LOGISTIC.response_range == (0.0, 1.0)
+    # each mean stays inside its own family's range
+    eta = np.linspace(-50.0, 50.0, 101)
+    for family in (EXP, LOGISTIC):
+        lo, hi = family.response_range
+        mu = family.mean(eta)
+        assert ((lo <= mu) & (mu <= hi)).all()

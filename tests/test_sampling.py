@@ -143,6 +143,20 @@ class TestThresholdQuantile:
         assert threshold_quantile([1.0, 2.0, 3.0], 10.0, 1.0) == 1.0  # level <= 0
         assert threshold_quantile([1.0, 2.0, 3.0], 0.0, 5.0) == 3.0  # level >= 1
 
+    def test_matches_numpy_quantile_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for case in range(3000):
+            size = int(rng.integers(1, 300))
+            s = rng.exponential(size=size) * np.exp(3.0 * rng.normal(size=size))
+            if case % 4 == 0:
+                s = np.round(s, 1)  # ties
+            r = float(rng.uniform(0.01, 3.0 * size))
+            n = float(rng.uniform(1.0, 10.0 * size))
+            level = min(max(1.0 - r / (2.0 * n), 0.0), 1.0)
+            want = np.float64(np.quantile(s, level))
+            got = np.float64(threshold_quantile(s, r, n))
+            assert got.view(np.uint64) == want.view(np.uint64), (size, r, n)
+
 
 class TestShrinkage:
     def _ctx(self, psi=1.0, n=100.0, cap=math.inf):

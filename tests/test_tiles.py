@@ -21,15 +21,27 @@ from qlsub.distributed import run_distributed
 from qlsub.families import EXP
 from qlsub.ingest import ArrayStream, CsvStream, SubsetStream
 from qlsub.pipeline import resolve_rule, run_pilot, run_two_step, second_pass
-from qlsub.sampling import THRESHOLD_MODES, TILE_ROWS, SamplingPlan, tile_products
+from qlsub.sampling import (
+    CHUNK_TILES,
+    THRESHOLD_MODES,
+    TILE_ROWS,
+    SamplingPlan,
+    linear_predictor,
+    record_scores,
+    row_norms,
+    score_parts,
+    tile_products,
+    whitened_norms,
+)
 
-N = 2600  # crosses two tile boundaries
+N = 2600  # crosses five tile boundaries, inside one chunk
 D = 4
 R0 = 200
 R = 300.0
 SEED = 71
 CRITERIA = ("mv", "mvc")
-EDGE_BLOCKS = (1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1)
+CHUNK_ROWS = CHUNK_TILES * TILE_ROWS
+EDGE_BLOCKS = (1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, CHUNK_ROWS)
 
 
 def bits(a) -> np.ndarray:
@@ -195,6 +207,85 @@ def test_non_finite_row_leaves_neighbours_unchanged(offset):
         assert not np.isfinite(b[bad]).any()
 
 
+def augmented(beta, sigma_inv):
+    """The scorer's product matrix: ``beta`` as a column, then ``sigma_inv'`` for mv."""
+    w = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+    return w if sigma_inv is None else np.hstack([w, sigma_inv.T])
+
+
+def assert_scored_from_own_tile(x, offset, beta, sigma_inv, records):
+    """Each record's ``(eta, h)`` is what its own zero-padded tile gives."""
+    eta, h = score_parts(x, offset, beta, sigma_inv)
+    w = augmented(beta, sigma_inv)
+    for i in records:
+        row = (offset + i) % TILE_ROWS
+        alone = np.zeros((TILE_ROWS, x.shape[1]))
+        alone[row] = x[i]
+        prod = alone @ w
+        z = alone if sigma_inv is None else prod[:, 1:]
+        assert_same_bits(eta[i], prod[row, 0])
+        assert_same_bits(h[i], np.sqrt(np.einsum("ij,ij->i", z, z))[row])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    offset=st.integers(0, 2 * CHUNK_ROWS),
+    n=st.integers(1, 2 * CHUNK_ROWS + 3),
+    d=st.sampled_from([1, 4, 35]),
+    criterion=st.sampled_from(CRITERIA),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_record_scored_from_its_own_padded_tile(offset, n, d, criterion, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * np.exp(rng.normal(size=(n, d)))
+    beta = rng.normal(size=d)
+    sigma_inv = rng.normal(size=(d, d)) if criterion == "mv" else None
+    records = np.unique(np.concatenate([rng.integers(0, n, 10), [0, n - 1]]))
+    assert_scored_from_own_tile(x, offset, beta, sigma_inv, records)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize(
+    "offset, n",
+    [
+        (0, CHUNK_ROWS - 1),
+        (0, CHUNK_ROWS + 1),
+        (1, CHUNK_ROWS),
+        (CHUNK_ROWS - 1, 2),
+        (CHUNK_ROWS + 1, CHUNK_ROWS - 1),
+        (TILE_ROWS - 1, 2 * CHUNK_ROWS + 1),
+    ],
+)
+def test_chunk_edges_scored_as_one_block(offset, n, criterion):
+    """Records on either side of a chunk edge match their own tiles and any split."""
+    rng = np.random.default_rng(offset + n)
+    x = rng.normal(size=(n, 6))
+    y = rng.poisson(1.0, n).astype(np.float64)
+    beta = rng.normal(0.0, 0.2, 6)
+    sigma_inv = rng.normal(size=(6, 6)) if criterion == "mv" else None
+    edges = [e - offset for e in range(CHUNK_ROWS, offset + n + 1, CHUNK_ROWS) if e > offset]
+    near = [i for e in edges for i in (e - 2, e - 1, e, e + 1) if 0 <= i < n]
+    assert_scored_from_own_tile(x, offset, beta, sigma_inv, np.unique([0, n - 1, *near]))
+    whole = record_scores(x, y, EXP, beta, sigma_inv, offset)
+    for cut in {1, n // 2, *edges[:1]}:
+        if 0 < cut < n:
+            parts = [record_scores(x[:cut], y[:cut], EXP, beta, sigma_inv, offset),
+                     record_scores(x[cut:], y[cut:], EXP, beta, sigma_inv, offset + cut)]
+            assert_same_bits(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("n", [1, TILE_ROWS + 3, CHUNK_ROWS + 5])
+def test_probe_kernels_match_the_scorer(n):
+    """The whole-array kernels give the scorer's own factors, bit for bit."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 7))
+    beta, sigma_inv = rng.normal(size=7), rng.normal(size=(7, 7))
+    eta, h = score_parts(x, 0, beta)
+    assert_same_bits(linear_predictor(x, beta), eta)
+    assert_same_bits(row_norms(x), h)
+    assert_same_bits(whitened_norms(x, sigma_inv), score_parts(x, 0, beta, sigma_inv)[1])
+
+
 # The rule is built from fixed quantities rather than a pilot fit: only the
 # per-record scoring path is under test here.
 _PROBE = """
@@ -219,6 +310,39 @@ for criterion, sigma_inv in (("mv", 0.5 * (a + a.T)), ("mvc", None)):
         digest.update(rule.block_probabilities(xb, yb, EXP, start).tobytes())
 print(digest.hexdigest())
 """
+
+
+_CHUNK_PROBE = """
+import hashlib
+import numpy as np
+from qlsub.sampling import CHUNK_TILES, TILE_ROWS, score_parts
+
+rng = np.random.default_rng(8)
+n = 3 * CHUNK_TILES * TILE_ROWS + 77
+x = rng.normal(size=(n, 35))
+beta, sigma_inv = rng.normal(size=35), rng.normal(size=(35, 35))
+digest = hashlib.sha256()
+for offset in (0, 13):
+    for s in (sigma_inv, None):
+        for part in score_parts(x, offset, beta, s):
+            digest.update(part.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_full_chunks_independent_of_blas_threads():
+    """Whole chunks of the s4 width give the same bits on one or two BLAS threads."""
+    src = str(Path(qlsub.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _CHUNK_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_probabilities_independent_of_blas_threads():
