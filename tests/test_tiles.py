@@ -41,7 +41,10 @@ R = 300.0
 SEED = 71
 CRITERIA = ("mv", "mvc")
 CHUNK_ROWS = CHUNK_TILES * TILE_ROWS
-EDGE_BLOCKS = (1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, CHUNK_ROWS)
+# tile edges, plus fixed sizes whose case names do not move with TILE_ROWS
+EDGE_BLOCKS = tuple(sorted({1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 1023, 1024, 1025, CHUNK_ROWS}))
+# a tile edge and a mid-tile start, plus fixed offsets as for EDGE_BLOCKS
+NON_FINITE_OFFSETS = tuple(sorted({0, 5, TILE_ROWS - 2, 3 * TILE_ROWS + 700, 1022, 3772}))
 
 
 def bits(a) -> np.ndarray:
@@ -189,7 +192,7 @@ def test_each_record_matches_its_own_padded_tile(offset, n, width, seed):
         assert_same_bits(out[i], (alone @ w)[row])
 
 
-@pytest.mark.parametrize("offset", [0, 5, TILE_ROWS - 2, 3 * TILE_ROWS + 700])
+@pytest.mark.parametrize("offset", NON_FINITE_OFFSETS)
 def test_non_finite_row_leaves_neighbours_unchanged(offset):
     rng = np.random.default_rng(offset)
     x = rng.normal(size=(2 * TILE_ROWS + 40, 6))
