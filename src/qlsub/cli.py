@@ -89,16 +89,17 @@ def _write_table(rows: list[dict], path: str | None) -> None:
 
 def _fit_input(args) -> tuple[CsvStream, LinkFamily]:
     """The fit command's stream and family; a response outside the family's range is a data error."""
+    if not 0.0 < args.level < 1.0:
+        raise ConfigError(f"confidence level {args.level} outside (0, 1)")
     x_cols = _int_list(args.x_cols) if args.x_cols else None
     stream = CsvStream(args.data, y_col=args.y_col, x_cols=x_cols, intercept=args.intercept,
                        y_shift=args.y_shift, block_size=args.block_size, skip_header=args.header)
     family = get_family(args.family)
     lo, hi = family.response_range
-    for start, _, y in stream.iter_blocks():
-        bad = np.flatnonzero((y < lo) | (y > hi))
-        if bad.size:
-            raise DataError(f"{stream.where(start + int(bad[0]))}: response {float(y[bad[0]])} outside "
-                            f"[{lo:g}, {hi:g}] of the {family.name} family")
+    bad = np.flatnonzero((stream.y < lo) | (stream.y > hi))
+    if bad.size:
+        raise DataError(f"{stream.where(int(bad[0]))}: response {float(stream.y[bad[0]])} outside "
+                        f"[{lo:g}, {hi:g}] of the {family.name} family")
     return stream, family
 
 
@@ -167,15 +168,9 @@ def _cmd_gen_data(args) -> int:
 def _cmd_fit_full(args) -> int:
     started = time.perf_counter()
     stream, family = _fit_input(args)
-    xs, ys = [], []
-    for _, xb, yb in stream.iter_blocks():
-        xs.append(xb)
-        ys.append(yb)
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
     _log("load", started)
     started = time.perf_counter()
-    fit = synth.full_qle(x, y, family)
+    fit = synth.full_qle(stream.x, stream.y, family)
     _log("fit-full", started)
     _emit_fit(args, fit)
     return EXIT_OK

@@ -3,10 +3,10 @@
 A stream is a re-scannable table of (x, y) records with stable global
 indices: two scans of the same source yield identical record sequences, and
 the index of a record never depends on the block size or shard layout.
-In-memory arrays are served as views.  A CSV source is parsed once, in
-bounded blocks, into arrays mapped from a temporary file that every later
-scan, shard and thread slices, so Python memory stays independent of the
-file size and no record is parsed twice.
+In-memory arrays are served as views.  A CSV source is parsed once, when it
+is made, in bounded blocks, into arrays mapped from a temporary file that
+every scan, shard and thread slices, so Python memory stays independent of
+the file size and no record is parsed twice.
 
 A CSV record is a non-blank line of comma-separated numbers after the
 optional header line; ``#`` starts no comment.  A malformed or ragged record,
@@ -20,12 +20,11 @@ import itertools
 import mmap
 import os
 import tempfile
-import threading
 from typing import NoReturn
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 DEFAULT_BLOCK_SIZE = 65536
 
@@ -46,46 +45,50 @@ class RecordStream:
         raise NotImplementedError
 
 
+def _block_size(block_size: int) -> int:
+    if block_size < 1:
+        raise ConfigError("block size must be positive")
+    return int(block_size)
+
+
 class ArrayStream(RecordStream):
-    """In-memory stream over already-materialized arrays."""
+    """In-memory stream over already-materialized arrays ``x`` and ``y``."""
 
     def __init__(self, x, y, block_size: int = DEFAULT_BLOCK_SIZE):
-        self._x = np.asarray(x, dtype=np.float64)
-        self._y = np.asarray(y, dtype=np.float64)
-        if self._x.ndim != 2 or self._y.shape != (self._x.shape[0],):
+        self.x = np.asarray(x, dtype=np.float64)
+        self.y = np.asarray(y, dtype=np.float64)
+        if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
             raise DataError("x must be (n, d) and y must be (n,)")
-        if block_size < 1:
-            raise DataError("block size must be positive")
-        self.block_size = int(block_size)
+        self.block_size = _block_size(block_size)
 
     @property
     def n_records(self) -> int:
-        return self._x.shape[0]
+        return self.x.shape[0]
 
     @property
     def dim(self) -> int:
-        return self._x.shape[1]
+        return self.x.shape[1]
 
     def iter_blocks(self, lo: int = 0, hi: int | None = None):
         hi = self.n_records if hi is None else hi
         for start in range(lo, hi, self.block_size):
             stop = min(start + self.block_size, hi)
-            yield start, self._x[start:stop], self._y[start:stop]
+            yield start, self.x[start:stop], self.y[start:stop]
 
 
-class CsvStream(RecordStream):
-    """Headerless numeric CSV files, parsed once into a private spill.
+class CsvStream(ArrayStream):
+    """Headerless numeric CSV files, parsed once, when the stream is made, into a private spill.
 
     ``paths`` may be one path or a list; indices run continuously across
     files in list order.  A constant can be added to the response at parse
     time (``y + y_shift``), and a constant-one covariate can be injected
     without touching the stored files.
 
-    The first call that needs a record parses every file, in order, block by
-    block and each record exactly once, into float64 arrays mapped from an
-    unlinked temporary file ((d + 1) * 8 bytes per record).  From then on the
-    stream is an :class:`ArrayStream` over those arrays, which every scan,
-    shard and thread slices; the file is deleted with the stream.
+    The constructor counts the records of every file, then parses every
+    file, in order, block by block and each record exactly once, into
+    float64 arrays mapped from an unlinked temporary file ((d + 1) * 8 bytes
+    per record).  Every scan, shard and thread slices those arrays; the file
+    is deleted with the stream.  Bad input raises ``DataError`` here.
     """
 
     def __init__(
@@ -98,22 +101,20 @@ class CsvStream(RecordStream):
         block_size: int = DEFAULT_BLOCK_SIZE,
         skip_header: bool = False,
     ):
-        self.paths = [paths] if isinstance(paths, (str,)) else list(paths)
+        self.paths = [paths] if isinstance(paths, str) else list(paths)
         if not self.paths:
             raise DataError("no input files given")
         self.y_col = int(y_col)
         self.x_cols = None if x_cols is None else [int(c) for c in x_cols]
         self.intercept = bool(intercept)
         self.y_shift = float(y_shift)
-        if block_size < 1:
-            raise DataError("block size must be positive")
-        self.block_size = int(block_size)
+        self.block_size = _block_size(block_size)
         self.skip_header = bool(skip_header)
-        self._file_counts: list[int] | None = None
         self._arity: int | None = None
-        self._lock = threading.Lock()
-        self._arrays: ArrayStream | None = None
-        self._error: BaseException | None = None
+        self.file_counts = [self._count_file(p) for p in self.paths]
+        if not sum(self.file_counts):
+            raise DataError(f"no records in {', '.join(self.paths)}")
+        super().__init__(*self._parse_files(), block_size=block_size)
 
     # -- reading ------------------------------------------------------
 
@@ -123,19 +124,23 @@ class CsvStream(RecordStream):
             fh.readline()
         return filter(str.strip, fh)
 
-    def _numbered(self, fh):
-        """``(line number, line)`` of each record of an open file."""
-        lines = enumerate(fh, start=1)
-        if self.skip_header:
-            next(lines, None)
-        return ((lineno, line) for lineno, line in lines if line.strip())
+    def _numbered(self, path: str):
+        """``(line number, line)`` of each record, split into lines as the passes split them; names a
+        line that is not UTF-8 (text mode, so a lone ``\\r`` ends a line in both)."""
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise DataError(f"{path}:{lineno}: not UTF-8 text ({err.reason})") from None
+                if line.strip() and not (self.skip_header and lineno == 1):
+                    yield lineno, line
 
     def where(self, index: int) -> str:
         """``path:line`` of global record ``index``; re-reads its file."""
-        for path, count in zip(self.paths, self.file_counts()):
+        for path, count in zip(self.paths, self.file_counts):
             if index < count:
-                with open(path, "r", encoding="utf-8") as fh:
-                    lineno, _ = next(itertools.islice(self._numbered(fh), index, None))
+                lineno, _ = next(itertools.islice(self._numbered(path), index, None))
                 return f"{path}:{lineno}"
             index -= count
 
@@ -146,32 +151,9 @@ class CsvStream(RecordStream):
         except OSError as err:
             raise DataError(f"cannot read {path}: {err}") from err
         except UnicodeDecodeError as err:
-            with open(path, "rb") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError as bad:
-                        raise DataError(f"{path}:{lineno}: not UTF-8 text ({bad.reason})") from None
+            for _ in self._numbered(path):
+                pass
             raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
-
-    def file_counts(self) -> list[int]:
-        if self._file_counts is None:
-            counts = [self._count_file(p) for p in self.paths]
-            if not sum(counts):
-                raise DataError(f"no records in {', '.join(self.paths)}")
-            self._file_counts = counts
-        return self._file_counts
-
-    @property
-    def n_records(self) -> int:
-        return sum(self.file_counts())
-
-    @property
-    def dim(self) -> int:
-        return self._load().dim
-
-    def iter_blocks(self, lo: int = 0, hi: int | None = None):
-        yield from self._load().iter_blocks(lo, hi)
 
     # -- parsing ------------------------------------------------------
 
@@ -213,12 +195,11 @@ class CsvStream(RecordStream):
         Runs only after the block from record ``first`` of ``path`` failed to
         parse; it re-reads the file and parses the records one at a time.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in itertools.islice(self._numbered(fh), first, None):
-                try:
-                    self._parse([line], path)
-                except ValueError as err:
-                    raise DataError(f"{path}:{lineno}: {err}") from None
+        for lineno, line in itertools.islice(self._numbered(path), first, None):
+            try:
+                self._parse([line], path)
+            except ValueError as err:
+                raise DataError(f"{path}:{lineno}: {err}") from None
         raise DataError(f"{path}: changed while being read")
 
     def _spill(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,26 +215,9 @@ class CsvStream(RecordStream):
             spill = np.frombuffer(mmap.mmap(fh.fileno(), 0), dtype=np.float64)
         return spill[: n * d].reshape(n, d), spill[n * d :]
 
-    def _load(self) -> ArrayStream:
-        """The parsed records, parsing every file on the first call; safe across threads.
-
-        A failure ends the stream: every later call raises it again.
-        """
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            if self._arrays is None:
-                try:
-                    self._arrays = ArrayStream(*self._parse_files(), block_size=self.block_size)
-                except BaseException as err:
-                    self._error = err
-                    raise
-            return self._arrays
-
     def _parse_files(self) -> tuple[np.ndarray, np.ndarray]:
-        counts = self.file_counts()
         xs, ys, start = None, None, 0
-        for path, count in zip(self.paths, counts):
+        for path, count in zip(self.paths, self.file_counts):
             with open(path, "r", encoding="utf-8") as fh:
                 records = self._records(fh)
                 for position in range(0, count, self.block_size):
@@ -265,7 +229,7 @@ class CsvStream(RecordStream):
                     if x.shape[0] != take:
                         raise DataError(f"{path}: changed while being read")
                     if xs is None:
-                        xs, ys = self._spill(sum(counts), x.shape[1])
+                        xs, ys = self._spill(sum(self.file_counts), x.shape[1])
                     xs[start : start + take] = x
                     ys[start : start + take] = y
                     start += take
@@ -302,18 +266,18 @@ def partition_view(stream: RecordStream, k: int) -> list[RecordStream]:
     source is a file list with exactly K files, shards align with the files,
     and a file without records is a ``DataError``.
     """
-    n = stream.n_records
     if k < 1:
-        raise DataError("partition count must be at least 1")
+        raise ConfigError("partition count must be at least 1")
+    n = stream.n_records
     if k > n:
         raise DataError(f"cannot split {n} records into {k} shards")
     if k == 1:
         return [stream]
     if isinstance(stream, CsvStream) and len(stream.paths) == k:
-        for path, count in zip(stream.paths, stream.file_counts()):
+        for path, count in zip(stream.paths, stream.file_counts):
             if not count:
                 raise DataError(f"{path}: no records")
-        bounds = np.concatenate(([0], np.cumsum(stream.file_counts())))
+        bounds = np.concatenate(([0], np.cumsum(stream.file_counts)))
     else:
         base, extra = divmod(n, k)
         sizes = [base + (1 if j < extra else 0) for j in range(k)]

@@ -140,6 +140,23 @@ EXIT_MATRIX = [
         [*FIT, "--data", "@negative"], 3,
         "negative.csv:321: response -2.0 outside [0, inf] of the exp family", id="exp-negative-response",
     ),
+    # a missing file exits 3 when read, so these rows also show the level
+    # and the block size are checked before any data is read
+    pytest.param([*FIT, "--data", "@missing", "--level", "1.5"], 2, "confidence level 1.5 outside (0, 1)", id="fit-level-1.5"),
+    pytest.param([*FIT, "--data", "@missing", "--level", "0"], 2, "confidence level 0.0 outside (0, 1)", id="fit-level-0"),
+    pytest.param(
+        ["fit-distributed", "--data", "@missing", "--k", "2", "--level", "1.5"], 2,
+        "confidence level 1.5 outside (0, 1)", id="fit-distributed-level-1.5",
+    ),
+    pytest.param(
+        ["fit-distributed", "--data", "@missing", "--k", "2", "--level", "0"], 2,
+        "confidence level 0.0 outside (0, 1)", id="fit-distributed-level-0",
+    ),
+    pytest.param([*FIT, "--data", "@missing", "--block-size", "0"], 2, "block size must be positive", id="block-size-0"),
+    pytest.param(
+        ["fit-distributed", "--data", "@small", "--k", "-1", "--r", "200"], 2,
+        "partition count must be at least 1", id="k-negative",
+    ),
     pytest.param([*FIT, "--data", "@case", "--threads", "2"], 2, "unrecognized arguments: --threads", id="fit-threads"),
     pytest.param(
         ["experiment", "--case", "c1", "--level", "0.9"], 2, "unrecognized arguments: --level", id="experiment-level",

@@ -83,10 +83,8 @@ class TestParsing:
         # index and disagree with the record count
         path = tmp_path / "hash.csv"
         path.write_text("1,2\n#3,4\n5,6\n7,8\n")
-        stream = CsvStream(str(path))
-        assert stream.n_records == 4
         with pytest.raises(DataError, match=r"hash\.csv:2: malformed row"):
-            rows(stream)
+            CsvStream(str(path))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -109,11 +107,22 @@ class TestParsing:
         lines[9] = bad
         path = tmp_path / "shards.csv"
         path.write_text("y,x\n" + "\n".join(lines) + "\n")
-        shards = partition_view(CsvStream(str(path), skip_header=True, block_size=3), 3)
-        # the first read parses the whole source, so every shard fails alike
-        for shard in shards:
-            with pytest.raises(DataError, match=r"shards\.csv:11: "):
-                rows(shard)
+        # the constructor parses the whole source, so no shard is ever made
+        with pytest.raises(DataError, match=r"shards\.csv:11: "):
+            partition_view(CsvStream(str(path), skip_header=True, block_size=3), 3)
+
+    def test_lines_ended_by_carriage_returns_are_numbered(self, tmp_path):
+        # the slow path numbers lines as the text-mode count and parse split them
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"1,2\r3,4\r5,oops\r7,8\r")
+        with pytest.raises(DataError, match=r"cr\.csv:3: malformed row"):
+            CsvStream(str(path))
+
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"y,x\n1,2\n3,\xff4\n")
+        with pytest.raises(DataError, match=r"latin\.csv:3: not UTF-8 text \(invalid start byte\)"):
+            CsvStream(str(path), skip_header=True)
 
     def test_non_finite_in_unused_column_is_ignored(self, tmp_path):
         path = tmp_path / "unused.csv"
@@ -121,14 +130,13 @@ class TestParsing:
         stream = CsvStream(str(path), x_cols=[1])
         assert [(i, tuple(x), y) for i, x, y in rows(stream)] == [(0, (2.0,), 1.0), (1, (4.0,), 3.0)]
 
-    def test_file_shortened_after_count_is_data_error(self, tmp_path):
+    def test_file_shortened_after_count_is_data_error(self, tmp_path, monkeypatch):
         path = tmp_path / "short.csv"
-        path.write_text("1,2\n3,4\n5,6\n7,8\n9,10\n")
-        stream = CsvStream(str(path), block_size=4)
-        assert stream.n_records == 5
         path.write_text("1,2\n3,4\n5,6\n")
+        # the count pass saw five records; the parse pass finds three
+        monkeypatch.setattr(CsvStream, "_count_file", lambda stream, p: 5)
         with pytest.raises(DataError, match=r"short\.csv: changed while being read"):
-            rows(stream)
+            CsvStream(str(path), block_size=4)
 
     def test_missing_file_is_data_error(self):
         with pytest.raises(DataError):
@@ -253,8 +261,9 @@ def test_memory_independent_of_file_size(tmp_path):
     big = _write_csv(tmp_path / "n2.csv", rng.uniform(size=(20_000, 4)))
 
     def peak(path):
-        stream = CsvStream(path, block_size=256)
         tracemalloc.start()
+        # inside the trace: the constructor parses the file
+        stream = CsvStream(path, block_size=256)
         for _ in stream.iter_blocks():
             pass
         _, high = tracemalloc.get_traced_memory()
@@ -306,8 +315,8 @@ class TestParseOnce:
         np.testing.assert_array_equal(result.beta, expected.beta)
 
     def test_threaded_shards_of_fresh_stream_match_arrays(self, case, parsed_rows):
-        # four threads race to extend the parsed prefix of a never-scanned
-        # stream; a lost update would parse a record twice or serve zeros
+        # four threads scan the shards of one stream at once, with a tiny
+        # switch interval; each must see the records parsed at construction
         path, x, y = case
         plan = SamplingPlan(criterion="mv", expected_size=300, threshold_mode="quantile", seed=6)
         arrays = ArrayStream(x, y, block_size=256)
@@ -337,12 +346,9 @@ class TestParseOnce:
             for field in ("beta", "hessian", "vc_contrib"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
-    def test_failure_is_raised_again_by_later_scans(self, tmp_path):
+    def test_constructor_raises_the_first_bad_record(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,4\n5,oops\n7,8\n")
-        stream = CsvStream(str(path), block_size=2)
-        # a range that ends before the bad record fails too: the first read
-        # parses the whole source
-        for source in (SubsetStream(stream, 0, 2), stream, stream, SubsetStream(stream, 0, 2)):
-            with pytest.raises(DataError, match=r"bad\.csv:3: malformed row"):
-                rows(source)
+        # the record is in the second parse block; no stream is made
+        with pytest.raises(DataError, match=r"bad\.csv:3: malformed row"):
+            CsvStream(str(path), block_size=2)

@@ -45,6 +45,10 @@ CHUNK_ROWS = CHUNK_TILES * TILE_ROWS
 EDGE_BLOCKS = tuple(sorted({1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 1023, 1024, 1025, CHUNK_ROWS}))
 # a tile edge and a mid-tile start, plus fixed offsets as for EDGE_BLOCKS
 NON_FINITE_OFFSETS = tuple(sorted({0, 5, TILE_ROWS - 2, 3 * TILE_ROWS + 700, 1022, 3772}))
+N_CHUNKS = 2 * CHUNK_ROWS + 700  # two whole chunks and a partial one
+# one block, blocks at the chunk edges, and blocks that never hold a whole chunk
+# and start off the tile grid
+CHUNK_BLOCKS = (N_CHUNKS, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, TILE_ROWS + 1)
 
 
 def bits(a) -> np.ndarray:
@@ -57,20 +61,28 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.fixture(scope="module")
-def data():
-    rng = np.random.default_rng(7)
-    x = np.column_stack([np.ones(N), rng.normal(0.0, 0.6, (N, D - 1))])
+def poisson_case(n, seed):
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(0.0, 0.6, (n, D - 1))])
     y = rng.poisson(np.exp(x @ np.array([0.3, 0.5, -0.4, 0.2]))).astype(np.float64)
     return x, y
 
 
-@pytest.fixture(scope="module")
-def csv_path(tmp_path_factory, data):
+def write_csv(tmp_path_factory, data):
     x, y = data
     path = tmp_path_factory.mktemp("tiles") / "data.csv"
     np.savetxt(path, np.column_stack([y, x]), fmt="%.17g", delimiter=",")
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def data():
+    return poisson_case(N, 7)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory, data):
+    return write_csv(tmp_path_factory, data)
 
 
 def make_stream(source, data, csv_path, block):
@@ -138,6 +150,44 @@ def test_edge_block_sizes_bit_identical(data, csv_path, source, block):
             want = reference(data, criterion, mode)
             for name in want:
                 assert_same_bits(got[name], want[name])
+
+
+@pytest.fixture(scope="module")
+def chunk_data():
+    return poisson_case(N_CHUNKS, 17)
+
+
+@pytest.fixture(scope="module")
+def chunk_csv(tmp_path_factory, chunk_data):
+    return write_csv(tmp_path_factory, chunk_data)
+
+
+@pytest.fixture(scope="module")
+def chunk_reference(chunk_data):
+    """Outcomes of one in-memory block of ``N_CHUNKS`` records, and its K = 3 fit."""
+    stream = ArrayStream(*chunk_data, block_size=N_CHUNKS)
+    outcomes = {
+        (criterion, mode): scan_outcome(stream, criterion, mode)
+        for criterion in CRITERIA
+        for mode in ("quantile", "exact")
+    }
+    return outcomes, run_distributed(stream, EXP, plan_for("mv", "exact"), R0, 3)
+
+
+@pytest.mark.parametrize("source", ["array", "csv"])
+@pytest.mark.parametrize("block", CHUNK_BLOCKS)
+def test_whole_chunks_bit_identical(chunk_data, chunk_csv, chunk_reference, source, block):
+    # N = 2600 never fills a chunk of CHUNK_TILES tiles; these scans do
+    stream = make_stream(source, chunk_data, chunk_csv, block)
+    outcomes, distributed = chunk_reference
+    for (criterion, mode), want in outcomes.items():
+        got = scan_outcome(stream, criterion, mode)
+        for name in want:
+            assert_same_bits(got[name], want[name])
+    fit = run_distributed(stream, EXP, plan_for("mv", "exact"), R0, 3)
+    assert_same_bits(fit.beta, distributed.beta)
+    assert_same_bits(fit.variance, distributed.variance)
+    assert fit.info["partition_sizes"] == distributed.info["partition_sizes"]
 
 
 @settings(max_examples=25, deadline=None)
