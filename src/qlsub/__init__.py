@@ -34,7 +34,6 @@ from .synth import (
     generate_case,
     make_spec,
     replicate,
-    rho_sweep,
     run_replications,
     timing_study,
     write_case_csv,
@@ -73,7 +72,6 @@ __all__ = [
     "make_spec",
     "partition_view",
     "replicate",
-    "rho_sweep",
     "run_distributed",
     "run_pilot",
     "run_replications",

@@ -66,7 +66,10 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"empty grid {text!r}")
+    return values
 
 
 def _write_json(doc: dict, path: str | None) -> None:
@@ -177,6 +180,8 @@ def _cmd_fit_full(args) -> int:
 
 
 def _plan_from_args(args) -> SamplingPlan:
+    if args.ridge < 0.0:
+        raise ConfigError(f"ridge {args.ridge} below 0")
     return SamplingPlan(
         criterion=args.criterion,
         expected_size=args.r,
@@ -206,6 +211,8 @@ def _cmd_fit_distributed(args) -> int:
         raise ConfigError("provide --data or --partitions")
     if args.k == 0:
         args.k = 1
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"thread count {args.threads} below 1")
     plan = _plan_from_args(args)
     stream, family = _fit_input(args)
     fit = run_distributed(stream, family, plan, args.r0, args.k, threads=args.threads, ridge=args.ridge)
@@ -222,62 +229,40 @@ def _load_case(args) -> tuple[np.ndarray, np.ndarray, synth.CaseSpec]:
 
 def _cmd_experiment(args) -> int:
     started = time.perf_counter()
+    r_grid, rho_grid = _float_list(args.r_grid), _float_list(args.rho_grid)
     x, y, spec = _load_case(args)
     family = get_family(args.family)
     reference = (
         spec.beta_true if args.reference == "true" else synth.full_qle(x, y, family).beta
     )
     rows = []
-    for r in _float_list(args.r_grid):
-        reports = synth.run_replications(
-            x,
-            y,
-            family,
-            args.methods.split(","),
-            r=r,
-            r0=args.r0,
-            rho=args.rho,
-            k=args.k,
-            t=args.t,
-            seed=args.seed,
-            threshold=args.threshold,
-            reference=reference,
-            reference_kind=args.reference,
-            coverage_index=args.coverage_index,
-        )
-        rows.extend(rep.as_row() for rep in reports)
+    for r in r_grid:
+        for rho in rho_grid:
+            reports = synth.run_replications(
+                x,
+                y,
+                family,
+                args.methods.split(","),
+                r=r,
+                r0=args.r0,
+                rho=rho,
+                k=args.k,
+                t=args.t,
+                seed=args.seed,
+                threshold=args.threshold,
+                reference=reference,
+                reference_kind=args.reference,
+                coverage_index=args.coverage_index,
+            )
+            rows.extend(rep.as_row() for rep in reports)
     _log(f"experiment case={args.case}", started)
     _write_table(rows, args.out)
     return EXIT_OK
 
 
-def _cmd_rho_sweep(args) -> int:
-    started = time.perf_counter()
-    x, y, spec = _load_case(args)
-    family = get_family(args.family)
-    reference = (
-        spec.beta_true if args.reference == "true" else synth.full_qle(x, y, family).beta
-    )
-    reports = synth.rho_sweep(
-        x,
-        y,
-        family,
-        args.method,
-        _float_list(args.rho_grid),
-        r=args.r,
-        r0=args.r0,
-        t=args.t,
-        seed=args.seed,
-        reference=reference,
-        reference_kind=args.reference,
-    )
-    _log(f"rho-sweep case={args.case}", started)
-    _write_table([rep.as_row() for rep in reports], args.out)
-    return EXIT_OK
-
-
 def _cmd_bench(args) -> int:
     started = time.perf_counter()
+    r_grid = _float_list(args.r_grid)
     x, y, _ = _load_case(args)
     family = get_family(args.family)
     rows = synth.timing_study(
@@ -285,7 +270,7 @@ def _cmd_bench(args) -> int:
         y,
         family,
         args.methods.split(","),
-        _float_list(args.r_grid),
+        r_grid,
         repeats=args.repeats,
         r0=args.r0,
         rho=args.rho,
@@ -378,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="uniform,mv,mvc")
     p.add_argument("--r-grid", default="500,1000,1500,2000")
     p.add_argument("--r0", type=float, default=200.0)
-    p.add_argument("--rho", type=float, default=0.2)
+    p.add_argument("--rho-grid", default="0.2")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t", type=int, default=500)
     p.add_argument("--threshold", choices=["inf", "quantile", "exact"], default="inf")
@@ -386,18 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coverage-index", type=int, default=None)
     _add_common_flags(p)
     p.set_defaults(func=_cmd_experiment)
-
-    p = commands.add_parser("rho-sweep", help="MSE over a shrinkage grid")
-    p.add_argument("--case", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--method", choices=["uniform", "mv", "mvc"], default="mv")
-    p.add_argument("--rho-grid", default="0.01,0.25,0.5,0.75,0.99")
-    p.add_argument("--r", type=float, default=1000.0)
-    p.add_argument("--r0", type=float, default=200.0)
-    p.add_argument("--t", type=int, default=500)
-    p.add_argument("--reference", choices=["full", "true"], default="full")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_rho_sweep)
 
     p = commands.add_parser("bench", help="wall-time comparison of methods")
     p.add_argument("--case", required=True)

@@ -344,44 +344,6 @@ def run_replications(
     return reports
 
 
-def rho_sweep(
-    x,
-    y,
-    family: LinkFamily,
-    method: str,
-    rho_grid,
-    *,
-    r: float,
-    r0: float = 200.0,
-    t: int = 500,
-    seed: int = 0,
-    reference: np.ndarray | None = None,
-    reference_kind: str = "full_qle",
-) -> list[ExperimentReport]:
-    """MSE of one method across a grid of shrinkage values."""
-    if reference is None:
-        reference = full_qle(x, y, family).beta
-        reference_kind = "full_qle"
-    reports = []
-    for rho in rho_grid:
-        reports.extend(
-            run_replications(
-                x,
-                y,
-                family,
-                [method],
-                r=r,
-                r0=r0,
-                rho=float(rho),
-                t=t,
-                seed=seed,
-                reference=reference,
-                reference_kind=reference_kind,
-            )
-        )
-    return reports
-
-
 @dataclass
 class TimingRow:
     method: str

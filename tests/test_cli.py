@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,8 @@ from scipy.stats import norm
 
 import qlsub
 from qlsub.cli import main
-from qlsub.synth import make_spec, write_case_csv
+from qlsub.families import EXP
+from qlsub.synth import full_qle, generate_case, make_spec, run_replications, write_case_csv
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,19 @@ EXIT_MATRIX = [
         "confidence level 0.0 outside (0, 1)", id="fit-distributed-level-0",
     ),
     pytest.param([*FIT, "--data", "@missing", "--block-size", "0"], 2, "block size must be positive", id="block-size-0"),
+    pytest.param([*FIT, "--data", "@missing", "--ridge", "-1"], 2, "ridge -1.0 below 0", id="fit-ridge-negative"),
+    pytest.param(
+        ["fit-distributed", "--data", "@missing", "--k", "2", "--ridge", "-1"], 2,
+        "ridge -1.0 below 0", id="fit-distributed-ridge-negative",
+    ),
+    pytest.param(
+        ["fit-distributed", "--data", "@missing", "--k", "2", "--threads", "0"], 2,
+        "thread count 0 below 1", id="threads-0",
+    ),
+    pytest.param(
+        ["fit-distributed", "--data", "@missing", "--k", "2", "--threads", "-2"], 2,
+        "thread count -2 below 1", id="threads-negative",
+    ),
     pytest.param(
         ["fit-distributed", "--data", "@small", "--k", "-1", "--r", "200"], 2,
         "partition count must be at least 1", id="k-negative",
@@ -161,6 +177,9 @@ EXIT_MATRIX = [
     pytest.param(
         ["experiment", "--case", "c1", "--level", "0.9"], 2, "unrecognized arguments: --level", id="experiment-level",
     ),
+    pytest.param(["experiment", "--case", "c1", "--r-grid", ","], 2, "empty grid ','", id="experiment-empty-r-grid"),
+    pytest.param(["experiment", "--case", "c1", "--rho-grid", ","], 2, "empty grid ','", id="experiment-empty-rho-grid"),
+    pytest.param(["bench", "--case", "c1", "--r-grid", ","], 2, "empty grid ','", id="bench-empty-r-grid"),
 ]
 
 
@@ -379,31 +398,37 @@ class TestExperimentCommands:
         assert rows[0].startswith("method,")
         assert len(rows) == 3
 
-    def test_rho_sweep_table(self, tmp_path):
-        out = str(tmp_path / "rho.csv")
-        code = main(
-            [
-                "rho-sweep",
-                "--case",
-                "c1",
-                "--n",
-                "4000",
-                "--method",
-                "mvc",
-                "--rho-grid",
-                "0.2,0.8",
-                "--r",
-                "300",
-                "--r0",
-                "100",
-                "--t",
-                "2",
-                "--out",
-                out,
-            ]
-        )
-        assert code == 0
-        assert len(Path(out).read_text().strip().splitlines()) == 3
+    def test_rho_grid_rows(self, tmp_path):
+        # each (r, rho) cell, r outermost, writes the rows of one
+        # run_replications call against the full-data reference
+        out = tmp_path / "rho.csv"
+        argv = ["experiment", "--case", "c1", "--n", "4000", "--methods", "mv,mvc", "--r-grid", "300",
+                "--rho-grid", "0.2,0.8", "--r0", "100", "--t", "2", "--seed", "4", "--out", str(out)]
+        assert main(argv) == 0
+        x, y, _ = generate_case(make_spec("c1", 4000, seed=4))
+        reference = full_qle(x, y, EXP).beta
+        rows = []
+        for rho in (0.2, 0.8):
+            reports = run_replications(x, y, EXP, ["mv", "mvc"], r=300.0, r0=100.0, rho=rho, t=2, seed=4,
+                                       reference=reference, reference_kind="full")
+            rows.extend(rep.as_row() for rep in reports)
+        expected = io.StringIO(newline="")
+        writer = csv.DictWriter(expected, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        assert out.read_bytes() == expected.getvalue().encode()
+        with out.open(newline="") as fh:
+            cells = [(row["method"], row["rho"]) for row in csv.DictReader(fh)]
+        assert cells == [("mv", "0.2"), ("mvc", "0.2"), ("mv", "0.8"), ("mvc", "0.8")]
+
+    def test_rho_abbreviates_rho_grid(self, tmp_path):
+        base = ["experiment", "--case", "c1", "--n", "4000", "--methods", "mv", "--r-grid", "300",
+                "--r0", "100", "--t", "2", "--seed", "2"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*base, "--rho", "0.5", "--out", str(a)]) == 0
+        assert main([*base, "--rho-grid", "0.5", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().splitlines()[1].split(",")[3] == "0.5"
 
     def test_bench_table(self, tmp_path):
         out = str(tmp_path / "bench.csv")

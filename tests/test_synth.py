@@ -9,7 +9,6 @@ from qlsub.synth import (
     generate_case,
     make_spec,
     replicate,
-    rho_sweep,
     run_replications,
     timing_study,
     write_case_csv,
@@ -152,13 +151,6 @@ class TestReplications:
         )
         assert 0.0 <= reports[0].coverage <= 1.0
         assert reports[0].avg_ci_length > 0
-
-    def test_rho_sweep_shape(self, small_case):
-        x, y, ref = small_case
-        reports = rho_sweep(
-            x, y, EXP, "mvc", [0.2, 0.8], r=300, r0=100, t=5, seed=4, reference=ref
-        )
-        assert [rep.rho for rep in reports] == [0.2, 0.8]
 
     def test_timing_requires_repeats(self, small_case):
         x, y, _ = small_case
