@@ -398,7 +398,7 @@ class TestExperimentCommands:
         assert rows[0].startswith("method,")
         assert len(rows) == 3
 
-    def test_rho_grid_rows(self, tmp_path):
+    def test_rho_sweep_table(self, tmp_path):
         # each (r, rho) cell, r outermost, writes the rows of one
         # run_replications call against the full-data reference
         out = tmp_path / "rho.csv"

@@ -152,6 +152,18 @@ class TestReplications:
         assert 0.0 <= reports[0].coverage <= 1.0
         assert reports[0].avg_ci_length > 0
 
+    def test_rho_sweep_shape(self, small_case):
+        # experiment --rho-grid sweeps rho with one run_replications call per value
+        x, y, ref = small_case
+        reports = [
+            rep
+            for rho in (0.2, 0.8)
+            for rep in run_replications(
+                x, y, EXP, ["mvc"], r=300, r0=100, rho=rho, t=5, seed=4, reference=ref
+            )
+        ]
+        assert [rep.rho for rep in reports] == [0.2, 0.8]
+
     def test_timing_requires_repeats(self, small_case):
         x, y, _ = small_case
         with pytest.raises(ValueError):
