@@ -61,8 +61,11 @@ def _z_for(level: float) -> float:
     return float(norm.ppf(0.5 + level / 2.0))
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _int_list(text: str, flag: str) -> list[int]:
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"{flag} {text!r} names no column")
+    return values
 
 
 def _float_list(text: str) -> list[float]:
@@ -94,9 +97,9 @@ def _fit_input(args) -> tuple[CsvStream, LinkFamily]:
     """The fit command's stream and family; a response outside the family's range is a data error."""
     if not 0.0 < args.level < 1.0:
         raise ConfigError(f"confidence level {args.level} outside (0, 1)")
-    x_cols = _int_list(args.x_cols) if args.x_cols else None
-    stream = CsvStream(args.data, y_col=args.y_col, x_cols=x_cols, intercept=args.intercept,
-                       y_shift=args.y_shift, block_size=args.block_size, skip_header=args.header)
+    x_cols = _int_list(args.x_cols, "--x-cols") if args.x_cols else None
+    stream = CsvStream(args.data, y_col=args.y_col, x_cols=x_cols, intercept=args.intercept, y_shift=args.y_shift,
+                       block_size=args.block_size, skip_header=args.header, cache=not args.no_cache)
     family = get_family(args.family)
     lo, hi = family.response_range
     bad = np.flatnonzero((stream.y < lo) | (stream.y > hi))
@@ -107,9 +110,9 @@ def _fit_input(args) -> tuple[CsvStream, LinkFamily]:
 
 
 def _config_dict(args, extra: dict | None = None) -> dict:
-    # operational flags (output location, worker count) do not affect the
-    # computation and stay out of the embedded config
-    skip = {"func", "out", "threads"}
+    # operational flags (output location, worker count, parse cache) do not
+    # affect the computation and stay out of the embedded config
+    skip = {"func", "out", "threads", "no_cache"}
     config = {k: v for k, v in vars(args).items() if k not in skip}
     if extra:
         config.update(extra)
@@ -293,6 +296,7 @@ def _add_schema_flags(sub, required: bool = True) -> None:
     sub.add_argument("--y-shift", type=float, default=0.0, help="add a constant to the response")
     sub.add_argument("--block-size", type=int, default=65536)
     sub.add_argument("--header", action="store_true", help="skip one header line")
+    sub.add_argument("--no-cache", action="store_true", help="neither read nor write <file>.qlcache sidecars")
 
 
 def _add_plan_flags(sub) -> None:

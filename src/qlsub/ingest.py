@@ -6,7 +6,8 @@ the index of a record never depends on the block size or shard layout.
 In-memory arrays are served as views.  A CSV source is parsed once, when it
 is made, in bounded blocks, into arrays mapped from a temporary file that
 every scan, shard and thread slices, so Python memory stays independent of
-the file size and no record is parsed twice.
+the file size and no record is parsed twice; by default not even by a later
+stream over the unchanged file, which reads the sidecar ``<file>.qlcache``.
 
 A CSV record is a non-blank line of comma-separated numbers after the
 optional header line; ``#`` starts no comment.  A malformed or ragged record,
@@ -16,9 +17,11 @@ naming the file and line.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import mmap
 import os
+import struct
 import tempfile
 from typing import NoReturn
 
@@ -27,6 +30,11 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 DEFAULT_BLOCK_SIZE = 65536
+
+# sidecar header: magic with the format version, then n, d, the field count
+# of the records and the payload length; the key follows, then x and y
+_CACHE_HEAD = struct.Struct("<8s4Q")
+_CACHE_MAGIC = b"qlcache\x01"
 
 
 class RecordStream:
@@ -89,6 +97,10 @@ class CsvStream(ArrayStream):
     float64 arrays mapped from an unlinked temporary file ((d + 1) * 8 bytes
     per record).  Every scan, shard and thread slices those arrays; the file
     is deleted with the stream.  Bad input raises ``DataError`` here.
+
+    With ``cache``, a file whose sidecar holds its sha256 and this schema is
+    read from the sidecar, not counted or parsed; a file parsed unchanged gets
+    a new sidecar.  A sidecar that cannot be read or written is skipped.
     """
 
     def __init__(
@@ -100,6 +112,7 @@ class CsvStream(ArrayStream):
         y_shift: float = 0.0,
         block_size: int = DEFAULT_BLOCK_SIZE,
         skip_header: bool = False,
+        cache: bool = True,
     ):
         self.paths = [paths] if isinstance(paths, str) else list(paths)
         if not self.paths:
@@ -111,10 +124,24 @@ class CsvStream(ArrayStream):
         self.block_size = _block_size(block_size)
         self.skip_header = bool(skip_header)
         self._arity: int | None = None
-        self.file_counts = [self._count_file(p) for p in self.paths]
-        if not sum(self.file_counts):
-            raise DataError(f"no records in {', '.join(self.paths)}")
-        super().__init__(*self._parse_files(), block_size=block_size)
+        self.x = self.y = None  # the spill, made when the first records are read
+        with contextlib.ExitStack() as sidecars:
+            files = []
+            for path in self.paths:
+                key = self._cache_key(path) if cache else None
+                hit = self._open_cache(path, key, sidecars) if key else None
+                files.append((path, key, hit, hit[1] if hit else self._count_file(path)))
+            self.file_counts = [count for *_, count in files]
+            if not sum(self.file_counts):
+                raise DataError(f"no records in {', '.join(self.paths)}")
+            start = 0
+            for path, key, hit, count in files:
+                if not (hit and self._read_cache(hit, start, count)):
+                    self._parse_file(path, start, count)
+                    if key and count and self._cache_key(path) == key:
+                        self._write_cache(path, key, start, count)
+                start += count
+        super().__init__(self.x, self.y, block_size=block_size)
 
     # -- reading ------------------------------------------------------
 
@@ -215,25 +242,80 @@ class CsvStream(ArrayStream):
             spill = np.frombuffer(mmap.mmap(fh.fileno(), 0), dtype=np.float64)
         return spill[: n * d].reshape(n, d), spill[n * d :]
 
-    def _parse_files(self) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys, start = None, None, 0
-        for path, count in zip(self.paths, self.file_counts):
-            with open(path, "r", encoding="utf-8") as fh:
-                records = self._records(fh)
-                for position in range(0, count, self.block_size):
-                    take = min(self.block_size, count - position)
-                    try:
-                        x, y = self._parse(itertools.islice(records, take), path)
-                    except ValueError:
-                        self._locate(path, position)
-                    if x.shape[0] != take:
-                        raise DataError(f"{path}: changed while being read")
-                    if xs is None:
-                        xs, ys = self._spill(sum(self.file_counts), x.shape[1])
-                    xs[start : start + take] = x
-                    ys[start : start + take] = y
-                    start += take
-        return xs, ys
+    def _parse_file(self, path: str, start: int, count: int) -> None:
+        """Parse the ``count`` records of ``path`` into the spill from record ``start`` on."""
+        with open(path, "r", encoding="utf-8") as fh:
+            records = self._records(fh)
+            for position in range(0, count, self.block_size):
+                take = min(self.block_size, count - position)
+                try:
+                    x, y = self._parse(itertools.islice(records, take), path)
+                except ValueError:
+                    self._locate(path, position)
+                if x.shape[0] != take:
+                    raise DataError(f"{path}: changed while being read")
+                if self.x is None:
+                    self.x, self.y = self._spill(sum(self.file_counts), x.shape[1])
+                self.x[start + position : start + position + take] = x
+                self.y[start + position : start + position + take] = y
+
+    # -- sidecar cache ------------------------------------------------
+
+    def _cache_key(self, path: str) -> bytes | None:
+        """The sidecar key of ``path``: its size, its sha256 and the parse schema; ``None`` if unreadable."""
+        import hashlib  # only CSV sources need it
+
+        sha, buf = hashlib.sha256(), bytearray(1 << 18)
+        try:
+            with open(path, "rb") as fh:
+                while n := fh.readinto(buf):
+                    sha.update(memoryview(buf)[:n])
+                size = fh.tell()
+        except OSError:
+            return None
+        schema = (self.y_col, self.x_cols, self.intercept, self.y_shift, self.skip_header)
+        return repr((size, sha.hexdigest(), schema)).encode()
+
+    def _open_cache(self, path: str, key: bytes, sidecars: contextlib.ExitStack):
+        """``(handle at the payload, n, d, field count)`` of a sidecar of ``path`` under ``key``, or None."""
+        try:
+            fh = sidecars.enter_context(open(path + ".qlcache", "rb"))
+            magic, n, d, arity, nbytes = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
+            size = os.fstat(fh.fileno()).st_size - _CACHE_HEAD.size - len(key)
+            if magic == _CACHE_MAGIC and fh.read(len(key)) == key and n and nbytes == n * (d + 1) * 8 == size:
+                return fh, n, d, arity
+        except (OSError, struct.error):
+            pass
+        return None
+
+    def _read_cache(self, hit, start: int, count: int) -> bool:
+        """Read a sidecar's payload into the spill; ``False`` if the file must be parsed."""
+        fh, _, d, arity = hit
+        if self._arity not in (None, arity):
+            return False  # the parse names the first record of the other field count
+        self._arity = arity
+        if self.x is None:
+            self.x, self.y = self._spill(sum(self.file_counts), d)
+        parts = (self.x[start : start + count], self.y[start : start + count])
+        try:
+            return all(fh.readinto(part) == part.nbytes for part in parts)
+        except OSError:
+            return False
+
+    def _write_cache(self, path: str, key: bytes, start: int, count: int) -> None:
+        """Store the spilled records of ``path`` in its sidecar, through a temporary file."""
+        x, y, tmp = self.x[start : start + count], self.y[start : start + count], None
+        head = _CACHE_HEAD.pack(_CACHE_MAGIC, count, self.dim, self._arity, x.nbytes + y.nbytes)
+        try:
+            fd, tmp = tempfile.mkstemp(suffix=".qlcache.tmp", prefix=os.path.basename(path) + ".",
+                                       dir=os.path.dirname(path) or ".")
+            with open(fd, "wb") as fh:
+                fh.writelines((head, key, x, y))
+            os.replace(tmp, path + ".qlcache")
+        except OSError:
+            if tmp:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
 
 
 class SubsetStream(RecordStream):

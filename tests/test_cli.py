@@ -156,6 +156,7 @@ EXIT_MATRIX = [
         "confidence level 0.0 outside (0, 1)", id="fit-distributed-level-0",
     ),
     pytest.param([*FIT, "--data", "@missing", "--block-size", "0"], 2, "block size must be positive", id="block-size-0"),
+    pytest.param([*FIT, "--data", "@missing", "--x-cols", ","], 2, "--x-cols ',' names no column", id="x-cols-empty"),
     pytest.param([*FIT, "--data", "@missing", "--ridge", "-1"], 2, "ridge -1.0 below 0", id="fit-ridge-negative"),
     pytest.param(
         ["fit-distributed", "--data", "@missing", "--k", "2", "--ridge", "-1"], 2,
@@ -254,6 +255,20 @@ class TestFitDocuments:
         assert main(_fit_args(case_csv, out1)) == 0
         assert main(_fit_args(case_csv, out2)) == 0
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+    @pytest.mark.parametrize("command", ["fit", "fit-full", "fit-distributed"])
+    def test_parse_cache_leaves_the_document_unchanged(self, tmp_path, command):
+        data = str(tmp_path / "c1.csv")
+        write_case_csv(make_spec("c1", 3000, seed=4), data)
+        plan = [] if command == "fit-full" else ["--r", "300", "--r0", "150"]
+        argv = [command, "--data", data, *plan, *(["--k", "4"] if command == "fit-distributed" else [])]
+        docs = []
+        for run, flags in enumerate([["--no-cache"], [], [], ["--no-cache"]]):
+            assert main([*argv, *flags, "--out", str(tmp_path / f"{run}.json")]) == 0
+            assert Path(data + ".qlcache").exists() == (run > 0)  # cold, then warm twice
+            docs.append((tmp_path / f"{run}.json").read_bytes())
+        assert len(set(docs)) == 1
+        assert "no_cache" not in json.loads(docs[0])["config"]
 
     def test_document_contents(self, case_csv, tmp_path):
         out = str(tmp_path / "doc.json")

@@ -1,7 +1,9 @@
+import os
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qlsub.distributed import fit_partition, run_distributed
 from qlsub.errors import DataError
 from qlsub.estimator import solve_weighted_qle
 from qlsub.families import EXP, IDENTITY
+from qlsub import ingest
 from qlsub.ingest import ArrayStream, CsvStream, SubsetStream, partition_view
 from qlsub.pipeline import run_pilot, run_two_step
 from qlsub.sampling import SamplingPlan
@@ -276,8 +279,10 @@ def test_memory_independent_of_file_size(tmp_path):
 
 
 class TestParseOnce:
-    """Every record of a CSV source is parsed exactly once per fit; later
-    scans, the exact-cap pass and every shard read the spilled records."""
+    """Every record of a CSV file is parsed exactly once per file content: a
+    cold stream parses each record once, and later scans, the exact-cap pass,
+    every shard and every later stream over the unchanged file read the
+    spilled or cached records."""
 
     @pytest.fixture(scope="class")
     def case(self, tmp_path_factory):
@@ -285,6 +290,11 @@ class TestParseOnce:
         write_case_csv(make_spec("c1", 3000, seed=8), path)
         table = np.loadtxt(path, delimiter=",")
         return path, table[:, 1:], table[:, 0]
+
+    @pytest.fixture(autouse=True)
+    def cold(self, case):
+        # the tests share the file; each starts without its sidecar
+        Path(case[0] + ".qlcache").unlink(missing_ok=True)
 
     @pytest.fixture
     def parsed_rows(self, monkeypatch):
@@ -304,15 +314,20 @@ class TestParseOnce:
     def test_each_record_parsed_once(self, case, parsed_rows, threshold, distributed):
         path, x, y = case
         plan = SamplingPlan(criterion="mv", expected_size=300, threshold_mode=threshold, seed=4)
-        stream = CsvStream(path, block_size=500)
-        if distributed:
-            result = run_distributed(stream, EXP, plan, r0=150, k=4, threads=2)
-            expected = run_distributed(ArrayStream(x, y, block_size=500), EXP, plan, r0=150, k=4)
-        else:
-            result = run_two_step(stream, EXP, plan, r0=150)
-            expected = run_two_step(ArrayStream(x, y, block_size=500), EXP, plan, r0=150)
+
+        def fit(stream):
+            if distributed:
+                return run_distributed(stream, EXP, plan, r0=150, k=4, threads=2)
+            return run_two_step(stream, EXP, plan, r0=150)
+
+        expected = fit(ArrayStream(x, y, block_size=500))
+        cold = fit(CsvStream(path, block_size=500))
         assert parsed_rows["rows"] == x.shape[0]
-        np.testing.assert_array_equal(result.beta, expected.beta)
+        warm = fit(CsvStream(path, block_size=500))
+        assert parsed_rows["rows"] == x.shape[0]
+        for result in (cold, warm):
+            np.testing.assert_array_equal(result.beta, expected.beta)
+            np.testing.assert_array_equal(result.variance, expected.variance)
 
     def test_threaded_shards_of_fresh_stream_match_arrays(self, case, parsed_rows):
         # four threads scan the shards of one stream at once, with a tiny
@@ -352,3 +367,187 @@ class TestParseOnce:
         # the record is in the second parse block; no stream is made
         with pytest.raises(DataError, match=r"bad\.csv:3: malformed row"):
             CsvStream(str(path), block_size=2)
+
+
+class TestParseCache:
+    """A stream over a file with a matching ``<file>.qlcache`` sidecar reads its
+    records from the sidecar, bit for bit what the parse gives; anything that
+    could make the sidecar wrong makes it a miss, and a cache problem never
+    raises."""
+
+    @staticmethod
+    def sidecar(path):
+        return Path(str(path) + ".qlcache")
+
+    @staticmethod
+    def assert_same(a, b):
+        for field in ("x", "y"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert a.file_counts == b.file_counts
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """One c1 file and the same records split over four files, with the arrays."""
+        spec = make_spec("c1", 1200, seed=21)
+        one = write_case_csv(spec, str(tmp_path / "one.csv"))
+        four = write_case_csv(spec, str(tmp_path / "four.csv"), n_files=4)
+        table = np.loadtxt(one[0], delimiter=",")
+        return one, four, table[:, 1:], table[:, 0]
+
+    @pytest.mark.parametrize("threshold", ["inf", "quantile", "exact"])
+    @pytest.mark.parametrize("block_size", [1, 7, 512, 65536])
+    def test_cold_warm_and_arrays_agree(self, files, block_size, threshold):
+        one, four, x, y = files
+        plan = SamplingPlan(criterion="mv", expected_size=200, threshold_mode=threshold, seed=3)
+        fits = {
+            "two-step": lambda s: run_two_step(s, EXP, plan, r0=100),
+            "k1": lambda s: run_distributed(s, EXP, plan, r0=100, k=1),
+            "k4": lambda s: run_distributed(s, EXP, plan, r0=100, k=4, threads=2),
+        }
+        wants = {name: fit(ArrayStream(x, y, block_size=block_size)) for name, fit in fits.items()}
+        for paths in (one, four):
+            cold = CsvStream(paths, block_size=block_size)
+            assert all(self.sidecar(p).exists() for p in paths)
+            warm = CsvStream(paths, block_size=block_size)
+            for name, fit in fits.items():
+                want = wants[name]
+                for stream in (cold, warm):
+                    got = fit(stream)
+                    np.testing.assert_array_equal(got.beta, want.beta, err_msg=name)
+                    np.testing.assert_array_equal(got.variance, want.variance, err_msg=name)
+                    assert got.info == want.info
+        # the file-aligned shards of the warm four-file stream are the files
+        assert warm.file_counts == [300, 300, 300, 300]
+
+    def test_warm_stream_parses_nothing_and_names_lines(self, tmp_path, monkeypatch):
+        path = tmp_path / "h.csv"
+        path.write_text("y,x\n1,2\n\n3,4\n")
+        cold = CsvStream(str(path), skip_header=True)
+        monkeypatch.setattr(CsvStream, "_parse", None)
+        monkeypatch.setattr(CsvStream, "_count_file", None)
+        warm = CsvStream(str(path), skip_header=True)
+        self.assert_same(warm, cold)
+        assert warm.where(1) == f"{path}:4"
+
+    def test_same_size_rewrite_is_reparsed(self, tmp_path):
+        path = tmp_path / "edit.csv"
+        path.write_text("1,2\n3,4\n")
+        assert CsvStream(str(path)).x[1, 0] == 4.0
+        stamp = os.stat(path).st_mtime_ns
+        path.write_text("1,2\n3,5\n")
+        os.utime(path, ns=(stamp, stamp))  # same size and mtime: only the bytes differ
+        assert CsvStream(str(path)).x[1, 0] == 5.0
+        assert CsvStream(str(path)).x[1, 0] == 5.0
+
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "empty", "version", "garbage", "header-only"])
+    def test_damaged_sidecar_is_ignored_and_replaced(self, small_csv, damage):
+        path, _ = small_csv
+        good = CsvStream(path, block_size=7)
+        sidecar = self.sidecar(path)
+        data = sidecar.read_bytes()
+        broken = {
+            "truncated": data[:-8],
+            "extended": data + bytes(8),
+            "empty": b"",
+            "version": data[:7] + b"\x02" + data[8:],
+            "garbage": np.random.default_rng(1).bytes(len(data)),
+            "header-only": data[: ingest._CACHE_HEAD.size],
+        }[damage]
+        sidecar.write_bytes(broken)
+        self.assert_same(CsvStream(path, block_size=7), good)
+        assert sidecar.read_bytes() == data
+
+    def test_file_changed_during_the_parse_gets_no_sidecar(self, tmp_path, monkeypatch):
+        path = tmp_path / "moving.csv"
+        path.write_text("1,2\n3,4\n")
+        parse_file = CsvStream._parse_file
+
+        def parse_then_edit(stream, *args):
+            parse_file(stream, *args)
+            path.write_text("1,2\n3,5\n")
+
+        monkeypatch.setattr(CsvStream, "_parse_file", parse_then_edit)
+        assert CsvStream(str(path)).x[1, 0] == 4.0
+        assert not self.sidecar(path).exists()
+        monkeypatch.undo()
+        assert CsvStream(str(path)).x[1, 0] == 5.0
+
+    def test_foreign_key_of_the_same_length_is_a_miss(self, tmp_path):
+        # two files of one size under one schema: their keys differ only in
+        # the digest, so one file's sidecar is never served for the other
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("1,2\n3,4\n")
+        b.write_text("5,6\n7,8\n")
+        CsvStream(str(a))
+        self.sidecar(b).write_bytes(self.sidecar(a).read_bytes())
+        assert CsvStream(str(b)).y.tolist() == [5.0, 7.0]
+
+    @pytest.mark.parametrize("failing", ["mkstemp", "replace"])
+    def test_unwritable_cache_is_skipped(self, small_csv, tmp_path, monkeypatch, failing):
+        path, table = small_csv
+
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        target = ingest.tempfile if failing == "mkstemp" else ingest.os
+        monkeypatch.setattr(target, failing, fail)
+        stream = CsvStream(path)
+        np.testing.assert_array_equal(stream.y, table[:, 0])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
+    def test_bad_record_writes_no_sidecar(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n3,4\n5,oops\n7,8\n")
+        for _ in range(2):
+            with pytest.raises(DataError, match=r"bad\.csv:3: malformed row"):
+                CsvStream(str(path), block_size=2)
+            assert not self.sidecar(path).exists()
+
+    def test_no_cache_neither_reads_nor_writes(self, small_csv):
+        path, table = small_csv
+        CsvStream(path, cache=False)
+        assert not self.sidecar(path).exists()
+        CsvStream(path)
+        self.sidecar(path).write_bytes(b"x" * 64)
+        np.testing.assert_array_equal(CsvStream(path, cache=False).y, table[:, 0])
+        assert self.sidecar(path).read_bytes() == b"x" * 64
+
+    @pytest.mark.parametrize(
+        "schema",
+        [{"x_cols": [2, 1]}, {"y_shift": 1.5}, {"intercept": True}, {"skip_header": True}, {"y_col": 3}],
+        ids=["x-cols", "y-shift", "intercept", "header", "y-col"],
+    )
+    def test_other_schema_is_never_served(self, small_csv, schema):
+        path, _ = small_csv
+        first = CsvStream(path)
+        other = CsvStream(path, **schema)
+        self.assert_same(other, CsvStream(path, cache=False, **schema))
+        assert not (other.x.shape == first.x.shape and np.array_equal(other.x, first.x)
+                    and np.array_equal(other.y, first.y))
+        # both sidecar generations serve their own schema only
+        self.assert_same(CsvStream(path), first)
+        self.assert_same(CsvStream(path, **schema), other)
+
+    def test_negative_zero_shift_is_its_own_schema(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("-0.0,1\n")
+        assert np.signbit(CsvStream(str(path), y_shift=-0.0).y[0])
+        assert not np.signbit(CsvStream(str(path), y_shift=0.0).y[0])
+
+    def test_warm_streams_raise_the_stream_errors(self, tmp_path):
+        narrow = _write_csv(tmp_path / "narrow.csv", np.ones((4, 3)))
+        wide = _write_csv(tmp_path / "wide.csv", np.ones((4, 4)))
+        empty = str(tmp_path / "empty.csv")
+        Path(empty).write_text("\n")
+        CsvStream(narrow), CsvStream(wide)
+        assert self.sidecar(narrow).exists() and self.sidecar(wide).exists()
+        with pytest.raises(DataError, match=r"wide\.csv:1: expected 3 fields, found 4"):
+            CsvStream([narrow, wide])
+        with pytest.raises(DataError, match=r"narrow\.csv:1: expected 4 fields, found 3"):
+            CsvStream([wide, narrow])
+        # a file without records never gets a sidecar
+        with pytest.raises(DataError, match=r"empty\.csv: no records"):
+            partition_view(CsvStream([narrow, narrow, empty, narrow]), 4)
+        with pytest.raises(DataError, match="no records in"):
+            CsvStream([empty, empty])
+        assert not self.sidecar(empty).exists()
