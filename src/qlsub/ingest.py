@@ -18,6 +18,7 @@ naming the file and line.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import mmap
 import os
@@ -99,8 +100,9 @@ class CsvStream(ArrayStream):
     is deleted with the stream.  Bad input raises ``DataError`` here.
 
     With ``cache``, a file whose sidecar holds its sha256 and this schema is
-    read from the sidecar, not counted or parsed; a file parsed unchanged gets
-    a new sidecar.  A sidecar that cannot be read or written is skipped.
+    read from the sidecar, not counted or parsed; a parsed file gets a sidecar
+    keyed by the bytes the parse read.  A sidecar that does not match is
+    removed, and one that cannot be read or written is skipped.
     """
 
     def __init__(
@@ -125,22 +127,20 @@ class CsvStream(ArrayStream):
         self.skip_header = bool(skip_header)
         self._arity: int | None = None
         self.x = self.y = None  # the spill, made when the first records are read
-        with contextlib.ExitStack() as sidecars:
-            files = []
-            for path in self.paths:
-                key = self._cache_key(path) if cache else None
-                hit = self._open_cache(path, key, sidecars) if key else None
-                files.append((path, key, hit, hit[1] if hit else self._count_file(path)))
-            self.file_counts = [count for *_, count in files]
-            if not sum(self.file_counts):
-                raise DataError(f"no records in {', '.join(self.paths)}")
-            start = 0
-            for path, key, hit, count in files:
-                if not (hit and self._read_cache(hit, start, count)):
-                    self._parse_file(path, start, count)
-                    if key and count and self._cache_key(path) == key:
-                        self._write_cache(path, key, start, count)
-                start += count
+        files = []
+        for path in self.paths:
+            hit = self._find_cache(path) if cache else None
+            files.append((path, hit, hit[1] if hit else self._count_file(path)))
+        self.file_counts = [count for *_, count in files]
+        if not sum(self.file_counts):
+            raise DataError(f"no records in {', '.join(self.paths)}")
+        start = 0
+        for path, hit, count in files:
+            if not (hit and self._read_cache(path, hit, start, count)):
+                key = self._parse_file(path, start, count, cache)
+                if key and count:
+                    self._write_cache(path, key, start, count)
+            start += count
         super().__init__(self.x, self.y, block_size=block_size)
 
     # -- reading ------------------------------------------------------
@@ -242,9 +242,11 @@ class CsvStream(ArrayStream):
             spill = np.frombuffer(mmap.mmap(fh.fileno(), 0), dtype=np.float64)
         return spill[: n * d].reshape(n, d), spill[n * d :]
 
-    def _parse_file(self, path: str, start: int, count: int) -> None:
-        """Parse the ``count`` records of ``path`` into the spill from record ``start`` on."""
-        with open(path, "r", encoding="utf-8") as fh:
+    def _parse_file(self, path: str, start: int, count: int, cache: bool) -> bytes | None:
+        """Parse the ``count`` records of ``path`` into the spill from record ``start`` on; with
+        ``cache``, return the sidecar key of the bytes the parse read."""
+        raw = _DigestFile(path) if cache else io.FileIO(path)
+        with io.TextIOWrapper(io.BufferedReader(raw, 1 << 18), encoding="utf-8") as fh:
             records = self._records(fh)
             for position in range(0, count, self.block_size):
                 take = min(self.block_size, count - position)
@@ -258,39 +260,46 @@ class CsvStream(ArrayStream):
                     self.x, self.y = self._spill(sum(self.file_counts), x.shape[1])
                 self.x[start + position : start + position + take] = x
                 self.y[start + position : start + position + take] = y
+            # reading on to the end also gives the digest all of the file
+            if next(records, None) is not None:
+                raise DataError(f"{path}: changed while being read")
+            return self._cache_key(raw) if cache else None
 
     # -- sidecar cache ------------------------------------------------
 
-    def _cache_key(self, path: str) -> bytes | None:
-        """The sidecar key of ``path``: its size, its sha256 and the parse schema; ``None`` if unreadable."""
-        import hashlib  # only CSV sources need it
-
-        sha, buf = hashlib.sha256(), bytearray(1 << 18)
-        try:
-            with open(path, "rb") as fh:
-                while n := fh.readinto(buf):
-                    sha.update(memoryview(buf)[:n])
-                size = fh.tell()
-        except OSError:
-            return None
+    def _cache_key(self, raw: _DigestFile) -> bytes:
+        """The sidecar key of the bytes read from ``raw``: their length, their sha256 and the parse schema."""
         schema = (self.y_col, self.x_cols, self.intercept, self.y_shift, self.skip_header)
-        return repr((size, sha.hexdigest(), schema)).encode()
+        return repr((raw.tell(), raw.sha.hexdigest(), schema)).encode()
 
-    def _open_cache(self, path: str, key: bytes, sidecars: contextlib.ExitStack):
-        """``(handle at the payload, n, d, field count)`` of a sidecar of ``path`` under ``key``, or None."""
-        try:
-            fh = sidecars.enter_context(open(path + ".qlcache", "rb"))
-            magic, n, d, arity, nbytes = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
-            size = os.fstat(fh.fileno()).st_size - _CACHE_HEAD.size - len(key)
-            if magic == _CACHE_MAGIC and fh.read(len(key)) == key and n and nbytes == n * (d + 1) * 8 == size:
-                return fh, n, d, arity
-        except (OSError, struct.error):
-            pass
+    @staticmethod
+    def _cache_head(fh, key: bytes) -> tuple[int, int, int] | None:
+        """``(n, d, field count)`` of an open sidecar that holds ``key`` and a payload of its length."""
+        magic, n, d, arity, nbytes = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
+        size = os.fstat(fh.fileno()).st_size - _CACHE_HEAD.size - len(key)
+        if magic == _CACHE_MAGIC and n and nbytes == n * (d + 1) * 8 == size and fh.read(len(key)) == key:
+            return n, d, arity
         return None
 
-    def _read_cache(self, hit, start: int, count: int) -> bool:
-        """Read a sidecar's payload into the spill; ``False`` if the file must be parsed."""
-        fh, _, d, arity = hit
+    def _find_cache(self, path: str) -> tuple[bytes, int, int, int] | None:
+        """``(key, n, d, field count)`` of the sidecar of ``path`` if it holds the file's bytes under
+        this schema, else ``None``; a sidecar that does not is removed.  Without one, nothing is read."""
+        with contextlib.suppress(OSError, struct.error):
+            with open(path + ".qlcache", "rb") as fh, _DigestFile(path) as raw:
+                buf = bytearray(1 << 18)
+                while raw.readinto(buf):
+                    pass
+                key = self._cache_key(raw)
+                head = self._cache_head(fh, key)
+                if head:
+                    return (key, *head)
+        with contextlib.suppress(OSError):
+            os.unlink(path + ".qlcache")
+        return None
+
+    def _read_cache(self, path: str, hit, start: int, count: int) -> bool:
+        """Read the payload of ``path``'s sidecar into the spill; ``False`` if the file must be parsed."""
+        key, _, d, arity = hit
         if self._arity not in (None, arity):
             return False  # the parse names the first record of the other field count
         self._arity = arity
@@ -298,8 +307,11 @@ class CsvStream(ArrayStream):
             self.x, self.y = self._spill(sum(self.file_counts), d)
         parts = (self.x[start : start + count], self.y[start : start + count])
         try:
-            return all(fh.readinto(part) == part.nbytes for part in parts)
-        except OSError:
+            with open(path + ".qlcache", "rb") as fh:
+                return self._cache_head(fh, key) == hit[1:] and all(
+                    fh.readinto(part) == part.nbytes for part in parts
+                )
+        except (OSError, struct.error):
             return False
 
     def _write_cache(self, path: str, key: bytes, start: int, count: int) -> None:
@@ -311,11 +323,29 @@ class CsvStream(ArrayStream):
                                        dir=os.path.dirname(path) or ".")
             with open(fd, "wb") as fh:
                 fh.writelines((head, key, x, y))
+                fh.flush()
+                os.fsync(fh.fileno())  # the payload is on disk before the name is
             os.replace(tmp, path + ".qlcache")
         except OSError:
             if tmp:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
+
+
+class _DigestFile(io.FileIO):
+    """A file read as bytes that feeds every byte read to a sha256."""
+
+    def __init__(self, path: str):
+        import hashlib  # only cached CSV sources need it
+
+        super().__init__(path)
+        self.sha = hashlib.sha256()
+
+    def readinto(self, buf) -> int | None:
+        n = super().readinto(buf)
+        if n:
+            self.sha.update(memoryview(buf)[:n])
+        return n
 
 
 class SubsetStream(RecordStream):

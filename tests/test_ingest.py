@@ -457,20 +457,95 @@ class TestParseCache:
         self.assert_same(CsvStream(path, block_size=7), good)
         assert sidecar.read_bytes() == data
 
-    def test_file_changed_during_the_parse_gets_no_sidecar(self, tmp_path, monkeypatch):
+    def test_file_changed_during_the_parse_is_never_served(self, tmp_path, monkeypatch):
+        # the parse reads through a 256 KiB buffer and the rewrite lands
+        # between two reads, so the stream holds old and new records; the
+        # sidecar is keyed by the bytes the parse read, which are no version
+        # of the file, so the next stream parses the file as it is
         path = tmp_path / "moving.csv"
-        path.write_text("1,2\n3,4\n")
-        parse_file = CsvStream._parse_file
+        path.write_text("1,2\n" * 100_000)
+        parse = CsvStream._parse
 
-        def parse_then_edit(stream, *args):
-            parse_file(stream, *args)
-            path.write_text("1,2\n3,5\n")
+        def parse_then_edit(stream, lines, name):
+            got = parse(stream, lines, name)
+            path.write_text("1,3\n" * 100_000)
+            return got
 
-        monkeypatch.setattr(CsvStream, "_parse_file", parse_then_edit)
-        assert CsvStream(str(path)).x[1, 0] == 4.0
-        assert not self.sidecar(path).exists()
+        monkeypatch.setattr(CsvStream, "_parse", parse_then_edit)
+        assert set(CsvStream(str(path), block_size=1000).x[:, 0]) == {2.0, 3.0}
         monkeypatch.undo()
-        assert CsvStream(str(path)).x[1, 0] == 5.0
+        assert set(CsvStream(str(path)).x[:, 0]) == {3.0}
+        assert set(CsvStream(str(path)).x[:, 0]) == {3.0}
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_file_grown_after_the_count_raises(self, tmp_path, monkeypatch, cache):
+        path = tmp_path / "growing.csv"
+        path.write_text("1,2\n3,4\n")
+        count_file = CsvStream._count_file
+
+        def count_then_append(stream, name):
+            count = count_file(stream, name)
+            with open(name, "a") as fh:
+                fh.write("5,6\n")
+            return count
+
+        monkeypatch.setattr(CsvStream, "_count_file", count_then_append)
+        with pytest.raises(DataError, match=r"growing\.csv: changed while being read"):
+            CsvStream(str(path), cache=cache)
+        assert not self.sidecar(path).exists()
+
+    def test_file_is_read_once_cold_and_once_warm(self, small_csv, monkeypatch):
+        # cold: the digest is taken in the parse pass, not in a pass of its own
+        path, _ = small_csv
+        opened = []
+        digest_file = ingest._DigestFile
+
+        def counting(name):
+            opened.append(name)
+            return digest_file(name)
+
+        monkeypatch.setattr(ingest, "_DigestFile", counting)
+        CsvStream(path)
+        assert opened == [path]
+        warm = CsvStream(path)
+        assert opened == [path, path]
+        self.sidecar(path).write_bytes(b"stale")
+        self.assert_same(CsvStream(path), warm)
+        assert opened == [path] * 4
+
+    def test_stale_sidecar_is_removed(self, tmp_path):
+        path = tmp_path / "gone.csv"
+        path.write_text("1,2\n3,4\n")
+        CsvStream(str(path))
+        path.write_text("\n")
+        with pytest.raises(DataError, match="no records in"):
+            CsvStream(str(path))
+        assert not self.sidecar(path).exists()
+        path.write_text("1,2\n")
+        CsvStream(str(path))
+        path.unlink()
+        with pytest.raises(DataError, match="cannot read"):
+            CsvStream(str(path))
+        assert not self.sidecar(path).exists()
+
+    def test_warm_files_above_the_descriptor_limit(self, tmp_path):
+        # no sidecar stays open past its own file, so a stream over more
+        # files than the process may hold open works cold and warm
+        resource = pytest.importorskip("resource")
+        paths = []
+        for i in range(80):
+            paths.append(str(tmp_path / f"part{i:02d}.csv"))
+            Path(paths[-1]).write_text(f"{i},1\n{i},2\n")
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        in_use = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 16
+        resource.setrlimit(resource.RLIMIT_NOFILE, (min(in_use + 40, soft), hard))
+        try:
+            cold = CsvStream(paths)
+            assert all(self.sidecar(p).exists() for p in paths)
+            self.assert_same(CsvStream(paths), cold)
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert cold.y.tolist() == [float(i) for i in range(80) for _ in range(2)]
 
     def test_foreign_key_of_the_same_length_is_a_miss(self, tmp_path):
         # two files of one size under one schema: their keys differ only in
