@@ -1,16 +1,16 @@
 """Time cold CSV fits of two source trees in interleaved pairs.
 
 A cold fit is a fit of a CSV file that has no ``<file>.qlcache`` sidecar: it
-counts and parses the file and writes the sidecar.  The benchmark times only
-warm fits (its first, untimed operation writes the sidecar), so this script
-times the cold side.  It writes one c1 file, then in each round runs the
+parses the file and writes the sidecar.  The benchmark times only warm fits
+(its first, untimed operation writes the sidecar), so this script times the
+cold side.  It writes one c1 file, then in each round runs the
 ``csv-dist-c1-k4`` command line once per source tree, as a new process, in
-shuffled order, deleting the sidecar before the change's run, and records
-each child's wall time and peak RSS.  Like the benchmark, it runs every
-child on one core.  With ``--warm`` each round also times the change on the
-file with the sidecar its cold run wrote.  The summary gives each side's
-median and quartiles, and the median and quartiles of the per-round
-change/parent ratios::
+shuffled order, deleting the sidecar before every such run of either tree,
+and records each child's wall time and peak RSS.  Like the benchmark, it
+runs every child on one core.  With ``--warm`` each round also times the
+change right after its cold run, on the sidecar that run wrote.  The
+summary gives each side's median and quartiles, and the median and
+quartiles of the per-round change/parent ratios::
 
     python scripts/cold_pairs.py --parent ../parent/src --change src \\
         --rounds 20 --out BENCH_13_cold.json
@@ -73,11 +73,11 @@ def measure(parent: str, change: str, rounds: int, n: int, seed: int, warm: bool
         order = list(sides)
         shuffle.shuffle(order)
         for side in order:
-            if side == "change":
-                Path(data + ".qlcache").unlink(missing_ok=True)
+            # both trees cache, and every run before this one left a sidecar
+            Path(data + ".qlcache").unlink(missing_ok=True)
             runs[side].append(run_child(sides[side], argv))
-        if warm:
-            runs["warm"].append(run_child(change, argv))  # the change's cold run left the sidecar
+            if warm and side == "change":
+                runs["warm"].append(run_child(change, argv))
     summary = {"workload": WORKLOAD, "n": n, "seed": seed, "rounds": rounds, "runs": runs, "machine": {
         "python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count()}}
     for j, metric in enumerate(("wall_s", "peak_rss_mb")):

@@ -3,11 +3,12 @@
 A stream is a re-scannable table of (x, y) records with stable global
 indices: two scans of the same source yield identical record sequences, and
 the index of a record never depends on the block size or shard layout.
-In-memory arrays are served as views.  A CSV source is parsed once, when it
-is made, in bounded blocks, into arrays mapped from a temporary file that
-every scan, shard and thread slices, so Python memory stays independent of
-the file size and no record is parsed twice; by default not even by a later
-stream over the unchanged file, which reads the sidecar ``<file>.qlcache``.
+In-memory arrays are served as views.  A CSV source is read once, when it is
+made, and parsed in bounded blocks, into arrays mapped from temporary files
+that every scan, shard and thread slices, so Python memory stays independent
+of the file size and no record is parsed twice; by default not even by a
+later stream over the unchanged file, which reads the sidecar
+``<file>.qlcache``.
 
 A CSV record is a non-blank line of comma-separated numbers after the
 optional header line; ``#`` starts no comment.  A malformed or ragged record,
@@ -86,23 +87,26 @@ class ArrayStream(RecordStream):
 
 
 class CsvStream(ArrayStream):
-    """Headerless numeric CSV files, parsed once, when the stream is made, into a private spill.
+    """Headerless numeric CSV files, each read once, when the stream is made, into a private spill.
 
     ``paths`` may be one path or a list; indices run continuously across
     files in list order.  A constant can be added to the response at parse
     time (``y + y_shift``), and a constant-one covariate can be injected
     without touching the stored files.
 
-    The constructor counts the records of every file, then parses every
-    file, in order, block by block and each record exactly once, into
-    float64 arrays mapped from an unlinked temporary file ((d + 1) * 8 bytes
-    per record).  Every scan, shard and thread slices those arrays; the file
-    is deleted with the stream.  Bad input raises ``DataError`` here.
+    The constructor reads the files in order, each once, and parses each
+    block by block, every record exactly once.  It appends the float64
+    records to two unlinked temporary files, one for ``x`` and one for ``y``
+    ((d + 1) * 8 bytes per record), mapped as the arrays after the last file.
+    Every scan, shard and thread slices those arrays; the files are deleted
+    with the stream.  Bad input, or a file that changes while it is read,
+    raises ``DataError`` here.
 
     With ``cache``, a file whose sidecar holds its sha256 and this schema is
-    read from the sidecar, not counted or parsed; a parsed file gets a sidecar
-    keyed by the bytes the parse read.  A sidecar that does not match is
-    removed, and one that cannot be read or written is skipped.
+    read from the sidecar, not parsed; a parsed file gets a sidecar keyed by
+    the bytes the parse read, written after the last file is read.  A
+    sidecar that does not match is removed, and one that cannot be read or
+    written is skipped.
     """
 
     def __init__(
@@ -126,22 +130,28 @@ class CsvStream(ArrayStream):
         self.block_size = _block_size(block_size)
         self.skip_header = bool(skip_header)
         self._arity: int | None = None
-        self.x = self.y = None  # the spill, made when the first records are read
-        files = []
-        for path in self.paths:
-            hit = self._find_cache(path) if cache else None
-            files.append((path, hit, hit[1] if hit else self._count_file(path)))
-        self.file_counts = [count for *_, count in files]
-        if not sum(self.file_counts):
-            raise DataError(f"no records in {', '.join(self.paths)}")
-        start = 0
-        for path, hit, count in files:
-            if not (hit and self._read_cache(path, hit, start, count)):
-                key = self._parse_file(path, start, count, cache)
+        self.file_counts, parsed = [], []
+        with tempfile.TemporaryFile() as xf, tempfile.TemporaryFile() as yf:
+            for path in self.paths:
+                ends, key = (xf.tell(), yf.tell()), None
+                if not (cache and self._read_cache(path, xf, yf)):
+                    for fh, end in zip((xf, yf), ends):  # drop what a failed sidecar copy appended
+                        fh.truncate(end)
+                        fh.seek(end)
+                    key = self._parse_file(path, xf, yf, cache)
+                start, count = ends[1] // 8, (yf.tell() - ends[1]) // 8
+                self.file_counts.append(count)
                 if key and count:
-                    self._write_cache(path, key, start, count)
-            start += count
-        super().__init__(self.x, self.y, block_size=block_size)
+                    parsed.append((path, key, start, count))
+            n = sum(self.file_counts)
+            if not n:
+                raise DataError(f"no records in {', '.join(self.paths)}")
+            xf.flush()
+            yf.flush()
+            x, y = (np.frombuffer(mmap.mmap(fh.fileno(), 0)) if fh.tell() else np.empty(0) for fh in (xf, yf))
+        super().__init__(x.reshape(n, x.size // n), y, block_size=block_size)
+        for args in parsed:
+            self._write_cache(*args)
 
     # -- reading ------------------------------------------------------
 
@@ -152,7 +162,7 @@ class CsvStream(ArrayStream):
         return filter(str.strip, fh)
 
     def _numbered(self, path: str):
-        """``(line number, line)`` of each record, split into lines as the passes split them; names a
+        """``(line number, line)`` of each record, split into lines as the parse splits them; names a
         line that is not UTF-8 (text mode, so a lone ``\\r`` ends a line in both)."""
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -170,17 +180,6 @@ class CsvStream(ArrayStream):
                 lineno, _ = next(itertools.islice(self._numbered(path), index, None))
                 return f"{path}:{lineno}"
             index -= count
-
-    def _count_file(self, path: str) -> int:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return sum(1 for _ in self._records(fh))
-        except OSError as err:
-            raise DataError(f"cannot read {path}: {err}") from err
-        except UnicodeDecodeError as err:
-            for _ in self._numbered(path):
-                pass
-            raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
 
     # -- parsing ------------------------------------------------------
 
@@ -229,39 +228,27 @@ class CsvStream(ArrayStream):
                 raise DataError(f"{path}:{lineno}: {err}") from None
         raise DataError(f"{path}: changed while being read")
 
-    def _spill(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, y)`` arrays for ``n`` records, mapped from an unlinked file."""
-        nbytes = n * (d + 1) * 8
-        with tempfile.TemporaryFile() as fh:
-            # reserve the space now: a full disk then raises OSError here,
-            # not SIGBUS at a write into the map
-            if hasattr(os, "posix_fallocate"):
-                os.posix_fallocate(fh.fileno(), 0, nbytes)
-            else:
-                fh.truncate(nbytes)
-            spill = np.frombuffer(mmap.mmap(fh.fileno(), 0), dtype=np.float64)
-        return spill[: n * d].reshape(n, d), spill[n * d :]
-
-    def _parse_file(self, path: str, start: int, count: int, cache: bool) -> bytes | None:
-        """Parse the ``count`` records of ``path`` into the spill from record ``start`` on; with
-        ``cache``, return the sidecar key of the bytes the parse read."""
-        raw = _DigestFile(path) if cache else io.FileIO(path)
+    def _parse_file(self, path: str, xf, yf, cache: bool) -> bytes | None:
+        """Append the records of ``path`` to ``xf`` and ``yf``; with ``cache``, return the sidecar key
+        of the bytes the parse read."""
+        try:
+            raw = _DigestFile(path) if cache else io.FileIO(path)
+        except OSError as err:
+            raise DataError(f"cannot read {path}: {err}") from err
         with io.TextIOWrapper(io.BufferedReader(raw, 1 << 18), encoding="utf-8") as fh:
-            records = self._records(fh)
-            for position in range(0, count, self.block_size):
-                take = min(self.block_size, count - position)
-                try:
-                    x, y = self._parse(itertools.islice(records, take), path)
-                except ValueError:
-                    self._locate(path, position)
-                if x.shape[0] != take:
-                    raise DataError(f"{path}: changed while being read")
-                if self.x is None:
-                    self.x, self.y = self._spill(sum(self.file_counts), x.shape[1])
-                self.x[start + position : start + position + take] = x
-                self.y[start + position : start + position + take] = y
-            # reading on to the end also gives the digest all of the file
-            if next(records, None) is not None:
+            opened, position = _stamp(raw), 0
+            try:
+                records = self._records(fh)
+                for first in records:
+                    block = itertools.chain([first], itertools.islice(records, self.block_size - 1))
+                    x, y = self._parse(block, path)
+                    xf.write(x)
+                    yf.write(y)
+                    position += len(y)
+            except ValueError:  # a byte that is not UTF-8 too
+                self._locate(path, position)
+            # the file was read to its end: all of it, and nothing else
+            if _stamp(raw) != opened or raw.tell() != opened[0]:
                 raise DataError(f"{path}: changed while being read")
             return self._cache_key(raw) if cache else None
 
@@ -272,50 +259,31 @@ class CsvStream(ArrayStream):
         schema = (self.y_col, self.x_cols, self.intercept, self.y_shift, self.skip_header)
         return repr((raw.tell(), raw.sha.hexdigest(), schema)).encode()
 
-    @staticmethod
-    def _cache_head(fh, key: bytes) -> tuple[int, int, int] | None:
-        """``(n, d, field count)`` of an open sidecar that holds ``key`` and a payload of its length."""
-        magic, n, d, arity, nbytes = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
-        size = os.fstat(fh.fileno()).st_size - _CACHE_HEAD.size - len(key)
-        if magic == _CACHE_MAGIC and n and nbytes == n * (d + 1) * 8 == size and fh.read(len(key)) == key:
-            return n, d, arity
-        return None
-
-    def _find_cache(self, path: str) -> tuple[bytes, int, int, int] | None:
-        """``(key, n, d, field count)`` of the sidecar of ``path`` if it holds the file's bytes under
-        this schema, else ``None``; a sidecar that does not is removed.  Without one, nothing is read."""
-        with contextlib.suppress(OSError, struct.error):
-            with open(path + ".qlcache", "rb") as fh, _DigestFile(path) as raw:
-                buf = bytearray(1 << 18)
-                while raw.readinto(buf):
-                    pass
-                key = self._cache_key(raw)
-                head = self._cache_head(fh, key)
-                if head:
-                    return (key, *head)
+    def _read_cache(self, path: str, xf, yf) -> bool:
+        """Append the records in the sidecar of ``path`` to ``xf`` and ``yf`` and return ``True`` if it holds
+        the file's bytes under this schema; a sidecar that does not is removed.  Without one, nothing is read."""
+        with contextlib.suppress(OSError, struct.error), open(path + ".qlcache", "rb") as fh:
+            magic, n, d, arity, nbytes = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
+            keylen = os.fstat(fh.fileno()).st_size - _CACHE_HEAD.size - nbytes
+            if magic == _CACHE_MAGIC and n and nbytes == n * (d + 1) * 8 and keylen > 0:
+                if self._arity not in (None, arity):
+                    return False  # the parse names the first record of the other field count
+                with _DigestFile(path) as raw:
+                    buf = bytearray(1 << 18)
+                    while raw.readinto(buf):
+                        pass
+                    key = self._cache_key(raw)
+                if fh.read(keylen) == key:
+                    _copy(fh, xf, n * d * 8)
+                    _copy(fh, yf, n * 8)
+                    self._arity = arity
+                    return True
         with contextlib.suppress(OSError):
             os.unlink(path + ".qlcache")
-        return None
-
-    def _read_cache(self, path: str, hit, start: int, count: int) -> bool:
-        """Read the payload of ``path``'s sidecar into the spill; ``False`` if the file must be parsed."""
-        key, _, d, arity = hit
-        if self._arity not in (None, arity):
-            return False  # the parse names the first record of the other field count
-        self._arity = arity
-        if self.x is None:
-            self.x, self.y = self._spill(sum(self.file_counts), d)
-        parts = (self.x[start : start + count], self.y[start : start + count])
-        try:
-            with open(path + ".qlcache", "rb") as fh:
-                return self._cache_head(fh, key) == hit[1:] and all(
-                    fh.readinto(part) == part.nbytes for part in parts
-                )
-        except (OSError, struct.error):
-            return False
+        return False
 
     def _write_cache(self, path: str, key: bytes, start: int, count: int) -> None:
-        """Store the spilled records of ``path`` in its sidecar, through a temporary file."""
+        """Store the records of ``path`` in its sidecar, through a temporary file."""
         x, y, tmp = self.x[start : start + count], self.y[start : start + count], None
         head = _CACHE_HEAD.pack(_CACHE_MAGIC, count, self.dim, self._arity, x.nbytes + y.nbytes)
         try:
@@ -330,6 +298,21 @@ class CsvStream(ArrayStream):
             if tmp:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
+
+
+def _stamp(fh) -> tuple[int, int, int]:
+    """Size, modification and change time of an open file; a write changes them, to the clock's resolution."""
+    st = os.fstat(fh.fileno())
+    return st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _copy(src, dst, nbytes: int) -> None:
+    """Copy the next ``nbytes`` of ``src`` to the end of ``dst``, a bounded chunk at a time."""
+    while nbytes:
+        chunk = src.read(min(nbytes, 1 << 18))
+        if not chunk:
+            raise OSError(f"{src.name}: shorter than its header says")
+        nbytes -= dst.write(chunk)
 
 
 class _DigestFile(io.FileIO):

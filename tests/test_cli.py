@@ -117,6 +117,8 @@ FIT = ["fit", "--criterion", "mv", "--r", "800", "--r0", "200", "--seed", "7"]
 # each row: command line, exit code, a fragment of the message
 EXIT_MATRIX = [
     pytest.param([*FIT, "--data", "@ragged"], 3, "ragged.csv:700: expected 8 fields, found 3", id="ragged-row"),
+    # files are read in order, so the first file's bad record is named before a later missing file
+    pytest.param([*FIT, "--data", "@ragged", "@missing"], 3, "ragged.csv:700", id="ragged-before-missing"),
     pytest.param([*FIT, "--data", "@hash"], 3, "hash.csv:300: malformed row", id="hash-line"),
     pytest.param(["fit", "--data", "@empty"], 3, "no records in", id="empty-fit"),
     pytest.param(["fit-full", "--data", "@empty"], 3, "no records in", id="empty-fit-full"),

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 import tracemalloc
@@ -31,6 +32,27 @@ def rows(stream):
 def _write_csv(path, table):
     np.savetxt(path, table, fmt="%.17g", delimiter=",")
     return str(path)
+
+
+_WATCHED: dict[str, list] = {}
+
+
+def _audit(event, args):
+    if event == "open" and args[0] in _WATCHED:
+        _WATCHED[args[0]].append(args[1])
+
+
+@contextlib.contextmanager
+def _opens_of(path: str):
+    """The list of every open of ``path`` in the block: by ``open``, ``io.FileIO`` or ``os.open``."""
+    if not hasattr(_audit, "installed"):
+        sys.addaudithook(_audit)  # a hook cannot be removed, so it is added once
+        _audit.installed = True
+    _WATCHED[path] = []
+    try:
+        yield _WATCHED[path]
+    finally:
+        del _WATCHED[path]
 
 
 @pytest.fixture
@@ -132,14 +154,6 @@ class TestParsing:
         path.write_text("1,2,nan\n3,4,inf\n")
         stream = CsvStream(str(path), x_cols=[1])
         assert [(i, tuple(x), y) for i, x, y in rows(stream)] == [(0, (2.0,), 1.0), (1, (4.0,), 3.0)]
-
-    def test_file_shortened_after_count_is_data_error(self, tmp_path, monkeypatch):
-        path = tmp_path / "short.csv"
-        path.write_text("1,2\n3,4\n5,6\n")
-        # the count pass saw five records; the parse pass finds three
-        monkeypatch.setattr(CsvStream, "_count_file", lambda stream, p: 5)
-        with pytest.raises(DataError, match=r"short\.csv: changed while being read"):
-            CsvStream(str(path), block_size=4)
 
     def test_missing_file_is_data_error(self):
         with pytest.raises(DataError):
@@ -419,12 +433,52 @@ class TestParseCache:
         # the file-aligned shards of the warm four-file stream are the files
         assert warm.file_counts == [300, 300, 300, 300]
 
+    @pytest.mark.parametrize("warm", [(0, 2), (1, 3)], ids=["first-third", "second-fourth"])
+    def test_mixed_warm_and_cold_files_agree(self, files, warm):
+        _, four, x, y = files
+        CsvStream(four)
+        for j, path in enumerate(four):
+            if j not in warm:
+                self.sidecar(path).unlink()
+        mixed = CsvStream(four, block_size=128)
+        np.testing.assert_array_equal(mixed.x, x)
+        np.testing.assert_array_equal(mixed.y, y)
+        assert mixed.file_counts == [300] * 4
+        assert all(self.sidecar(p).exists() for p in four)
+        plan = SamplingPlan(criterion="mv", expected_size=200, threshold_mode="quantile", seed=5)
+        want = run_distributed(ArrayStream(x, y, block_size=128), EXP, plan, r0=100, k=4, threads=2)
+        got = run_distributed(mixed, EXP, plan, r0=100, k=4, threads=2)
+        np.testing.assert_array_equal(got.beta, want.beta)
+        np.testing.assert_array_equal(got.variance, want.variance)
+        assert got.info == want.info
+
+    def test_failed_payload_copy_leaves_no_partial_records(self, files, monkeypatch):
+        # the second file's x part and half of its y part are copied, then
+        # the copy fails: the stream drops both, parses that file and reads
+        # the others from their sidecars
+        _, four, x, y = files
+        CsvStream(four)
+        copy, calls = ingest._copy, []
+
+        def copy_then_fail(src, dst, nbytes):
+            calls.append(nbytes)
+            if len(calls) == 4:
+                copy(src, dst, nbytes // 2)
+                raise OSError(5, "Input/output error")
+            copy(src, dst, nbytes)
+
+        monkeypatch.setattr(ingest, "_copy", copy_then_fail)
+        stream = CsvStream(four)
+        assert len(calls) == 8
+        self.assert_same(stream, CsvStream(four, cache=False))
+        np.testing.assert_array_equal(stream.x, x)
+        np.testing.assert_array_equal(stream.y, y)
+
     def test_warm_stream_parses_nothing_and_names_lines(self, tmp_path, monkeypatch):
         path = tmp_path / "h.csv"
         path.write_text("y,x\n1,2\n\n3,4\n")
         cold = CsvStream(str(path), skip_header=True)
         monkeypatch.setattr(CsvStream, "_parse", None)
-        monkeypatch.setattr(CsvStream, "_count_file", None)
         warm = CsvStream(str(path), skip_header=True)
         self.assert_same(warm, cold)
         assert warm.where(1) == f"{path}:4"
@@ -458,12 +512,12 @@ class TestParseCache:
         assert sidecar.read_bytes() == data
 
     def test_file_changed_during_the_parse_is_never_served(self, tmp_path, monkeypatch):
-        # the parse reads through a 256 KiB buffer and the rewrite lands
-        # between two reads, so the stream holds old and new records; the
-        # sidecar is keyed by the bytes the parse read, which are no version
-        # of the file, so the next stream parses the file as it is
+        # the parse reads through a 256 KiB buffer and the same-size rewrite
+        # lands between two reads, so the records read are old and new ones;
+        # the stream raises instead of serving them, and writes no sidecar
         path = tmp_path / "moving.csv"
         path.write_text("1,2\n" * 100_000)
+        os.utime(path, ns=(10**18, 10**18))  # any rewrite now gives another mtime
         parse = CsvStream._parse
 
         def parse_then_edit(stream, lines, name):
@@ -472,46 +526,47 @@ class TestParseCache:
             return got
 
         monkeypatch.setattr(CsvStream, "_parse", parse_then_edit)
-        assert set(CsvStream(str(path), block_size=1000).x[:, 0]) == {2.0, 3.0}
+        with pytest.raises(DataError, match=r"moving\.csv: changed while being read"):
+            CsvStream(str(path), block_size=1000)
+        assert not self.sidecar(path).exists()
         monkeypatch.undo()
         assert set(CsvStream(str(path)).x[:, 0]) == {3.0}
         assert set(CsvStream(str(path)).x[:, 0]) == {3.0}
 
     @pytest.mark.parametrize("cache", [True, False])
-    def test_file_grown_after_the_count_raises(self, tmp_path, monkeypatch, cache):
-        path = tmp_path / "growing.csv"
-        path.write_text("1,2\n3,4\n")
-        count_file = CsvStream._count_file
+    @pytest.mark.parametrize("edit", ["grow", "shrink", "rewrite"])
+    def test_file_edited_during_the_parse_raises(self, tmp_path, monkeypatch, edit, cache):
+        path = tmp_path / "edited.csv"
+        path.write_text("1,2\n3,4\n5,6\n7,8\n")
+        os.utime(path, ns=(10**18, 10**18))  # a fixed past mtime: no timestamp granularity matters
+        text = {"grow": "1,2\n3,4\n5,6\n7,8\n9,9\n", "shrink": "1,2\n", "rewrite": "1,2\n3,4\n5,6\n7,9\n"}[edit]
+        parse, calls = CsvStream._parse, []
 
-        def count_then_append(stream, name):
-            count = count_file(stream, name)
-            with open(name, "a") as fh:
-                fh.write("5,6\n")
-            return count
+        def parse_then_edit(stream, lines, name):
+            calls.append(name)
+            if len(calls) == 1:
+                path.write_text(text)
+            return parse(stream, lines, name)
 
-        monkeypatch.setattr(CsvStream, "_count_file", count_then_append)
-        with pytest.raises(DataError, match=r"growing\.csv: changed while being read"):
-            CsvStream(str(path), cache=cache)
+        monkeypatch.setattr(CsvStream, "_parse", parse_then_edit)
+        with pytest.raises(DataError, match=r"edited\.csv: changed while being read"):
+            CsvStream(str(path), block_size=2, cache=cache)
         assert not self.sidecar(path).exists()
 
-    def test_file_is_read_once_cold_and_once_warm(self, small_csv, monkeypatch):
-        # cold: the digest is taken in the parse pass, not in a pass of its own
+    def test_file_is_read_once_cold_and_once_warm(self, small_csv):
+        # every open of the CSV, by any means: cold, the digest is taken in
+        # the parse, not in a pass of its own, and nothing counts the records
         path, _ = small_csv
-        opened = []
-        digest_file = ingest._DigestFile
-
-        def counting(name):
-            opened.append(name)
-            return digest_file(name)
-
-        monkeypatch.setattr(ingest, "_DigestFile", counting)
-        CsvStream(path)
-        assert opened == [path]
-        warm = CsvStream(path)
-        assert opened == [path, path]
-        self.sidecar(path).write_bytes(b"stale")
-        self.assert_same(CsvStream(path), warm)
-        assert opened == [path] * 4
+        with _opens_of(path) as opened:
+            CsvStream(path)
+            assert len(opened) == 1
+            warm = CsvStream(path)
+            assert len(opened) == 2
+            self.sidecar(path).write_bytes(b"stale")
+            self.assert_same(CsvStream(path), warm)
+            assert len(opened) == 3  # a sidecar with a bad header is removed before the CSV is hashed
+            CsvStream(path, cache=False)
+            assert len(opened) == 4
 
     def test_stale_sidecar_is_removed(self, tmp_path):
         path = tmp_path / "gone.csv"
