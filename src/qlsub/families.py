@@ -28,6 +28,12 @@ def _check_finite(eta):
     return arr
 
 
+def _clamped_exp(arr: np.ndarray) -> np.ndarray:
+    """``exp(min(arr, ETA_MAX))`` computed in one new array, even for 0-d ``arr``."""
+    out = np.minimum(arr, ETA_MAX, out=np.empty_like(arr))
+    return np.exp(out, out=out)
+
+
 @dataclass(frozen=True)
 class LinkFamily:
     """One of the three supported mean families, selected by ``kind``."""
@@ -50,11 +56,11 @@ class LinkFamily:
         if self.kind == "identity":
             out = arr.copy()
         elif self.kind == "exp":
-            out = np.exp(np.minimum(arr, ETA_MAX))
+            out = _clamped_exp(arr)
         else:
             z = np.exp(-np.abs(arr))
             out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        return out if isinstance(eta, np.ndarray) else float(out)
+        return float(out) if out.ndim == 0 else out
 
     def mean_derivative(self, eta):
         """Derivative of the mean function; strictly positive for finite eta."""
@@ -62,13 +68,13 @@ class LinkFamily:
         if self.kind == "identity":
             out = np.ones_like(arr)
         elif self.kind == "exp":
-            out = np.exp(np.minimum(arr, ETA_MAX))
+            out = _clamped_exp(arr)
         else:
             # mu * (1 - mu) written symmetrically in exp(-|eta|) so neither
             # branch can overflow
             z = np.exp(-np.abs(arr))
             out = z / (1.0 + z) ** 2
-        return out if isinstance(eta, np.ndarray) else float(out)
+        return float(out) if out.ndim == 0 else out
 
     def saturates(self, eta) -> bool:
         """True when the exp clamp would engage anywhere in ``eta``."""

@@ -79,7 +79,8 @@ def _scan(stream: RecordStream, seed: int, tag: int, block_probs, cap: float = m
     """Keep each record of ``stream`` independently with its own probability.
 
     ``block_probs(start, x, y)`` gives the probabilities of the block's
-    records; the draw for record i is keyed on ``(seed, tag, i)``.
+    records, or one float for all of them; the draw for record i is keyed on
+    ``(seed, tag, i)``.
     """
     # empty leading pieces give a scan that keeps nothing the right shapes
     xs, ys = [np.empty((0, stream.dim))], [np.empty(0)]
@@ -88,13 +89,15 @@ def _scan(stream: RecordStream, seed: int, tag: int, block_probs, cap: float = m
     for start, xb, yb in stream.iter_blocks():
         block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
         probs = block_probs(start, xb, yb)
+        # one index list gathers every field of the kept records
+        keep = np.flatnonzero(block_mask(seed, block_idx, probs, tag))
+        probs = np.broadcast_to(probs, block_idx.shape)
         expected += float(probs.sum())
         min_p = min(min_p, float(probs.min(initial=math.inf)))
-        mask = block_mask(seed, block_idx, probs, tag)
-        xs.append(xb[mask])
-        ys.append(yb[mask])
-        ps.append(probs[mask])
-        idxs.append(block_idx[mask])
+        xs.append(xb[keep])
+        ys.append(yb[keep])
+        ps.append(probs[keep])
+        idxs.append(keep + start)
     return PassSample(
         x=np.concatenate(xs),
         y=np.concatenate(ys),
@@ -126,7 +129,7 @@ def run_pilot(
             stacklevel=2,
         )
     p0 = float(r0) / n
-    sample = _scan(stream, seed, PILOT_STREAM, lambda start, xb, yb: np.full(xb.shape[0], p0))
+    sample = _scan(stream, seed, PILOT_STREAM, lambda start, xb, yb: p0)
     realized = sample.size
     if realized < d + 1:
         raise PilotFailed(

@@ -39,18 +39,33 @@ def derive_seed(seed: int, *parts: int) -> int:
     return key
 
 
+def _hash53(seed: int, indices, stream: int) -> np.ndarray:
+    """53-bit hash of (seed, stream, index), elementwise, in a fresh ``uint64`` array.
+
+    The splitmix rounds run in place on one copy of the indices plus one
+    scratch buffer.  ``(i + 1) * gamma + key`` is folded into
+    ``i * gamma + (key + gamma)``, whose constant is reduced as a Python
+    int, so no ``uint64`` scalar can overflow.
+    """
+    z = np.array(indices, dtype=np.uint64)
+    t = np.empty_like(z)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64((derive_seed(seed, stream) + _GAMMA) & _MASK)
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= np.uint64(mul)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    z >>= np.uint64(11)
+    return z
+
+
 def uniforms(seed: int, indices: np.ndarray, stream: int = MAIN_STREAM) -> np.ndarray:
     """Uniform(0, 1) variates keyed on (seed, stream, index), elementwise.
 
     ``indices`` are global record indices; the value for a given index never
-    depends on the other indices in the call.
+    depends on the other indices in the call.  Each variate is a 53-bit
+    hash times ``2**-53``, so it is a multiple of ``2**-53`` in [0, 1).
     """
-    key = np.uint64(derive_seed(seed, stream))
-    idx = np.asarray(indices, dtype=np.uint64)
-    gamma = np.uint64(_GAMMA)
-    z = key + (idx + np.uint64(1)) * gamma
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV53
-
+    u = _hash53(seed, indices, stream).astype(np.float64)
+    u *= _INV53
+    return u

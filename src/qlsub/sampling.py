@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateScores
 from .families import LinkFamily
-from .rng import MAIN_STREAM, uniforms
+from .rng import MAIN_STREAM, _hash53, uniforms
 
 CRITERIA = ("uniform", "mv", "mvc")
 THRESHOLD_MODES = ("inf", "quantile", "exact")
@@ -82,8 +82,11 @@ def _tiled(x: np.ndarray, offset: int, w: np.ndarray):
     ``CHUNK_TILES`` whole tiles is one stacked matmul, one BLAS call per
     tile; a partial tile at either edge of ``x`` is copied into a
     zero-filled ``TILE_ROWS``-row buffer at row ``(offset + i) % TILE_ROWS``.
+    A chunk's product is written into one buffer that every chunk reuses, so
+    a yielded product is valid only until the next step.
     """
     n, d = x.shape
+    buf = np.empty((CHUNK_TILES, TILE_ROWS) + w.shape[1:])
     i = 0
     while i < n:
         row = (offset + i) % TILE_ROWS
@@ -91,7 +94,7 @@ def _tiled(x: np.ndarray, offset: int, w: np.ndarray):
         if take == TILE_ROWS:
             take = min(n - i, CHUNK_TILES * TILE_ROWS) // TILE_ROWS * TILE_ROWS
             tiles = x[i : i + take].reshape(-1, TILE_ROWS, d)
-            prod = np.matmul(tiles, w).reshape((take,) + w.shape[1:])
+            prod = np.matmul(tiles, w, out=buf[: take // TILE_ROWS]).reshape((take,) + w.shape[1:])
         else:
             tile = np.zeros((TILE_ROWS, d))
             tile[row : row + take] = x[i : i + take]
@@ -140,7 +143,7 @@ def score_parts(x: np.ndarray, offset: int, beta, sigma_inv=None) -> tuple[np.nd
             z = rows if sigma_inv is None else prod[:, 1:]
             eta[i : i + len(rows)] = prod[:, 0]
             h2[i : i + len(rows)] = np.einsum("ij,ij->i", z, z)
-    return eta, np.sqrt(h2)
+    return eta, np.sqrt(h2, out=h2)
 
 
 def record_scores(x, y, family: LinkFamily, beta, sigma_inv=None, offset: int = 0) -> np.ndarray:
@@ -150,7 +153,12 @@ def record_scores(x, y, family: LinkFamily, beta, sigma_inv=None, offset: int = 
     ``||x_i||`` otherwise (mvc); both factors come from :func:`score_parts`.
     """
     eta, h = score_parts(x, offset, beta, sigma_inv)
-    return np.abs(np.asarray(y, dtype=np.float64) - family.mean(eta)) * h
+    # family.mean returns a new array, so the arithmetic runs in place on it
+    out = family.mean(eta)
+    np.subtract(np.asarray(y, dtype=np.float64), out, out=out)
+    np.abs(out, out=out)
+    out *= h
+    return out
 
 
 def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -232,16 +240,22 @@ def shrinkage_probability(ctx: ScoreContext, score, r: float, rho: float):
     return out if isinstance(score, np.ndarray) else float(out)
 
 
-def block_mask(seed: int, indices: np.ndarray, probs: np.ndarray, stream: int = MAIN_STREAM) -> np.ndarray:
+def block_mask(seed: int, indices: np.ndarray, probs, stream: int = MAIN_STREAM) -> np.ndarray:
     """Bernoulli inclusion decisions keyed on (seed, stream, index).
 
     Bit for bit the draws of ``pipeline._scan``: ``stream`` is ``MAIN_STREAM``
-    in ``second_pass`` and ``PILOT_STREAM`` in ``run_pilot``.
+    in ``second_pass`` and ``PILOT_STREAM`` in ``run_pilot``.  ``probs`` holds
+    one probability per index, or is one float for them all.  A float ``p``
+    keeps the records whose 53-bit hash ``k`` is below ``ceil(p * 2**53)``:
+    the variate is exactly ``k * 2**-53`` and scaling ``p`` by ``2**53`` is
+    exact, so these are the decisions ``uniforms(...) < p`` with no floats.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
     # two reductions screen the block; a NaN fails both comparisons
-    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=1.0) <= 1.0):
-        bad = ~((probs >= 0.0) & (probs <= 1.0))
+    if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
+        bad = np.broadcast_to(~((p >= 0.0) & (p <= 1.0)), np.shape(indices))
         idx = np.asarray(indices)[bad][0]
         raise ValueError(f"probability outside [0, 1] at record {int(idx)}")
-    return uniforms(seed, indices, stream) < probs
+    if isinstance(probs, float):
+        return _hash53(seed, indices, stream) < math.ceil(probs * 2.0**53)
+    return uniforms(seed, indices, stream) < p

@@ -250,6 +250,23 @@ class TestExitCodes:
         assert main(argv) == 3
         assert "negative.csv:321: response -2.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fit"], ["fit-distributed", "--k", "2"]], ids=["fit", "fit-distributed"])
+    def test_all_zero_pilot_residuals_fall_back_to_uniform(self, tmp_path, command):
+        # y = 1 under the exp family: beta = 0 fits every record exactly, so
+        # the pilot scores are all zero and the fit goes on with uniform
+        # probabilities; unlike the matrix rows it exits 0 and writes a document
+        data, out = tmp_path / "ones.csv", tmp_path / "o.json"
+        x = np.random.default_rng(8).normal(size=(4000, 3))
+        np.savetxt(data, np.column_stack([np.ones(4000), x]), fmt="%.17g", delimiter=",")
+        src = str(Path(qlsub.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [*command, "--data", str(data), "--family", "exp", "--r", "300", "--r0", "100", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "qlsub.cli", *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "pilot residuals are all zero; falling back to uniform probabilities" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert json.loads(out.read_text())["estimate"] == [0.0, 0.0, 0.0]
+
 
 class TestFitDocuments:
     def test_byte_identical_reruns(self, case_csv, tmp_path):

@@ -91,6 +91,19 @@ def test_non_finite_eta_rejected(family, bad):
         family.mean_derivative(np.array([0.0, bad]))
 
 
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_inputs_left_unchanged_and_scalars_stay_floats(family):
+    # the exp family clamps and exponentiates in place, on an array it owns
+    eta = np.array([-800.0, -1.0, 0.0, 2.0, ETA_MAX + 50.0])
+    before = eta.copy()
+    for fn in (family.mean, family.mean_derivative):
+        np.testing.assert_array_equal(fn(eta[1:]), [fn(float(e)) for e in eta[1:]])
+        fn(eta)
+        np.testing.assert_array_equal(eta, before)
+        for scalar in (0.5, np.array(0.5)):
+            assert type(fn(scalar)) is float
+
+
 def test_get_family_resolution():
     assert get_family("exp") is EXP
     assert get_family("Identity") is IDENTITY

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,33 @@ class TestSecondPass:
         plan = SamplingPlan(criterion="mvc", expected_size=50, shrinkage=0.0, seed=19)
         with pytest.warns(RuntimeWarning, match="zero score"):
             second_pass(stream, IDENTITY, pilot, plan, 50.0, seed=19)
+
+
+def _peak_records(call, n):
+    """``call()`` and its tracemalloc peak, in float64 values per record (8·n bytes)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / (8 * n)
+
+
+class TestScanMemory:
+    def test_scan_peaks_per_record(self):
+        # one block of N records: the pilot scan peaks at the block's index
+        # list plus the hash's copy and scratch buffer; the main scan holds
+        # the probabilities as well.  Each temporary of N records costs 1.
+        n = 50_000
+        x, y, _ = generate_case(make_spec("c4", n, seed=11))
+        stream = ArrayStream(x, y, block_size=n)
+        plan = SamplingPlan(criterion="mv", expected_size=1000, seed=11)
+        pilot, pilot_peak = _peak_records(lambda: run_pilot(stream, EXP, 200, 11, "mv"), n)
+        rule = resolve_rule(stream, EXP, pilot, plan, 1000.0)
+        _, main_peak = _peak_records(lambda: second_pass(stream, EXP, pilot, plan, 1000.0, 11, rule=rule), n)
+        assert pilot_peak <= 3.5
+        assert main_peak <= 4.5
 
 
 class TestTwoStep:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, uniforms
@@ -26,6 +27,14 @@ def test_scalar_matches_vector_path():
     vec = uniforms(3, idx, MAIN_STREAM)
     scalar = np.array([uniform_one(3, int(i), MAIN_STREAM) for i in idx])
     assert np.array_equal(vec, scalar)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_indices_left_unchanged(dtype):
+    # the hash rounds run in place on a copy, even when no cast is needed
+    idx = np.arange(3000, 6000, dtype=dtype)
+    uniforms(8, idx, PILOT_STREAM)
+    np.testing.assert_array_equal(idx, np.arange(3000, 6000))
 
 
 def test_streams_are_disjoint():

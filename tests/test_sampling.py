@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlsub.errors import ConfigError, DegenerateScores
-from qlsub.families import IDENTITY
-from qlsub.rng import MAIN_STREAM
+from qlsub.families import EXP, IDENTITY
+from qlsub.rng import MAIN_STREAM, PILOT_STREAM, uniforms
 from qlsub.sampling import (
     SamplingPlan,
     ScoreContext,
@@ -65,6 +65,17 @@ class TestScores:
             2.0 * record_scores(x, y, IDENTITY, beta),
             rtol=1e-12,
         )
+
+    def test_inputs_left_unchanged(self):
+        # the residual arithmetic runs in place on arrays the scorer owns
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(700, 3))
+        y = rng.poisson(2.0, size=700).astype(np.float64)
+        x0, y0 = x.copy(), y.copy()
+        for sigma_inv in (None, np.eye(3)):
+            record_scores(x, y, EXP, np.full(3, 0.1), sigma_inv, offset=300)
+            np.testing.assert_array_equal(x, x0)
+            np.testing.assert_array_equal(y, y0)
 
 
 class TestWaterfill:
@@ -247,6 +258,26 @@ class TestPoissonDraw:
             [block_mask(4, idx[:123], probs[:123]), block_mask(4, idx[123:], probs[123:])]
         )
         np.testing.assert_array_equal(full, split)
+
+    # one float probability is drawn as an integer threshold on the 53-bit hash
+    FLOAT_PROBS = [
+        0.0, 1.0, 5e-324, 1e-300, 2.0**-53, 3 * 2.0**-54, math.nextafter(1.0, 0.0), 0.004,
+        *np.random.default_rng(15).uniform(0, 1, 50).tolist(),
+    ]
+
+    @pytest.mark.parametrize("stream", [PILOT_STREAM, MAIN_STREAM])
+    def test_float_probability_matches_uniform_draw(self, stream):
+        idx = np.arange(200_000)
+        u = uniforms(21, idx, stream)
+        # probabilities at and next to drawn variates put a record on the threshold
+        edges = [q for v in u[:20].tolist() for q in (v, math.nextafter(v, 0.0), math.nextafter(v, 1.0))]
+        for p in self.FLOAT_PROBS + edges:
+            np.testing.assert_array_equal(block_mask(21, idx, p, stream), u < p, err_msg=f"p = {p!r}")
+
+    @pytest.mark.parametrize("p", [-0.0001, 1.0000000000000002, math.inf, math.nan])
+    def test_float_probability_outside_unit_interval_names_first_record(self, p):
+        with pytest.raises(ValueError, match=r"probability outside \[0, 1\] at record 17$"):
+            block_mask(1, np.arange(17, 30), p)
 
 
 class TestSamplingPlan:
