@@ -39,11 +39,15 @@ def derive_seed(seed: int, *parts: int) -> int:
     return key
 
 
-def _hash53(seed: int, indices, stream: int) -> np.ndarray:
-    """53-bit hash of (seed, stream, index), elementwise, in a fresh ``uint64`` array.
+def uniforms(seed: int, indices: np.ndarray, stream: int = MAIN_STREAM) -> np.ndarray:
+    """Uniform(0, 1) variates keyed on (seed, stream, index), elementwise.
 
-    The splitmix rounds run in place on one copy of the indices plus one
-    scratch buffer.  ``(i + 1) * gamma + key`` is folded into
+    ``indices`` are global record indices; the value for a given index never
+    depends on the other indices in the call.  Each variate is a 53-bit
+    hash times ``2**-53``, so it is a multiple of ``2**-53`` in [0, 1).
+
+    The splitmix rounds run in place on one ``uint64`` copy of the indices
+    plus one scratch buffer.  ``(i + 1) * gamma + key`` is folded into
     ``i * gamma + (key + gamma)``, whose constant is reduced as a Python
     int, so no ``uint64`` scalar can overflow.
     """
@@ -56,16 +60,7 @@ def _hash53(seed: int, indices, stream: int) -> np.ndarray:
         z *= np.uint64(mul)
     z ^= np.right_shift(z, np.uint64(31), out=t)
     z >>= np.uint64(11)
-    return z
-
-
-def uniforms(seed: int, indices: np.ndarray, stream: int = MAIN_STREAM) -> np.ndarray:
-    """Uniform(0, 1) variates keyed on (seed, stream, index), elementwise.
-
-    ``indices`` are global record indices; the value for a given index never
-    depends on the other indices in the call.  Each variate is a 53-bit
-    hash times ``2**-53``, so it is a multiple of ``2**-53`` in [0, 1).
-    """
-    u = _hash53(seed, indices, stream).astype(np.float64)
+    del t  # freed before the float copy, so a call holds two arrays at most
+    u = z.astype(np.float64)
     u *= _INV53
     return u

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateScores
 from .families import LinkFamily
-from .rng import MAIN_STREAM, _hash53, uniforms
+from .rng import MAIN_STREAM, uniforms
 
 CRITERIA = ("uniform", "mv", "mvc")
 THRESHOLD_MODES = ("inf", "quantile", "exact")
@@ -245,10 +245,7 @@ def block_mask(seed: int, indices: np.ndarray, probs, stream: int = MAIN_STREAM)
 
     Bit for bit the draws of ``pipeline._scan``: ``stream`` is ``MAIN_STREAM``
     in ``second_pass`` and ``PILOT_STREAM`` in ``run_pilot``.  ``probs`` holds
-    one probability per index, or is one float for them all.  A float ``p``
-    keeps the records whose 53-bit hash ``k`` is below ``ceil(p * 2**53)``:
-    the variate is exactly ``k * 2**-53`` and scaling ``p`` by ``2**53`` is
-    exact, so these are the decisions ``uniforms(...) < p`` with no floats.
+    one probability per index, or is one float for them all.
     """
     p = np.asarray(probs, dtype=np.float64)
     # two reductions screen the block; a NaN fails both comparisons
@@ -256,6 +253,4 @@ def block_mask(seed: int, indices: np.ndarray, probs, stream: int = MAIN_STREAM)
         bad = np.broadcast_to(~((p >= 0.0) & (p <= 1.0)), np.shape(indices))
         idx = np.asarray(indices)[bad][0]
         raise ValueError(f"probability outside [0, 1] at record {int(idx)}")
-    if isinstance(probs, float):
-        return _hash53(seed, indices, stream) < math.ceil(probs * 2.0**53)
     return uniforms(seed, indices, stream) < p

@@ -11,6 +11,10 @@ from qlsub.rng import MAIN_STREAM, derive_seed, uniforms
 from qlsub.sampling import SamplingPlan
 from qlsub.synth import full_qle, generate_case, make_spec
 
+# numpy warns when a uint64 scalar overflows, as the counter hash would if
+# its arithmetic left its arrays
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def poisson_data():

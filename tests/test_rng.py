@@ -6,6 +6,10 @@ from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, uniforms
 
 from _oracles import uniform_one
 
+# numpy warns when a uint64 scalar overflows, as the counter hash would if
+# its arithmetic left its arrays
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_range_and_determinism():
     idx = np.arange(10_000, dtype=np.int64)

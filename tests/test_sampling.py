@@ -19,6 +19,10 @@ from qlsub.sampling import (
 
 from _oracles import optimal_probabilities, uniform_one
 
+# numpy warns when a uint64 scalar overflows, as the counter hash would if
+# its arithmetic left its arrays
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 positive_scores = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=4, max_size=12
 )
@@ -259,20 +263,22 @@ class TestPoissonDraw:
         )
         np.testing.assert_array_equal(full, split)
 
-    # one float probability is drawn as an integer threshold on the 53-bit hash
+    # the pilot passes one float for a whole block in place of a per-record array
     FLOAT_PROBS = [
         0.0, 1.0, 5e-324, 1e-300, 2.0**-53, 3 * 2.0**-54, math.nextafter(1.0, 0.0), 0.004,
         *np.random.default_rng(15).uniform(0, 1, 50).tolist(),
     ]
 
     @pytest.mark.parametrize("stream", [PILOT_STREAM, MAIN_STREAM])
-    def test_float_probability_matches_uniform_draw(self, stream):
+    def test_float_probability_matches_per_record_array(self, stream):
         idx = np.arange(200_000)
         u = uniforms(21, idx, stream)
         # probabilities at and next to drawn variates put a record on the threshold
         edges = [q for v in u[:20].tolist() for q in (v, math.nextafter(v, 0.0), math.nextafter(v, 1.0))]
         for p in self.FLOAT_PROBS + edges:
-            np.testing.assert_array_equal(block_mask(21, idx, p, stream), u < p, err_msg=f"p = {p!r}")
+            np.testing.assert_array_equal(
+                block_mask(21, idx, p, stream), block_mask(21, idx, np.full(idx.size, p), stream), err_msg=f"p = {p!r}"
+            )
 
     @pytest.mark.parametrize("p", [-0.0001, 1.0000000000000002, math.inf, math.nan])
     def test_float_probability_outside_unit_interval_names_first_record(self, p):
