@@ -22,7 +22,6 @@ from .ingest import ArrayStream, CsvStream, RecordStream, partition_view
 from .pipeline import PilotResult, run_pilot, run_two_step, second_pass
 from .sampling import (
     SamplingPlan,
-    ScoreContext,
     shrinkage_probability,
     threshold_quantile,
     waterfill,
@@ -62,7 +61,6 @@ __all__ = [
     "QlsubError",
     "RecordStream",
     "SamplingPlan",
-    "ScoreContext",
     "SingularHessian",
     "aggregate",
     "fit_partition",

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -394,6 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each warning prints as one line; the filters stay as they are, and a
+    # recorder such as pytest.warns still receives the warning itself
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"qlsub: warning: {message}\n"
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as err:
@@ -411,6 +416,8 @@ def main(argv=None) -> int:
     except QlsubError as err:  # pragma: no cover - residual package errors
         print(f"qlsub: error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

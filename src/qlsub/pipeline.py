@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .ingest import RecordStream
 from .rng import MAIN_STREAM, PILOT_STREAM
 from .sampling import (
     SamplingPlan,
-    ScoreContext,
     block_mask,
     record_scores,
     shrinkage_probability,
@@ -59,7 +58,8 @@ class PilotResult:
 class PassSample:
     """Records captured by one Bernoulli scan, in global index order.
 
-    ``min_p`` is the smallest probability any scanned record received.
+    ``expected_size`` is the sum of the scanned records' probabilities, each
+    rounded to a multiple of 2**-32, and ``min_p`` the smallest of them.
     """
 
     x: np.ndarray
@@ -79,31 +79,37 @@ def _scan(stream: RecordStream, seed: int, tag: int, block_probs, cap: float = m
     """Keep each record of ``stream`` independently with its own probability.
 
     ``block_probs(start, x, y)`` gives the probabilities of the block's
-    records, or one float for all of them; the draw for record i is keyed on
-    ``(seed, tag, i)``.
+    records as a new array, which the scan then overwrites, or one float for
+    all of them; the draw for record i is keyed on ``(seed, tag, i)``.
     """
     # empty leading pieces give a scan that keeps nothing the right shapes
     xs, ys = [np.empty((0, stream.dim))], [np.empty(0)]
     ps, idxs = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    expected, min_p = 0.0, math.inf
+    expected, min_p = 0, math.inf
     for start, xb, yb in stream.iter_blocks():
         block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
         probs = block_probs(start, xb, yb)
         # one index list gathers every field of the kept records
         keep = np.flatnonzero(block_mask(seed, block_idx, probs, tag))
-        probs = np.broadcast_to(probs, block_idx.shape)
-        expected += float(probs.sum())
-        min_p = min(min_p, float(probs.min(initial=math.inf)))
+        min_p = min(min_p, float(np.min(probs, initial=math.inf)))
         xs.append(xb[keep])
         ys.append(yb[keep])
-        ps.append(probs[keep])
+        ps.append(np.broadcast_to(probs, block_idx.shape)[keep])
         idxs.append(keep + start)
+        # the expected size sums round(p * 2**32): integers exact in float64,
+        # whose float sums over 2**20 records stay below 2**53 and so are
+        # exact in any order, the same under every block layout
+        if np.ndim(probs) == 0:
+            expected += int(np.rint(probs * 2**32)) * block_idx.shape[0]
+        else:
+            np.rint(np.multiply(probs, 2**32, out=probs), out=probs)
+            expected += sum(int(probs[i : i + 2**20].sum()) for i in range(0, probs.size, 2**20))
     return PassSample(
         x=np.concatenate(xs),
         y=np.concatenate(ys),
         p=np.concatenate(ps),
         indices=np.concatenate(idxs),
-        expected_size=expected,
+        expected_size=expected / 2**32,
         min_p=min_p,
         cap=cap,
     )
@@ -151,6 +157,12 @@ def run_pilot(
     # the gathered pilot records are scored as records 0, 1, ... of px
     scores = record_scores(px, py, family, beta0, sigma0_inv if criterion == "mv" else None)
     psi_hat = float(scores.mean())
+    if psi_hat <= 0.0 and criterion != "uniform":
+        warnings.warn(
+            "pilot residuals are all zero; falling back to uniform probabilities",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     return PilotResult(
         beta0=beta0,
@@ -168,58 +180,50 @@ def run_pilot(
     )
 
 
-def _resolve_cap(
-    stream: RecordStream,
-    family: LinkFamily,
-    pilot: PilotResult,
-    plan: SamplingPlan,
-    ctx: ScoreContext,
-    r: float,
-) -> tuple[float, float]:
-    """Cap value and the matching score normalizer for the chosen mode."""
-    if plan.threshold_mode == "inf":
-        return math.inf, pilot.psi_hat
-    if plan.threshold_mode == "quantile":
-        cap = threshold_quantile(pilot.scores, r, ctx.n_pool)
-        psi = float(np.minimum(pilot.scores, cap).mean())
-        return cap, psi
-    # exact mode: score the whole pool with the pilot estimate, then solve
-    # the capped allocation on it
-    chunks = [ctx.scores(xb, yb, family, start) for start, xb, yb in stream.iter_blocks()]
-    scores = np.concatenate(chunks) if chunks else np.empty(0)
-    cap, _ = waterfill(scores, r)
-    psi = float(np.minimum(scores, cap).mean())
-    return cap, psi
-
-
 @dataclass(frozen=True)
 class ProbabilityRule:
     """Resolved record-to-probability map for one sampling pass.
 
-    ``ctx`` holds the scoring quantities, cap and normalizer; it is None for
-    a uniform rule, which gives every record ``r / n_pool``.
+    A record scored ``s`` by the pilot estimate (``pilot.beta0``, and
+    ``pilot.sigma0_inv`` for mv) gets ``shrinkage_probability(self, s, r,
+    rho)`` capped at one, with ``cap`` and the score normalizer ``psi_hat``
+    resolved for the pool of ``n_pool`` records.  ``psi_hat`` is None for a
+    uniform rule, which gives every record ``r / n_pool``.
     """
 
     pilot: PilotResult
     plan: SamplingPlan
     r: float
     n_pool: float
-    ctx: ScoreContext | None
+    psi_hat: float | None = None
+    cap: float = math.inf
+
+    def __post_init__(self):
+        if self.psi_hat is not None and not self.psi_hat > 0:
+            raise ConfigError("pilot score normalizer must be positive")
+
+    @property
+    def ctx(self) -> ProbabilityRule | None:
+        """The rule itself when it scores records, None when it is uniform."""
+        return None if self.psi_hat is None else self
+
+    def scores(self, x, y, family: LinkFamily, offset: int = 0) -> np.ndarray:
+        """Scores of the records ``offset, offset + 1, ...`` held in ``x``, ``y``."""
+        sigma_inv = self.pilot.sigma0_inv if self.plan.criterion == "mv" else None
+        return record_scores(x, y, family, self.pilot.beta0, sigma_inv, offset)
 
     def probabilities(self, scores: np.ndarray) -> np.ndarray:
         """Capped probabilities of records with these scores."""
-        if self.ctx is None:
+        if self.psi_hat is None:
             return np.full(scores.shape[0], self.r / self.n_pool)
-        return np.minimum(
-            shrinkage_probability(self.ctx, scores, self.r, self.plan.shrinkage), 1.0
-        )
+        return np.minimum(shrinkage_probability(self, scores, self.r, self.plan.shrinkage), 1.0)
 
     def block_probabilities(
         self, xb: np.ndarray, yb: np.ndarray, family: LinkFamily, offset: int = 0
     ) -> np.ndarray:
         """Capped probabilities of the records ``offset, offset + 1, ...``."""
         # a uniform rule reads no scores, so none are computed for it
-        return self.probabilities(yb if self.ctx is None else self.ctx.scores(xb, yb, family, offset))
+        return self.probabilities(yb if self.psi_hat is None else self.scores(xb, yb, family, offset))
 
 
 def resolve_rule(
@@ -234,27 +238,23 @@ def resolve_rule(
 
     The pool size defaults to the stream's record count.  Only the exact
     cap reads the stream, so with ``n_pool`` given and another threshold
-    mode ``stream`` may be None.
+    mode ``stream`` may be None.  A degenerate pilot (``run_pilot`` has
+    warned) gives a uniform rule.
     """
     n_pool = float(stream.n_records if n_pool is None else n_pool)
-    ctx = None
-    if plan.criterion != "uniform":
-        if pilot.degenerate:
-            warnings.warn(
-                "pilot residuals are all zero; falling back to uniform probabilities",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            ctx = ScoreContext(
-                beta0=pilot.beta0,
-                psi_hat=pilot.psi_hat,
-                sigma_inv=pilot.sigma0_inv if plan.criterion == "mv" else None,
-                n_pool=n_pool,
-            )
-            cap, psi_eff = _resolve_cap(stream, family, pilot, plan, ctx, r)
-            ctx = replace(ctx, psi_hat=psi_eff, cap=cap)
-    return ProbabilityRule(pilot=pilot, plan=plan, r=r, n_pool=n_pool, ctx=ctx)
+    uniform = ProbabilityRule(pilot, plan, r, n_pool)
+    if plan.criterion == "uniform" or pilot.degenerate:
+        return uniform
+    scores, cap = pilot.scores, math.inf
+    if plan.threshold_mode == "quantile":
+        cap = threshold_quantile(scores, r, n_pool)
+    elif plan.threshold_mode == "exact":
+        # score the whole pool with the pilot estimate, then solve the capped allocation on it
+        scores = np.concatenate([uniform.scores(xb, yb, family, start) for start, xb, yb in stream.iter_blocks()])
+        cap, _ = waterfill(scores, r)
+    # under the inf cap this is bit for bit pilot.psi_hat
+    psi_hat = float(np.minimum(scores, cap).mean())
+    return ProbabilityRule(pilot, plan, r, n_pool, psi_hat=psi_hat, cap=cap)
 
 
 def second_pass(
@@ -281,7 +281,7 @@ def second_pass(
         seed,
         MAIN_STREAM,
         lambda start, xb, yb: rule.block_probabilities(xb, yb, family, start),
-        cap=math.inf if rule.ctx is None else rule.ctx.cap,
+        cap=rule.cap,
     )
     # at rho = 0 a record's probability is zero exactly when its score is
     if rule.plan.shrinkage == 0.0 and sample.min_p == 0.0:

@@ -44,29 +44,6 @@ class SamplingPlan:
             raise ConfigError("shrinkage must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ScoreContext:
-    """Pilot quantities that score a record and turn the score into a probability.
-
-    ``sigma_inv`` is the pilot curvature inverse for the mv criterion and
-    None for mvc.
-    """
-
-    beta0: np.ndarray
-    psi_hat: float
-    sigma_inv: np.ndarray | None
-    n_pool: float
-    cap: float = math.inf
-
-    def __post_init__(self):
-        if not self.psi_hat > 0:
-            raise ConfigError("pilot score normalizer must be positive")
-
-    def scores(self, x, y, family: LinkFamily, offset: int = 0) -> np.ndarray:
-        """Scores of the records ``offset, offset + 1, ...`` held in ``x``, ``y``."""
-        return record_scores(x, y, family, self.beta0, self.sigma_inv, offset)
-
-
 # Rows per BLAS call in the record kernel.  Every record's products are
 # computed in a call of exactly this shape, at row (global index % TILE_ROWS).
 TILE_ROWS = 512
@@ -103,35 +80,17 @@ def _tiled(x: np.ndarray, offset: int, w: np.ndarray):
         i += take
 
 
-def tile_products(x: np.ndarray, offset: int, *weights: np.ndarray) -> list[np.ndarray]:
-    """``x @ w`` for each ``w``, one fixed-shape BLAS call per record tile.
-
-    Row ``i`` of ``x`` is global record ``offset + i``; the tiles are those
-    of :func:`_tiled`.  A BLAS call of fixed shape accumulates each output
-    element in an order set by the call's shape and the row's place in it,
-    so every record's products are the same whatever the block size, shard
-    layout or source that delivered it, and no other row can change them.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
-    outs = [np.empty((x.shape[0],) + w.shape[1:]) for w in weights]
-    # a non-finite row yields non-finite outputs in that row only, which the
-    # scorer rejects through family.mean, so BLAS need not warn about them
-    with np.errstate(invalid="ignore", over="ignore"):
-        for w, out in zip(weights, outs):
-            for i, rows, prod in _tiled(x, offset, w):
-                out[i : i + len(rows)] = prod
-    return outs
-
-
 def score_parts(x: np.ndarray, offset: int, beta, sigma_inv=None) -> tuple[np.ndarray, np.ndarray]:
     """``(x_i' beta, h(x_i))`` of records offset, offset + 1, ... held in ``x``.
 
     Each tile is multiplied by one augmented matrix in the calls of
-    :func:`tile_products`: ``[beta | sigma_inv']`` for mv, ``beta`` as a
-    one-column matrix for mvc.  ``x_i' beta`` is the first column, and ``h``
-    the row-local norm of the other columns (mv) or of ``x_i`` (mvc), taken
-    while the chunk is in cache.
+    :func:`_tiled`: ``[beta | sigma_inv']`` for mv, ``beta`` as a one-column
+    matrix for mvc.  A BLAS call of fixed shape accumulates each output
+    element in an order set by the call's shape and the row's place in it, so
+    every record's products are the same whatever the block size, shard
+    layout or source that delivered it, and no other row can change them.
+    ``x_i' beta`` is the first column, and ``h`` the row-local norm of the
+    other columns (mv) or of ``x_i`` (mvc), taken while the chunk is in cache.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     w = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
@@ -162,8 +121,8 @@ def record_scores(x, y, family: LinkFamily, beta, sigma_inv=None, offset: int = 
 
 
 def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``x @ beta``: bit for bit the ``x_i' beta`` of ``score_parts(x, 0, beta)`` (mvc)."""
-    return tile_products(x, 0, np.asarray(beta, dtype=np.float64).reshape(-1, 1))[0][:, 0]
+    """``x @ beta``: the ``x_i' beta`` of ``score_parts(x, 0, beta)`` (mvc)."""
+    return score_parts(x, 0, beta)[0]
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -226,17 +185,19 @@ def threshold_quantile(pilot_scores, r: float, n: float) -> float:
     return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
 
-def shrinkage_probability(ctx: ScoreContext, score, r: float, rho: float):
+def shrinkage_probability(rule, score, r: float, rho: float):
     """Blend of score-proportional and uniform probabilities.
 
-    ``(1 - rho) * r * (score ^ cap) / (n * psi_hat) + rho * r / n``; the
-    uniform term floors every probability at ``rho * r / n`` so records with
-    near-zero residuals cannot blow up the weighted estimating equation.
-    Capped at one, it is bit for bit ``ProbabilityRule.probabilities``.
+    ``(1 - rho) * r * (score ^ cap) / (n * psi_hat) + rho * r / n``, with
+    ``cap``, ``n = n_pool`` and ``psi_hat`` read from ``rule``, a scoring
+    ``pipeline.ProbabilityRule``; the uniform term floors every probability
+    at ``rho * r / n`` so records with near-zero residuals cannot blow up the
+    weighted estimating equation.  ``ProbabilityRule.probabilities`` caps it
+    at one.
     """
     s = np.asarray(score, dtype=np.float64)
-    capped = np.minimum(s, ctx.cap) if not math.isinf(ctx.cap) else s
-    out = (1.0 - rho) * r * capped / (ctx.n_pool * ctx.psi_hat) + rho * r / ctx.n_pool
+    capped = np.minimum(s, rule.cap) if not math.isinf(rule.cap) else s
+    out = (1.0 - rho) * r * capped / (rule.n_pool * rule.psi_hat) + rho * r / rule.n_pool
     return out if isinstance(score, np.ndarray) else float(out)
 
 

@@ -20,12 +20,8 @@ from qlsub.estimator import (
 )
 from qlsub.families import EXP, IDENTITY
 from qlsub.ingest import ArrayStream, CsvStream
-from qlsub.sampling import (
-    SamplingPlan,
-    ScoreContext,
-    shrinkage_probability,
-    waterfill,
-)
+from qlsub.pipeline import ProbabilityRule
+from qlsub.sampling import SamplingPlan, shrinkage_probability, waterfill
 from qlsub.synth import full_qle, generate_case, make_spec, timing_study
 
 from _oracles import (
@@ -100,10 +96,10 @@ def test_criterion_3_probability_mass_caps_and_floor():
         capped = probs[scores >= cap]
         assert capped.size == k
         assert np.all(capped == 1.0)
-    ctx = ScoreContext(beta0=np.zeros(1), psi_hat=0.7, sigma_inv=None, n_pool=1000.0)
+    rule = ProbabilityRule(pilot=None, plan=SamplingPlan(), r=50.0, n_pool=1000.0, psi_hat=0.7)
     scores = np.abs(rng.normal(0, 3, 10000))
     for rho in (0.01, 0.2, 0.9):
-        vals = shrinkage_probability(ctx, scores, 50.0, rho)
+        vals = shrinkage_probability(rule, scores, 50.0, rho)
         assert np.all(vals >= rho * 50.0 / 1000.0)
     _report(3, "probability mass sums to r, capped entries are exactly one, "
                "shrinkage floor never violated")

@@ -263,9 +263,22 @@ class TestExitCodes:
         argv = [*command, "--data", str(data), "--family", "exp", "--r", "300", "--r0", "100", "--out", str(out)]
         run = subprocess.run([sys.executable, "-m", "qlsub.cli", *argv], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        assert "pilot residuals are all zero; falling back to uniform probabilities" in run.stderr
+        # one line per warning, even with two shards, and no source location
+        warned = [line for line in run.stderr.splitlines() if "warning" in line.lower()]
+        assert warned == ["qlsub: warning: pilot residuals are all zero; falling back to uniform probabilities"]
+        assert ".py:" not in run.stderr
         assert "Traceback" not in run.stderr
         assert json.loads(out.read_text())["estimate"] == [0.0, 0.0, 0.0]
+
+    def test_warnings_still_reach_a_recorder(self, tmp_path):
+        # the CLI changes how a warning prints, not whether it is raised
+        data = tmp_path / "ones.csv"
+        x = np.random.default_rng(8).normal(size=(2000, 2))
+        np.savetxt(data, np.column_stack([np.ones(2000), x]), fmt="%.17g", delimiter=",")
+        argv = ["fit", "--data", str(data), "--family", "exp", "--r", "200", "--r0", "100",
+                "--out", str(tmp_path / "o.json")]
+        with pytest.warns(RuntimeWarning, match="falling back to uniform"):
+            assert main(argv) == 0
 
 
 class TestFitDocuments:

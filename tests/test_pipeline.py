@@ -1,14 +1,17 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from qlsub.distributed import run_distributed
 from qlsub.errors import ConfigError, PilotFailed
 from qlsub.families import EXP, IDENTITY
 from qlsub.ingest import ArrayStream
 from qlsub.pipeline import resolve_rule, run_pilot, run_two_step, second_pass
-from qlsub.rng import MAIN_STREAM, derive_seed, uniforms
-from qlsub.sampling import SamplingPlan
+from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, uniforms
+from qlsub.sampling import THRESHOLD_MODES, SamplingPlan, block_mask
 from qlsub.synth import full_qle, generate_case, make_spec
 
 # numpy warns when a uint64 scalar overflows, as the counter hash would if
@@ -31,7 +34,8 @@ class TestPilot:
     def test_identical_rows_flagged_degenerate(self):
         x = np.ones((300, 1))
         y = np.ones(300)
-        pilot = run_pilot(ArrayStream(x, y), IDENTITY, 50, seed=1, criterion="mvc")
+        with pytest.warns(RuntimeWarning, match="uniform"):
+            pilot = run_pilot(ArrayStream(x, y), IDENTITY, 50, seed=1, criterion="mvc")
         assert pilot.beta0[0] == pytest.approx(1.0, abs=1e-9)
         assert pilot.psi_hat == 0.0
         assert pilot.degenerate
@@ -235,3 +239,109 @@ class TestTwoStep:
         fit = run_two_step(stream, EXP, plan, 200)
         assert fit.converged
         assert np.isfinite(fit.info["cap"])
+
+
+class TestProbabilityRule:
+    def test_degenerate_pilot_gives_a_silent_uniform_rule(self):
+        # run_pilot warns once; resolving the rule adds no warning (the
+        # module's filter turns any RuntimeWarning into an error)
+        x, y = np.ones((1000, 1)), np.ones(1000)
+        stream = ArrayStream(x, y)
+        for criterion in ("mv", "mvc"):
+            with pytest.warns(RuntimeWarning, match="uniform"):
+                pilot = run_pilot(stream, IDENTITY, 100, seed=41, criterion=criterion)
+            for mode in THRESHOLD_MODES:
+                plan = SamplingPlan(criterion=criterion, expected_size=100, threshold_mode=mode, seed=41)
+                rule = resolve_rule(stream, IDENTITY, pilot, plan, 100.0)
+                assert rule.ctx is None and rule.psi_hat is None and rule.cap == math.inf
+                np.testing.assert_array_equal(rule.block_probabilities(x, y, IDENTITY), np.full(1000, 0.1))
+
+    def test_distributed_run_warns_once_for_a_degenerate_pilot(self):
+        x, y = np.ones((4000, 1)), np.ones(4000)
+        plan = SamplingPlan(criterion="mvc", expected_size=300, seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = run_distributed(ArrayStream(x, y), IDENTITY, plan, 100, 2)
+        assert [str(w.message) for w in caught] == [
+            "pilot residuals are all zero; falling back to uniform probabilities"
+        ]
+        np.testing.assert_allclose(fit.beta, [1.0], atol=1e-12)
+
+    def test_scoring_rule_exposes_itself_as_ctx(self, stream):
+        pilot = run_pilot(stream, EXP, 300, seed=5, criterion="mv")
+        plan = SamplingPlan(criterion="mv", expected_size=1000, threshold_mode="quantile", seed=5)
+        rule = resolve_rule(stream, EXP, pilot, plan, 1000.0)
+        assert rule.ctx is rule and math.isfinite(rule.cap) and rule.psi_hat > 0
+
+
+class TestExpectedSize:
+    @pytest.mark.parametrize("seed", [5, 7, 11])
+    def test_same_under_every_block_layout(self, poisson_data, seed):
+        # the float sum of each block's probabilities moved the last bits
+        # with the block layout; the fixed-point sum does not
+        for criterion in ("mv", "mvc"):
+            for mode in THRESHOLD_MODES:
+                plan = SamplingPlan(criterion=criterion, expected_size=1000, threshold_mode=mode, seed=seed)
+                sizes = {
+                    run_two_step(ArrayStream(*poisson_data, block_size=block), EXP, plan, 300).info[
+                        "expected_second"
+                    ]
+                    for block in (65_536, 7000, 1000, 333)
+                }
+                assert len(sizes) == 1, (criterion, mode, sizes)
+
+    def test_within_rounding_of_the_float_sum(self, stream, poisson_data):
+        x, y = poisson_data
+        pilot = run_pilot(stream, EXP, 300, seed=7, criterion="mv")
+        plan = SamplingPlan(criterion="mv", expected_size=1000, seed=7)
+        rule = resolve_rule(stream, EXP, pilot, plan, 1000.0)
+        sample = second_pass(stream, EXP, pilot, plan, 1000.0, 7, rule=rule)
+        p = rule.block_probabilities(x, y, EXP)
+        # each record's term is p rounded to a multiple of 2**-32
+        assert abs(sample.expected_size - math.fsum(p)) <= x.shape[0] * 2.0**-33
+
+
+class TestUnbiasedScore:
+    """The union weights of ``run_two_step`` make the weighted score unbiased.
+
+    The rule is fixed by one pilot.  Each replicate draws the pilot and the
+    second pass with the package's own ``block_mask`` at ``r0/N`` and at the
+    rule's ``p2``, keeps their union, and weights it by the union
+    probability ``1 - (1 - r0/N)(1 - p2)``.  Over T replicates the mean
+    weighted score at a fixed beta must lie within a z-band of the
+    full-data score; the Poisson design gives its variance exactly.
+    """
+
+    T = 400
+    R0, R = 300, 1000.0
+
+    def z_scores(self, stream, poisson_data, criterion, mode, union_weights=True):
+        x, y = poisson_data
+        n = x.shape[0]
+        pilot = run_pilot(stream, EXP, self.R0, 61, criterion)
+        plan = SamplingPlan(criterion=criterion, expected_size=self.R, threshold_mode=mode)
+        p0 = self.R0 / n
+        p2 = resolve_rule(stream, EXP, pilot, plan, self.R).block_probabilities(x, y, EXP)
+        union = 1.0 - (1.0 - p0) * (1.0 - p2)
+        # score terms at the pilot estimate, away from the full-data root
+        psi = x * (y - EXP.mean(x @ pilot.beta0))[:, None]
+        weighted = psi / (union if union_weights else p2)[:, None]
+        idx = np.arange(n, dtype=np.int64)
+        total = np.zeros(x.shape[1])
+        for t in range(self.T):
+            seed = derive_seed(62, t)
+            kept = block_mask(seed, idx, p0, PILOT_STREAM) | block_mask(seed, idx, p2, MAIN_STREAM)
+            total += weighted[kept].sum(axis=0)
+        variance = (psi**2 * ((1.0 - union) / union)[:, None]).sum(axis=0)
+        return (total / self.T - psi.sum(axis=0)) / np.sqrt(variance / self.T)
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    @pytest.mark.parametrize("criterion", ["mv", "mvc"])
+    def test_union_weights_unbiased(self, stream, poisson_data, criterion, mode):
+        assert np.all(np.abs(self.z_scores(stream, poisson_data, criterion, mode)) <= 4.0)
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_second_pass_weights_alone_are_caught(self, stream, poisson_data, mode):
+        # weighting the union by p2 ignores the pilot's share of each record
+        z = self.z_scores(stream, poisson_data, "mv", mode, union_weights=False)
+        assert np.max(np.abs(z)) > 4.0

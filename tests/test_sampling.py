@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from qlsub.errors import ConfigError, DegenerateScores
 from qlsub.families import EXP, IDENTITY
+from qlsub.pipeline import ProbabilityRule
 from qlsub.rng import MAIN_STREAM, PILOT_STREAM, uniforms
 from qlsub.sampling import (
     SamplingPlan,
-    ScoreContext,
     block_mask,
     record_scores,
     shrinkage_probability,
@@ -175,9 +175,8 @@ class TestThresholdQuantile:
 
 class TestShrinkage:
     def _ctx(self, psi=1.0, n=100.0, cap=math.inf):
-        return ScoreContext(
-            beta0=np.zeros(1), psi_hat=psi, sigma_inv=None, n_pool=n, cap=cap
-        )
+        plan = SamplingPlan(expected_size=10.0)
+        return ProbabilityRule(pilot=None, plan=plan, r=10.0, n_pool=n, psi_hat=psi, cap=cap)
 
     def test_pure_uniform_endpoint(self):
         ctx = self._ctx()
@@ -215,7 +214,14 @@ class TestShrinkage:
 
     def test_psi_must_be_positive(self):
         with pytest.raises(ConfigError):
-            ScoreContext(beta0=np.zeros(1), psi_hat=0.0, sigma_inv=None, n_pool=10.0)
+            ProbabilityRule(pilot=None, plan=SamplingPlan(), r=10.0, n_pool=10.0, psi_hat=0.0)
+
+    def test_rule_caps_the_blend_at_one(self):
+        ctx = self._ctx(psi=0.01)
+        scores = np.array([0.0, 0.05, 1.0, 1e6])
+        want = np.minimum(shrinkage_probability(ctx, scores, 10.0, 0.2), 1.0)
+        np.testing.assert_array_equal(ctx.probabilities(scores), want)
+        assert ctx.probabilities(scores)[-1] == 1.0
 
 
 class TestPoissonDraw:

@@ -1,7 +1,7 @@
 """Per-record scoring is bit-identical under any blocking, sharding or source.
 
 Every record's products go through one fixed-shape BLAS call at the tile row
-set by its global index (``sampling.tile_products``).  These tests vary the
+set by its global index (``sampling.score_parts``).  These tests vary the
 block size, shard bounds, partition count, worker threads, BLAS threads and
 source type, and require the scores, probabilities, draws and estimates to
 match a single-block in-memory run bit for bit.
@@ -30,7 +30,6 @@ from qlsub.sampling import (
     record_scores,
     row_norms,
     score_parts,
-    tile_products,
     whitened_norms,
 )
 
@@ -102,7 +101,7 @@ def scan_outcome(stream, criterion, mode):
     rule = resolve_rule(stream, EXP, pilot, plan, R)
     scores, probs = [], []
     for start, xb, yb in stream.iter_blocks():
-        scores.append(rule.ctx.scores(xb, yb, EXP, start))
+        scores.append(rule.scores(xb, yb, EXP, start))
         probs.append(rule.block_probabilities(xb, yb, EXP, start))
     sample = second_pass(stream, EXP, pilot, plan, R, SEED, rule=rule)
     fit = run_two_step(stream, EXP, plan, R0)
@@ -110,7 +109,7 @@ def scan_outcome(stream, criterion, mode):
         "pilot_scores": pilot.scores,
         "scores": np.concatenate(scores),
         "probs": np.concatenate(probs),
-        "cap": [rule.ctx.cap, rule.ctx.psi_hat],
+        "cap": [rule.cap, rule.psi_hat],
         "draw_p": sample.p,
         "draw_idx": sample.indices.astype(np.float64),
         "beta": fit.beta,
@@ -211,7 +210,7 @@ def test_random_layouts_bit_identical(data, csv_path, block, bounds, source, k, 
     rule = resolve_rule(stream, EXP, pilot, plan_for(criterion, mode), R)
     scores, probs = [], []
     for start, xb, yb in shard.iter_blocks():
-        scores.append(rule.ctx.scores(xb, yb, EXP, start))
+        scores.append(rule.scores(xb, yb, EXP, start))
         probs.append(rule.block_probabilities(xb, yb, EXP, start))
     assert_same_bits(np.concatenate(scores), want["scores"][lo:hi])
     assert_same_bits(np.concatenate(probs), want["probs"][lo:hi])
@@ -221,43 +220,6 @@ def test_random_layouts_bit_identical(data, csv_path, block, bounds, source, k, 
     assert_same_bits(fit.beta, ref.beta)
     assert_same_bits(fit.variance, ref.variance)
     assert fit.info["partition_sizes"] == ref.info["partition_sizes"]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    offset=st.integers(0, 4 * TILE_ROWS),
-    n=st.integers(1, 2 * TILE_ROWS + 3),
-    width=st.sampled_from([None, 1, 3, 5]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_each_record_matches_its_own_padded_tile(offset, n, width, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, 5)) * np.exp(rng.normal(size=(n, 5)))
-    w = rng.normal(size=5 if width is None else (5, width))
-    (out,) = tile_products(x, offset, w)
-    for i in np.unique(rng.integers(0, n, 12)):
-        row = (offset + i) % TILE_ROWS
-        alone = np.zeros((TILE_ROWS, 5))
-        alone[row] = x[i]
-        assert_same_bits(out[i], (alone @ w)[row])
-
-
-@pytest.mark.parametrize("offset", NON_FINITE_OFFSETS)
-def test_non_finite_row_leaves_neighbours_unchanged(offset):
-    rng = np.random.default_rng(offset)
-    x = rng.normal(size=(2 * TILE_ROWS + 40, 6))
-    w = rng.normal(size=(6, 4))
-    beta = rng.normal(size=6)
-    clean = tile_products(x, offset, w, beta)
-    bad = [0, 1, TILE_ROWS // 2, TILE_ROWS + 3, x.shape[0] - 1]
-    poisoned = x.copy()
-    for j, i in enumerate(bad):
-        poisoned[i, j % 6] = (np.nan, np.inf, -np.inf)[j % 3]
-    dirty = tile_products(poisoned, offset, w, beta)
-    keep = np.setdiff1d(np.arange(x.shape[0]), bad)
-    for a, b in zip(clean, dirty):
-        assert_same_bits(a[keep], b[keep])
-        assert not np.isfinite(b[bad]).any()
 
 
 def augmented(beta, sigma_inv):
@@ -278,6 +240,40 @@ def assert_scored_from_own_tile(x, offset, beta, sigma_inv, records):
         z = alone if sigma_inv is None else prod[:, 1:]
         assert_same_bits(eta[i], prod[row, 0])
         assert_same_bits(h[i], np.sqrt(np.einsum("ij,ij->i", z, z))[row])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    offset=st.integers(0, 4 * TILE_ROWS),
+    n=st.integers(1, 2 * TILE_ROWS + 3),
+    width=st.sampled_from([None, 1, 3, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_record_matches_its_own_padded_tile(offset, n, width, seed):
+    # ``width`` rows of sigma_inv give a product of 1 + width columns; None is mvc
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 5)) * np.exp(rng.normal(size=(n, 5)))
+    beta = rng.normal(size=5)
+    sigma_inv = None if width is None else rng.normal(size=(width, 5))
+    assert_scored_from_own_tile(x, offset, beta, sigma_inv, np.unique(rng.integers(0, n, 12)))
+
+
+@pytest.mark.parametrize("offset", NON_FINITE_OFFSETS)
+def test_non_finite_row_leaves_neighbours_unchanged(offset):
+    rng = np.random.default_rng(offset)
+    x = rng.normal(size=(2 * TILE_ROWS + 40, 6))
+    beta = rng.normal(size=6)
+    bad = [0, 1, TILE_ROWS // 2, TILE_ROWS + 3, x.shape[0] - 1]
+    poisoned = x.copy()
+    for j, i in enumerate(bad):
+        poisoned[i, j % 6] = (np.nan, np.inf, -np.inf)[j % 3]
+    keep = np.setdiff1d(np.arange(x.shape[0]), bad)
+    for sigma_inv in (rng.normal(size=(4, 6)), None):
+        clean = score_parts(x, offset, beta, sigma_inv)
+        dirty = score_parts(poisoned, offset, beta, sigma_inv)
+        for a, b in zip(clean, dirty):
+            assert_same_bits(a[keep], b[keep])
+            assert not np.isfinite(b[bad]).any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,9 +340,9 @@ def test_probe_kernels_match_the_scorer(n):
 _PROBE = """
 import hashlib
 import numpy as np
+from types import SimpleNamespace
 from qlsub import EXP, ArrayStream, SamplingPlan
 from qlsub.pipeline import ProbabilityRule
-from qlsub.sampling import ScoreContext
 
 rng = np.random.default_rng(5)
 x = np.column_stack([np.ones(6000), rng.normal(0.0, 0.15, (6000, 34))])
@@ -357,8 +353,8 @@ stream = ArrayStream(x, y, block_size=1500)
 digest = hashlib.sha256()
 for criterion, sigma_inv in (("mv", 0.5 * (a + a.T)), ("mvc", None)):
     plan = SamplingPlan(criterion=criterion, expected_size=400.0, seed=9)
-    ctx = ScoreContext(beta0=beta0, psi_hat=2.0, sigma_inv=sigma_inv, n_pool=6000.0, cap=9.0)
-    rule = ProbabilityRule(pilot=None, plan=plan, r=400.0, n_pool=6000.0, ctx=ctx)
+    pilot = SimpleNamespace(beta0=beta0, sigma0_inv=sigma_inv)
+    rule = ProbabilityRule(pilot=pilot, plan=plan, r=400.0, n_pool=6000.0, psi_hat=2.0, cap=9.0)
     for start, xb, yb in stream.iter_blocks():
         digest.update(rule.block_probabilities(xb, yb, EXP, start).tobytes())
 print(digest.hexdigest())
