@@ -7,10 +7,18 @@ the ``src/qlsub`` it measured (``machine.src_sha256``).  Runs of one workload
 and seed pair up in the order they were made; a run without a partner is
 counted but not used.  For each workload and end-to-end metric of
 ``BENCHMARK.json`` the summary gives each side's median and quartiles over
-the paired runs and the number of pairs the change wins::
+the paired runs and the number of pairs the change wins.  ``--layers`` pairs
+the ``--trace 1`` runs the same way and adds, per workload, the same summary
+of the per-layer metrics that the runs report (``layers``).
 
-    python scripts/bench_pairs.py --parent ../parent/src --change src \\
-        --results .qlbench/results ../parent/.qlbench/results --out BENCH_9.json
+Run both sides from sibling copies made the same way, as the benchmark
+itself does: where a checkout lives can move a workload by a few per cent::
+
+    git archive PARENT --prefix=parent/ | tar -x -C ..
+    git archive HEAD --prefix=change/ | tar -x -C ..
+    # alternate python3 ../parent/qlbench/run.py ... and python3 ../change/qlbench/run.py ...
+    python scripts/bench_pairs.py --parent ../parent/src --change ../change/src \\
+        --results ../parent/.qlbench/results ../change/.qlbench/results --layers --out BENCH.json
 
 ``--parent`` and ``--change`` take a ``src`` directory, whose ``qlsub/*.py``
 files are hashed as the benchmark hashes them, or the hex digest itself.
@@ -43,8 +51,8 @@ def src_digest(spec: str) -> str:
     return spec
 
 
-def load_runs(dirs) -> list[dict]:
-    """End-to-end, non-smoke result records of the given directories, oldest first."""
+def load_runs(dirs, trace: int = 0) -> list[dict]:
+    """Non-smoke result records of the given directories made with ``--trace trace``, oldest first."""
     runs = []
     for d in dirs:
         for path in sorted(Path(d).glob("*.json")):
@@ -52,7 +60,7 @@ def load_runs(dirs) -> list[dict]:
                 continue
             record = json.loads(path.read_text())
             details = record.get("details", {})
-            if details.get("trace") == 0 and not details.get("smoke"):
+            if details.get("trace") == trace and not details.get("smoke"):
                 record["file"] = path.name
                 runs.append(record)
     # the file name ends in the run's start time and process id
@@ -65,7 +73,10 @@ def _spread(values) -> dict:
 
 
 def summarize(runs, digests: dict, metrics: list[dict]) -> dict:
-    """The paired summary of ``runs``; ``digests`` maps each side to its src digest."""
+    """The paired summary of ``runs``; ``digests`` maps each side to its src digest.
+
+    A metric that some paired run does not report is left out.
+    """
     side_of = {digest: side for side, digest in digests.items()}
     grouped = defaultdict(lambda: {side: [] for side in SIDES})
     for run in runs:
@@ -94,6 +105,8 @@ def summarize(runs, digests: dict, metrics: list[dict]) -> dict:
         }
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
+            if not all(name in run["metrics"] for pair in matched for run in pair):
+                continue
             values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in matched]
             wins = sum((c < p) if lower else (c > p) for p, c in values)
             entry["metrics"][name] = {
@@ -124,20 +137,26 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="change src directory or its digest")
     p.add_argument("--results", nargs="+", default=[str(ROOT / ".qlbench" / "results")])
     p.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
+    p.add_argument("--layers", action="store_true", help="also summarize the per-layer metrics of the traced runs")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     digests = {"parent": src_digest(args.parent), "change": src_digest(args.change)}
     if digests["parent"] == digests["change"]:
         raise SystemExit("bench_pairs: parent and change measured the same source")
-    metrics = json.loads(Path(args.benchmark).read_text())["end_to_end"]
-    summary = summarize(load_runs(args.results), digests, metrics)
+    benchmark = json.loads(Path(args.benchmark).read_text())
+    summary = summarize(load_runs(args.results), digests, benchmark["end_to_end"])
+    if args.layers:
+        traced = summarize(load_runs(args.results, trace=1), digests, benchmark["per_layer"])
+        for workload, entry in traced["workloads"].items():
+            summary["workloads"].setdefault(workload, {})["layers"] = entry
     if not summary["workloads"]:
         raise SystemExit("bench_pairs: no paired runs found")
     Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     for workload, entry in summary["workloads"].items():
-        for name, m in entry["metrics"].items():
-            print(f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} {m['unit']}"
-                  f" (change wins {m['change_wins']}/{entry['pairs']})")
+        for label, part in ((workload, entry), (f"{workload} layers", entry.get("layers"))):
+            for name, m in (part or {}).get("metrics", {}).items():
+                print(f"{label} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} {m['unit']}"
+                      f" (change wins {m['change_wins']}/{part['pairs']})")
     return 0
 
 

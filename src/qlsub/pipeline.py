@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import sampling
 from .errors import ConfigError, EmptySample, PilotFailed, SingularHessian
 from .estimator import (
     FitResult,
@@ -28,11 +30,14 @@ from .ingest import RecordStream
 from .rng import MAIN_STREAM, PILOT_STREAM
 from .sampling import (
     SamplingPlan,
+    abs_residuals,
     block_mask,
     record_scores,
+    score_parts,
     shrinkage_probability,
     threshold_quantile,
     waterfill,
+    whitened_at,
 )
 
 
@@ -58,8 +63,13 @@ class PilotResult:
 class PassSample:
     """Records captured by one Bernoulli scan, in global index order.
 
-    ``expected_size`` is the sum of the scanned records' probabilities, each
-    rounded to a multiple of 2**-32, and ``min_p`` the smallest of them.
+    ``expected_size`` estimates the sum of the scanned records'
+    probabilities: the Horvitz-Thompson sum of p / q over the records a
+    thinned scan screened in with probability q, each term rounded to a
+    multiple of 2**-32.  A scan that screens nothing has q = 1 for every
+    record, so there it is the sum of p itself.  ``zero_p`` says whether
+    some record has probability 0: a record screened out at q = 0, or a
+    screened-in record at p = 0.
     """
 
     x: np.ndarray
@@ -67,7 +77,7 @@ class PassSample:
     p: np.ndarray
     indices: np.ndarray
     expected_size: float
-    min_p: float
+    zero_p: bool
     cap: float = math.inf
 
     @property
@@ -75,42 +85,63 @@ class PassSample:
         return self.indices.shape[0]
 
 
+def _fixed_point(terms, n: int) -> int:
+    """Sum of round(t * 2**32) over the n records' terms (one float for all, or an array it overwrites).
+
+    The rounded terms are integers exact in float64, whose float sums over
+    2**20 records stay below 2**53 and so are exact in any order: the sum is
+    the same under every block layout.
+    """
+    if np.ndim(terms) == 0:
+        return int(np.rint(terms * 2**32)) * n
+    np.rint(np.multiply(terms, 2**32, out=terms), out=terms)
+    return sum(int(terms[i : i + 2**20].sum()) for i in range(0, terms.size, 2**20))
+
+
 def _scan(stream: RecordStream, seed: int, tag: int, block_probs, cap: float = math.inf) -> PassSample:
     """Keep each record of ``stream`` independently with its own probability.
 
-    ``block_probs(start, x, y)`` gives the probabilities of the block's
-    records as a new array, which the scan then overwrites, or one float for
-    all of them; the draw for record i is keyed on ``(seed, tag, i)``.
+    ``block_probs(start, x, y)`` gives ``(q, exact)`` for the block's
+    records.  With ``exact`` None, ``q`` is their probabilities, as a new
+    array that the scan then overwrites, or one float for all of them.
+    Otherwise the scan thins: a record is screened in when its uniform lies
+    below q, and ``exact(at)`` gives the probabilities p <= q of the records
+    screened in, at block positions ``at``, which are kept when the same
+    uniform lies below p.  Both draws for record i are keyed on
+    ``(seed, tag, i)``, so a thinned scan keeps exactly the records that a
+    draw at p alone keeps.
     """
     # empty leading pieces give a scan that keeps nothing the right shapes
     xs, ys = [np.empty((0, stream.dim))], [np.empty(0)]
     ps, idxs = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    expected, min_p = 0, math.inf
+    expected, zero_p = 0, False
     for start, xb, yb in stream.iter_blocks():
         block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
-        probs = block_probs(start, xb, yb)
+        q, exact = block_probs(start, xb, yb)
         # one index list gathers every field of the kept records
-        keep = np.flatnonzero(block_mask(seed, block_idx, probs, tag))
-        min_p = min(min_p, float(np.min(probs, initial=math.inf)))
+        keep = np.flatnonzero(block_mask(seed, block_idx, q, tag))
+        zero_p = zero_p or np.min(q, initial=1.0) == 0.0
+        if exact is None:
+            p = np.broadcast_to(q, block_idx.shape)[keep]
+            terms = q
+        else:
+            p = exact(keep)
+            zero_p = zero_p or np.min(p, initial=1.0) == 0.0
+            terms = p / q[keep]
+            kept = block_mask(seed, block_idx[keep], p, tag)
+            keep, p = keep[kept], p[kept]
         xs.append(xb[keep])
         ys.append(yb[keep])
-        ps.append(np.broadcast_to(probs, block_idx.shape)[keep])
+        ps.append(p)
         idxs.append(keep + start)
-        # the expected size sums round(p * 2**32): integers exact in float64,
-        # whose float sums over 2**20 records stay below 2**53 and so are
-        # exact in any order, the same under every block layout
-        if np.ndim(probs) == 0:
-            expected += int(np.rint(probs * 2**32)) * block_idx.shape[0]
-        else:
-            np.rint(np.multiply(probs, 2**32, out=probs), out=probs)
-            expected += sum(int(probs[i : i + 2**20].sum()) for i in range(0, probs.size, 2**20))
+        expected += _fixed_point(terms, block_idx.shape[0])
     return PassSample(
         x=np.concatenate(xs),
         y=np.concatenate(ys),
         p=np.concatenate(ps),
         indices=np.concatenate(idxs),
         expected_size=expected / 2**32,
-        min_p=min_p,
+        zero_p=bool(zero_p),
         cap=cap,
     )
 
@@ -135,7 +166,7 @@ def run_pilot(
             stacklevel=2,
         )
     p0 = float(r0) / n
-    sample = _scan(stream, seed, PILOT_STREAM, lambda start, xb, yb: p0)
+    sample = _scan(stream, seed, PILOT_STREAM, lambda start, xb, yb: (p0, None))
     realized = sample.size
     if realized < d + 1:
         raise PilotFailed(
@@ -225,6 +256,45 @@ class ProbabilityRule:
         # a uniform rule reads no scores, so none are computed for it
         return self.probabilities(yb if self.psi_hat is None else self.scores(xb, yb, family, offset))
 
+    @cached_property
+    def bound_factor(self) -> float:
+        """``||sigma_inv||_2 * (1 + 1e-9)``: the mv ``h(x)`` never exceeds ``bound_factor * ||x||``.
+
+        ``||sigma_inv x|| <= ||sigma_inv||_2 ||x||`` holds exactly.  The
+        rounding of the computed ``h``, of ``||x||`` and of the spectral
+        norm is of order d**1.5 * 2**-53 relative to ``||sigma_inv||_2
+        ||x||`` whatever the condition number, far inside the 1e-9 margin
+        for any d the scorer meets.
+        """
+        return float(np.linalg.norm(self.pilot.sigma0_inv, 2)) * (1.0 + 1e-9)
+
+    def screen(self, xb: np.ndarray, yb: np.ndarray, family: LinkFamily, offset: int = 0):
+        """``(q, exact)`` of the records ``offset, offset + 1, ...`` for a thinned draw.
+
+        An mv rule at dimension ``sampling.THIN_MIN_DIM`` or above bounds
+        each score by ``|y - mean(x'beta)| * bound_factor * ||x||``, which
+        takes only the one-column product that mvc uses.  ``q`` is the
+        capped probability of the bound, and ``exact(at)`` the capped
+        probability of the exact score of the records at block positions
+        ``at``, whitened by :func:`sampling.whitened_at`: bit for bit what
+        :meth:`block_probabilities` gives them.  The rounding of the score,
+        the shrinkage blend and the cap at one is monotone, so p <= q.  Any
+        other rule gives ``(block_probabilities(...), None)``.
+        """
+        if self.psi_hat is None or self.plan.criterion != "mv" or xb.shape[1] < sampling.THIN_MIN_DIM:
+            return self.block_probabilities(xb, yb, family, offset), None
+        eta, norms = score_parts(xb, offset, self.pilot.beta0)
+        # one residual for the bound and the exact score, as record_scores takes it
+        resid = abs_residuals(yb, family, eta)
+        norms *= self.bound_factor
+        q = self.probabilities(np.multiply(resid, norms, out=norms))
+
+        def exact(at):
+            h = whitened_at(xb[at], offset + at, self.pilot.sigma0_inv)
+            return self.probabilities(np.multiply(resid[at], h, out=h))
+
+        return q, exact
+
 
 def resolve_rule(
     stream: RecordStream | None,
@@ -276,15 +346,11 @@ def second_pass(
         raise ConfigError(f"expected size {r} outside (0, {n_pool})")
     if rule is None:
         rule = resolve_rule(stream, family, pilot, plan, r)
-    sample = _scan(
-        stream,
-        seed,
-        MAIN_STREAM,
-        lambda start, xb, yb: rule.block_probabilities(xb, yb, family, start),
-        cap=rule.cap,
-    )
-    # at rho = 0 a record's probability is zero exactly when its score is
-    if rule.plan.shrinkage == 0.0 and sample.min_p == 0.0:
+    sample = _scan(stream, seed, MAIN_STREAM, lambda start, xb, yb: rule.screen(xb, yb, family, start), cap=rule.cap)
+    # at rho = 0 a record's probability is zero exactly when its score is; a
+    # zero score has a zero residual or x = 0 (sigma_inv is nonsingular), so
+    # its bound is zero too unless sigma_inv @ x underflows
+    if rule.plan.shrinkage == 0.0 and sample.zero_p:
         warnings.warn(
             "records with zero score receive probability 0 under rho = 0; "
             "the optimality premises may be violated",

@@ -49,21 +49,25 @@ class SamplingPlan:
 TILE_ROWS = 512
 # Whole tiles per stacked product, so a chunk is still in cache when normed.
 CHUNK_TILES = 8
+# Smallest dimension at which an mv main pass screens each record by a cheap
+# score bound before it whitens any (``pipeline.ProbabilityRule.screen``).
+# Below it the screen costs more than the whitening it saves.
+THIN_MIN_DIM = 16
 
 
-def _tiled(x: np.ndarray, offset: int, w: np.ndarray):
-    """``(i, x[i:j], x[i:j] @ w)`` over consecutive pieces of ``x``.
+def _tiled(x: np.ndarray, offset: int, *ws: np.ndarray):
+    """``(i, x[i:j], [x[i:j] @ w for w in ws])`` over consecutive pieces of ``x``.
 
     Row ``i`` of ``x`` is global record ``offset + i``.  Tiles of
     ``TILE_ROWS`` rows are aligned to the global index.  A run of up to
-    ``CHUNK_TILES`` whole tiles is one stacked matmul, one BLAS call per
-    tile; a partial tile at either edge of ``x`` is copied into a
+    ``CHUNK_TILES`` whole tiles is one stacked matmul per ``w``, one BLAS call
+    per tile; a partial tile at either edge of ``x`` is copied into a
     zero-filled ``TILE_ROWS``-row buffer at row ``(offset + i) % TILE_ROWS``.
-    A chunk's product is written into one buffer that every chunk reuses, so
-    a yielded product is valid only until the next step.
+    Each chunk's products are written into buffers that every chunk reuses,
+    so a yielded product is valid only until the next step.
     """
     n, d = x.shape
-    buf = np.empty((CHUNK_TILES, TILE_ROWS) + w.shape[1:])
+    bufs = [np.empty((CHUNK_TILES, TILE_ROWS) + w.shape[1:]) for w in ws]
     i = 0
     while i < n:
         row = (offset + i) % TILE_ROWS
@@ -71,38 +75,78 @@ def _tiled(x: np.ndarray, offset: int, w: np.ndarray):
         if take == TILE_ROWS:
             take = min(n - i, CHUNK_TILES * TILE_ROWS) // TILE_ROWS * TILE_ROWS
             tiles = x[i : i + take].reshape(-1, TILE_ROWS, d)
-            prod = np.matmul(tiles, w, out=buf[: take // TILE_ROWS]).reshape((take,) + w.shape[1:])
+            prods = [
+                np.matmul(tiles, w, out=buf[: take // TILE_ROWS]).reshape((take,) + w.shape[1:])
+                for w, buf in zip(ws, bufs)
+            ]
         else:
             tile = np.zeros((TILE_ROWS, d))
             tile[row : row + take] = x[i : i + take]
-            prod = (tile @ w)[row : row + take]
-        yield i, x[i : i + take], prod
+            prods = [(tile @ w)[row : row + take] for w in ws]
+        yield i, x[i : i + take], prods
         i += take
+
+
+def _whitener(sigma_inv) -> np.ndarray:
+    """``sigma_inv'`` as the C-ordered matrix that every whitening product uses."""
+    return np.ascontiguousarray(np.asarray(sigma_inv, dtype=np.float64).T)
 
 
 def score_parts(x: np.ndarray, offset: int, beta, sigma_inv=None) -> tuple[np.ndarray, np.ndarray]:
     """``(x_i' beta, h(x_i))`` of records offset, offset + 1, ... held in ``x``.
 
-    Each tile is multiplied by one augmented matrix in the calls of
-    :func:`_tiled`: ``[beta | sigma_inv']`` for mv, ``beta`` as a one-column
-    matrix for mvc.  A BLAS call of fixed shape accumulates each output
-    element in an order set by the call's shape and the row's place in it, so
-    every record's products are the same whatever the block size, shard
-    layout or source that delivered it, and no other row can change them.
-    ``x_i' beta`` is the first column, and ``h`` the row-local norm of the
-    other columns (mv) or of ``x_i`` (mvc), taken while the chunk is in cache.
+    Each tile is multiplied by ``beta`` as a one-column matrix and, for mv,
+    by ``sigma_inv'``, in the calls of :func:`_tiled`.  A BLAS call of fixed
+    shape accumulates each output element in an order set by the call's
+    shape and the row's place in it, so every record's products are the
+    same whatever the block size, shard layout or source that delivered it,
+    and no other row can change them.  mv and mvc share ``x_i' beta`` bit
+    for bit; ``h`` is the row-local norm of the ``sigma_inv'`` product (mv)
+    or of ``x_i`` (mvc), taken while the chunk is in cache.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    w = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+    ws = [np.asarray(beta, dtype=np.float64).reshape(-1, 1)]
     if sigma_inv is not None:
-        w = np.hstack([w, np.asarray(sigma_inv, dtype=np.float64).T])
+        ws.append(_whitener(sigma_inv))
     eta, h2 = np.empty(x.shape[0]), np.empty(x.shape[0])
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, rows, prod in _tiled(x, offset, w):
-            z = rows if sigma_inv is None else prod[:, 1:]
-            eta[i : i + len(rows)] = prod[:, 0]
+        for i, rows, prods in _tiled(x, offset, *ws):
+            z = rows if sigma_inv is None else prods[1]
+            eta[i : i + len(rows)] = prods[0][:, 0]
             h2[i : i + len(rows)] = np.einsum("ij,ij->i", z, z)
     return eta, np.sqrt(h2, out=h2)
+
+
+def whitened_at(x: np.ndarray, indices: np.ndarray, sigma_inv) -> np.ndarray:
+    """``||sigma_inv @ x_j||`` of rows held at global ``indices``.
+
+    Bit for bit the mv ``h`` that :func:`score_parts` gives each of these
+    records, at a cost set by the number of rows, not by the records around
+    them.  Row ``j`` goes to row ``indices[j] % TILE_ROWS`` of a zero-filled
+    tile: the k-th row bound for one tile row goes to tile k, so there are as
+    many tiles as the most rows any tile row receives.  One stacked matmul
+    makes one BLAS call per tile, of the shape and at the row that
+    :func:`_tiled` gives the same record.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    rows = (np.asarray(indices) % TILE_ROWS).astype(np.uint16)
+    counts = np.bincount(rows, minlength=TILE_ROWS)
+    rank = np.empty(rows.size, dtype=np.intp)
+    # a stable sort groups the rows by tile row; each one's rank is its place in its group
+    rank[np.argsort(rows, kind="stable")] = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    tiles = np.zeros((int(counts.max(initial=0)), TILE_ROWS, x.shape[1]))
+    tiles[rank, rows] = x
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = np.matmul(tiles, _whitener(sigma_inv))[rank, rows]
+        return np.sqrt(np.einsum("ij,ij->i", z, z))
+
+
+def abs_residuals(y, family: LinkFamily, eta: np.ndarray) -> np.ndarray:
+    """``|y_i - mean(eta_i)|`` as a new array."""
+    # family.mean returns a new array, so the arithmetic runs in place on it
+    out = family.mean(eta)
+    np.subtract(np.asarray(y, dtype=np.float64), out, out=out)
+    return np.abs(out, out=out)
 
 
 def record_scores(x, y, family: LinkFamily, beta, sigma_inv=None, offset: int = 0) -> np.ndarray:
@@ -112,10 +156,7 @@ def record_scores(x, y, family: LinkFamily, beta, sigma_inv=None, offset: int = 
     ``||x_i||`` otherwise (mvc); both factors come from :func:`score_parts`.
     """
     eta, h = score_parts(x, offset, beta, sigma_inv)
-    # family.mean returns a new array, so the arithmetic runs in place on it
-    out = family.mean(eta)
-    np.subtract(np.asarray(y, dtype=np.float64), out, out=out)
-    np.abs(out, out=out)
+    out = abs_residuals(y, family, eta)
     out *= h
     return out
 

@@ -19,12 +19,20 @@ METRICS = [
 ]
 
 
-def write_run(root, workload, seed, digest, stamp, wall, rss=100.0, trace=0, smoke=False, failed=0):
+LAYERS = [
+    {"name": "pipeline.second_pass_s", "unit": "s", "better": "lower"},
+    {"name": "ingest.parse_mb_per_s", "unit": "MB/s", "better": "higher"},
+]
+
+
+def write_run(root, workload, seed, digest, stamp, wall, rss=100.0, trace=0, smoke=False, failed=0, layers=None):
+    metrics = {"wall_rel": {"value": wall, "unit": "x_ref"}, "peak_rss_mb": {"value": rss, "unit": "MiB"}}
+    metrics.update({name: {"value": value, "unit": "s"} for name, value in (layers or {}).items()})
     record = {
         "correct": True,
         "attempted": 10,
         "failed": failed,
-        "metrics": {"wall_rel": {"value": wall, "unit": "x_ref"}, "peak_rss_mb": {"value": rss, "unit": "MiB"}},
+        "metrics": metrics,
         "details": {"workload": workload, "trace": trace, "smoke": smoke},
         "machine": {"seed": seed, "src_sha256": digest, "git_commit": "c" + digest[:6], "cpu_model": "cpu",
                     "nproc": 2, "llc": "L3", "python": "3", "numpy": "2", "blas": "openblas"},
@@ -85,3 +93,32 @@ def test_main_writes_the_summary(results, tmp_path, capsys):
     with pytest.raises(SystemExit, match="no paired runs"):
         bench_pairs.main(["--parent", PARENT, "--change", "e" * 64, "--results", str(results),
                           "--benchmark", str(bench), "--out", str(out)])
+
+
+def test_layers_pair_the_traced_runs(results, tmp_path, capsys):
+    # two traced pairs on seeds without end-to-end runs; the fixture's
+    # traced change run of seed 1 has no traced parent and stays unpaired
+    for j, (seed, parent, change) in enumerate([(5, 0.05, 0.03), (6, 0.06, 0.07)]):
+        write_run(results, "w1", seed, PARENT, 60 + 2 * j, 1.0, trace=1, layers={"pipeline.second_pass_s": parent})
+        write_run(results, "w1", seed, CHANGE, 61 + 2 * j, 1.0, trace=1, layers={"pipeline.second_pass_s": change})
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": METRICS, "per_layer": LAYERS}))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", PARENT, "--change", CHANGE, "--results", str(results), "--benchmark", str(bench)]
+    assert bench_pairs.main([*argv, "--layers", "--out", str(out)]) == 0
+    w1 = json.loads(out.read_text())["workloads"]["w1"]
+    # the end-to-end summary is the one made without --layers
+    assert w1["pairs"] == 3 and w1["metrics"]["wall_rel"]["change_wins"] == 2
+    layers = w1["layers"]
+    assert layers["pairs"] == 2
+    assert layers["seeds"] == [5, 6]
+    assert layers["unpaired_runs"] == 1
+    # a metric that the runs do not report is left out
+    assert list(layers["metrics"]) == ["pipeline.second_pass_s"]
+    second = layers["metrics"]["pipeline.second_pass_s"]
+    assert second["change_wins"] == 1
+    assert second["parent"]["median"] == pytest.approx(0.055)
+    assert second["change"]["median"] == pytest.approx(0.05)
+    assert "w1 layers pipeline.second_pass_s: 0.055 -> 0.05 s (change wins 1/2)" in capsys.readouterr().out
+    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
+    assert "layers" not in json.loads(out.read_text())["workloads"]["w1"]

@@ -13,6 +13,7 @@ from scipy.stats import norm
 import qlsub
 from qlsub.cli import main
 from qlsub.families import EXP
+from qlsub.rng import PILOT_STREAM, uniforms
 from qlsub.synth import full_qle, generate_case, make_spec, run_replications, write_case_csv
 
 
@@ -249,6 +250,23 @@ class TestExitCodes:
         assert main([*argv, "--y-shift", "2"]) == 0
         assert main(argv) == 3
         assert "negative.csv:321: response -2.0" in capsys.readouterr().err
+
+    def test_overflowing_covariates_on_a_thinned_pass_exit_two(self, tmp_path, capsys):
+        # d = 35 thins the mv main pass; a record outside the pilot whose
+        # covariates are all 1e308 has no finite linear predictor there
+        data = tmp_path / "wide.csv"
+        write_case_csv(make_spec("s4", 4000, seed=3), str(data))
+        lines = data.read_text().splitlines()
+        pilot = uniforms(7, np.arange(4000), PILOT_STREAM) < 400 / 4000
+        record = int(np.flatnonzero(~pilot)[1000])
+        lines[record] = ",".join([lines[record].split(",")[0]] + ["1e308"] * 35)
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.json"
+        argv = ["fit", "--data", str(data), "--criterion", "mv", "--r", "400", "--r0", "400", "--seed", "7"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "qlsub: configuration error: linear predictor must be finite\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["fit"], ["fit-distributed", "--k", "2"]], ids=["fit", "fit-distributed"])
     def test_all_zero_pilot_residuals_fall_back_to_uniform(self, tmp_path, command):

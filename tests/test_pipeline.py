@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qlsub import sampling
 from qlsub.distributed import run_distributed
 from qlsub.errors import ConfigError, PilotFailed
 from qlsub.families import EXP, IDENTITY
@@ -290,6 +292,34 @@ class TestExpectedSize:
                 }
                 assert len(sizes) == 1, (criterion, mode, sizes)
 
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_thinned_estimate_same_under_every_block_layout(self, poisson_data, seed):
+        # a thinned pass sums p / q over the records it screened in, each
+        # term a fixed-point integer as well
+        for mode in THRESHOLD_MODES:
+            plan = SamplingPlan(criterion="mv", expected_size=1000, threshold_mode=mode, seed=seed)
+            with mock.patch.object(sampling, "THIN_MIN_DIM", 0):
+                sizes = {
+                    run_two_step(ArrayStream(*poisson_data, block_size=block), EXP, plan, 300).info[
+                        "expected_second"
+                    ]
+                    for block in (65_536, 7000, 1000, 333)
+                }
+            assert len(sizes) == 1, (mode, sizes)
+
+    def test_thinned_estimate_tracks_the_sum(self, stream, poisson_data):
+        # the Horvitz-Thompson sum is unbiased for the sum of p
+        x, y = poisson_data
+        pilot = run_pilot(stream, EXP, 300, seed=7, criterion="mv")
+        plan = SamplingPlan(criterion="mv", expected_size=1000, seed=7)
+        rule = resolve_rule(stream, EXP, pilot, plan, 1000.0)
+        total = math.fsum(rule.block_probabilities(x, y, EXP))
+        with mock.patch.object(sampling, "THIN_MIN_DIM", 0):
+            sizes = [second_pass(stream, EXP, pilot, plan, 1000.0, derive_seed(7, t), rule=rule).expected_size
+                     for t in range(40)]
+        assert sizes[0] != total
+        assert abs(np.mean(sizes) - total) <= 4.0 * np.std(sizes) / np.sqrt(len(sizes))
+
     def test_within_rounding_of_the_float_sum(self, stream, poisson_data):
         x, y = poisson_data
         pilot = run_pilot(stream, EXP, 300, seed=7, criterion="mv")
@@ -345,3 +375,55 @@ class TestUnbiasedScore:
         # weighting the union by p2 ignores the pilot's share of each record
         z = self.z_scores(stream, poisson_data, "mv", mode, union_weights=False)
         assert np.max(np.abs(z)) > 4.0
+
+
+@pytest.fixture(scope="module")
+def wide_data():
+    """s4 records (d = 35): an mv main pass over them thins."""
+    x, y, _ = generate_case(make_spec("s4", 20_000, seed=5))
+    assert x.shape[1] >= sampling.THIN_MIN_DIM
+    return x, y
+
+
+class TestThinnedFailures:
+    """A thinned mv pass fails, and warns, as the full pass over the same records does."""
+
+    PLAN = SamplingPlan(criterion="mv", expected_size=2000, seed=7)
+
+    @pytest.mark.parametrize("block", [65_536, 1000])
+    def test_nan_response_names_its_record(self, wide_data, block):
+        x, y = wide_data
+        y = y.copy()
+        y[12345] = np.nan
+        with pytest.raises(ValueError, match=r"^probability outside \[0, 1\] at record 12345$"):
+            run_two_step(ArrayStream(x, y, block_size=block), EXP, self.PLAN, 400)
+
+    def test_infinite_covariate_fails_the_linear_predictor(self, wide_data):
+        x, y = wide_data
+        x = x.copy()
+        x[12345, 3] = np.inf
+        with pytest.raises(ValueError, match="^linear predictor must be finite$"):
+            run_two_step(ArrayStream(x, y), EXP, self.PLAN, 400)
+
+    def test_zero_residual_warns_once_at_rho_zero(self, wide_data):
+        x, y = wide_data
+        stream = ArrayStream(x, y)
+        pilot = run_pilot(stream, EXP, 400, seed=7, criterion="mv")
+        plan = SamplingPlan(criterion="mv", expected_size=2000, shrinkage=0.0, seed=7)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            second_pass(stream, EXP, pilot, plan, 2000.0, 7)
+        assert caught == []
+        # record 777 is (1, 0, ..., 0) with response mean(beta0[0]), which every
+        # kernel computes exactly: its residual, score and bound are zero
+        x, y = x.copy(), y.copy()
+        x[777] = 0.0
+        x[777, 0] = 1.0
+        y[777] = EXP.mean(pilot.beta0[:1])[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            second_pass(ArrayStream(x, y), EXP, pilot, plan, 2000.0, 7)
+        assert [str(w.message) for w in caught] == [
+            "records with zero score receive probability 0 under rho = 0; "
+            "the optimality premises may be violated"
+        ]

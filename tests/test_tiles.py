@@ -4,23 +4,29 @@ Every record's products go through one fixed-shape BLAS call at the tile row
 set by its global index (``sampling.score_parts``).  These tests vary the
 block size, shard bounds, partition count, worker threads, BLAS threads and
 source type, and require the scores, probabilities, draws and estimates to
-match a single-block in-memory run bit for bit.
+match a single-block in-memory run bit for bit.  A thinned mv pass, which
+whitens only the records its score bound screens in (``sampling.whitened_at``),
+must keep exactly what the full pass keeps.
 """
 
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qlsub
+from qlsub import sampling
 from qlsub.distributed import run_distributed
 from qlsub.families import EXP
 from qlsub.ingest import ArrayStream, CsvStream, SubsetStream
-from qlsub.pipeline import resolve_rule, run_pilot, run_two_step, second_pass
+from qlsub.pipeline import ProbabilityRule, resolve_rule, run_pilot, run_two_step, second_pass
 from qlsub.sampling import (
     CHUNK_TILES,
     THRESHOLD_MODES,
@@ -30,6 +36,7 @@ from qlsub.sampling import (
     record_scores,
     row_norms,
     score_parts,
+    whitened_at,
     whitened_norms,
 )
 
@@ -94,6 +101,13 @@ def plan_for(criterion, mode):
     return SamplingPlan(criterion=criterion, expected_size=R, threshold_mode=mode, seed=SEED)
 
 
+@contextmanager
+def thinned():
+    """Every mv main pass screens by the score bound, whatever its dimension."""
+    with mock.patch.object(sampling, "THIN_MIN_DIM", 0):
+        yield
+
+
 def scan_outcome(stream, criterion, mode):
     """Scores, probabilities, second-pass draws and the two-step fit."""
     plan = plan_for(criterion, mode)
@@ -112,6 +126,8 @@ def scan_outcome(stream, criterion, mode):
         "cap": [rule.cap, rule.psi_hat],
         "draw_p": sample.p,
         "draw_idx": sample.indices.astype(np.float64),
+        "draw_x": sample.x,
+        "draw_y": sample.y,
         "beta": fit.beta,
         "variance": fit.variance,
     }
@@ -222,24 +238,30 @@ def test_random_layouts_bit_identical(data, csv_path, block, bounds, source, k, 
     assert fit.info["partition_sizes"] == ref.info["partition_sizes"]
 
 
-def augmented(beta, sigma_inv):
-    """The scorer's product matrix: ``beta`` as a column, then ``sigma_inv'`` for mv."""
-    w = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
-    return w if sigma_inv is None else np.hstack([w, sigma_inv.T])
+def split_products(beta, sigma_inv):
+    """The scorer's product matrices: ``beta`` as a column, and ``sigma_inv'`` for mv."""
+    column = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+    return column, None if sigma_inv is None else np.ascontiguousarray(sigma_inv.T)
 
 
 def assert_scored_from_own_tile(x, offset, beta, sigma_inv, records):
-    """Each record's ``(eta, h)`` is what its own zero-padded tile gives."""
+    """Each record's ``(eta, h)`` is what its own zero-padded tile gives.
+
+    ``eta`` comes from the one-column product and an mv ``h`` from the
+    ``sigma_inv'`` product, the same for mv and mvc; ``whitened_at`` gives
+    the gathered records the same ``h``.
+    """
     eta, h = score_parts(x, offset, beta, sigma_inv)
-    w = augmented(beta, sigma_inv)
+    column, whitener = split_products(beta, sigma_inv)
     for i in records:
         row = (offset + i) % TILE_ROWS
         alone = np.zeros((TILE_ROWS, x.shape[1]))
         alone[row] = x[i]
-        prod = alone @ w
-        z = alone if sigma_inv is None else prod[:, 1:]
-        assert_same_bits(eta[i], prod[row, 0])
+        z = alone if whitener is None else alone @ whitener
+        assert_same_bits(eta[i], (alone @ column)[row, 0])
         assert_same_bits(h[i], np.sqrt(np.einsum("ij,ij->i", z, z))[row])
+    if sigma_inv is not None:
+        assert_same_bits(whitened_at(x[records], offset + np.asarray(records), sigma_inv), h[records])
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,30 +401,142 @@ print(digest.hexdigest())
 """
 
 
-def test_full_chunks_independent_of_blas_threads():
-    """Whole chunks of the s4 width give the same bits on one or two BLAS threads."""
+_THIN_PROBE = """
+import hashlib
+import numpy as np
+from types import SimpleNamespace
+from qlsub import EXP, ArrayStream, SamplingPlan
+from qlsub.pipeline import ProbabilityRule, second_pass
+from qlsub.sampling import THIN_MIN_DIM, record_scores
+
+rng = np.random.default_rng(6)
+x = np.column_stack([np.ones(6000), rng.normal(0.0, 0.15, (6000, 34))])
+y = rng.poisson(np.exp(x[:, :3] @ np.array([0.5, 0.4, -0.3]))).astype(np.float64)
+a = rng.normal(size=(35, 35))
+pilot = SimpleNamespace(beta0=rng.normal(0.0, 0.1, 35), sigma0_inv=a @ a.T / 35 + np.eye(35))
+assert x.shape[1] >= THIN_MIN_DIM  # the s4 width thins
+psi = float(record_scores(x, y, EXP, pilot.beta0, pilot.sigma0_inv).mean())
+digest = hashlib.sha256()
+for cap in (np.inf, 2.0 * psi):
+    plan = SamplingPlan(criterion="mv", expected_size=300.0, seed=9)
+    rule = ProbabilityRule(pilot=pilot, plan=plan, r=300.0, n_pool=6000.0, psi_hat=psi, cap=cap)
+    for block in (6000, 1500, 777):
+        sample = second_pass(ArrayStream(x, y, block_size=block), EXP, None, plan, 300.0, 9, rule=rule)
+        for part in (sample.indices, sample.x, sample.p, sample.expected_size):
+            digest.update(np.asarray(part).tobytes())
+    # every record whitened at once: a dozen packed tiles
+    q, exact = rule.screen(x, y, EXP, 13)
+    digest.update(q.tobytes())
+    digest.update(exact(np.arange(6000)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def probe_digests(probe):
+    """The digest that ``probe`` prints under one and under two OpenBLAS threads."""
     src = str(Path(qlsub.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
-            [sys.executable, "-c", _CHUNK_PROBE], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         digests.append(out.stdout.strip())
     assert len(digests[0]) == 64
-    assert digests[0] == digests[1]
+    return digests
+
+
+def test_full_chunks_independent_of_blas_threads():
+    """Whole chunks of the s4 width give the same bits on one or two BLAS threads."""
+    one, two = probe_digests(_CHUNK_PROBE)
+    assert one == two
 
 
 def test_probabilities_independent_of_blas_threads():
-    src = str(Path(qlsub.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
-        )
-        digests.append(out.stdout.strip())
-    assert len(digests[0]) == 64
-    assert digests[0] == digests[1]
+    one, two = probe_digests(_PROBE)
+    assert one == two
+
+
+def test_thinned_pass_independent_of_blas_threads():
+    """A thinned s4-width pass and its packed tiles give the same bits on one or two BLAS threads."""
+    one, two = probe_digests(_THIN_PROBE)
+    assert one == two
+
+
+@pytest.mark.parametrize("block", EDGE_BLOCKS)
+def test_thinned_pass_matches_the_full_pass(data, block):
+    stream = ArrayStream(*data, block_size=block)
+    for mode in THRESHOLD_MODES:
+        want = reference(data, "mv", mode)
+        with thinned(), mock.patch("qlsub.pipeline.whitened_at", wraps=whitened_at) as whiten:
+            got = scan_outcome(stream, "mv", mode)
+        # the screen whitened some records, and far from all
+        assert whiten.called
+        assert sum(len(call.args[1]) for call in whiten.call_args_list) < N
+        for name in want:
+            assert_same_bits(got[name], want[name])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    block=st.one_of(st.sampled_from(EDGE_BLOCKS), st.integers(2, N)),
+    bounds=st.integers(0, N - 2 * int(R)).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 2 * int(R), N))),
+    k=st.sampled_from([1, 3, 4]),
+    threads=st.sampled_from([1, 2, 4]),
+    mode=st.sampled_from(THRESHOLD_MODES),
+)
+def test_thinned_random_layouts_bit_identical(data, block, bounds, k, threads, mode):
+    stream = ArrayStream(*data, block_size=block)
+    plan = plan_for("mv", mode)
+    pilot = run_pilot(stream, EXP, R0, SEED, "mv")
+    # an unaligned shard [lo, hi) draws the same records thinned or not
+    shard = SubsetStream(stream, *bounds)
+    rule = resolve_rule(shard, EXP, pilot, plan, R)
+    full = second_pass(shard, EXP, pilot, plan, R, SEED, rule=rule)
+    with thinned():
+        thin = second_pass(shard, EXP, pilot, plan, R, SEED, rule=rule)
+        fit = run_distributed(stream, EXP, plan, R0, k, threads=threads)
+    np.testing.assert_array_equal(thin.indices, full.indices)
+    for name in ("x", "y", "p"):
+        assert_same_bits(getattr(thin, name), getattr(full, name))
+    ref = reference(data, "mv", mode, k)
+    assert_same_bits(fit.beta, ref.beta)
+    assert_same_bits(fit.variance, ref.variance)
+    assert fit.info["partition_sizes"] == ref.info["partition_sizes"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 64),
+    log_cond=st.floats(0.0, 8.0),
+    n=st.integers(1, 3 * TILE_ROWS),
+    offset=st.integers(0, 4 * TILE_ROWS),
+    rho=st.sampled_from([0.0, 0.2]),
+    capped=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_probability_never_exceeds_the_bound(d, log_cond, n, offset, rho, capped, seed):
+    """p <= q for dense sigma_inv with condition numbers up to 1e8."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    v = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    sigma_inv = (u * (np.logspace(0.0, -log_cond, d) * np.exp(rng.normal(0.0, 3.0)))) @ v.T
+    x = rng.normal(size=(n, d)) * np.exp(rng.normal(0.0, 2.0, (n, 1)))
+    # rows along the top right singular vector meet ||sigma_inv x|| = ||sigma_inv||_2 ||x||
+    top = rng.random(n) < 0.3
+    x[top] = np.outer(rng.normal(0.0, 5.0, top.sum()), v[:, 0])
+    beta = rng.normal(0.0, 0.1 / np.sqrt(d), d)
+    y = rng.poisson(1.0, n).astype(np.float64)
+    scores = record_scores(x, y, EXP, beta, sigma_inv, offset)
+    cap = float(np.quantile(scores, 0.8)) if capped else np.inf
+    plan = SamplingPlan(criterion="mv", expected_size=max(n / 10, 0.5), shrinkage=rho)
+    rule = ProbabilityRule(
+        pilot=SimpleNamespace(beta0=beta, sigma0_inv=sigma_inv), plan=plan, r=plan.expected_size,
+        n_pool=float(n), psi_hat=float(scores.mean()) or 1.0, cap=cap,
+    )
+    with thinned():
+        q, exact = rule.screen(x, y, EXP, offset)
+    p = exact(np.arange(n))
+    assert np.all(p <= q)
+    assert_same_bits(p, rule.block_probabilities(x, y, EXP, offset))
