@@ -7,9 +7,10 @@ the ``src/qlsub`` it measured (``machine.src_sha256``).  Runs of one workload
 and seed pair up in the order they were made; a run without a partner is
 counted but not used.  For each workload and end-to-end metric of
 ``BENCHMARK.json`` the summary gives each side's median and quartiles over
-the paired runs and the number of pairs the change wins.  ``--layers`` pairs
-the ``--trace 1`` runs the same way and adds, per workload, the same summary
-of the per-layer metrics that the runs report (``layers``).
+the paired runs and the number of pairs the change wins; a paired run that
+lacks one of them stops the script.  Where there are ``--trace 1`` runs, they
+are paired the same way, and each workload also gets the same summary of the
+per-layer metrics that its traced runs report (``layers``).
 
 Run both sides from sibling copies made the same way, as the benchmark
 itself does: where a checkout lives can move a workload by a few per cent::
@@ -18,7 +19,7 @@ itself does: where a checkout lives can move a workload by a few per cent::
     git archive HEAD --prefix=change/ | tar -x -C ..
     # alternate python3 ../parent/qlbench/run.py ... and python3 ../change/qlbench/run.py ...
     python scripts/bench_pairs.py --parent ../parent/src --change ../change/src \\
-        --results ../parent/.qlbench/results ../change/.qlbench/results --layers --out BENCH.json
+        --results ../parent/.qlbench/results ../change/.qlbench/results --out BENCH.json
 
 ``--parent`` and ``--change`` take a ``src`` directory, whose ``qlsub/*.py``
 files are hashed as the benchmark hashes them, or the hex digest itself.
@@ -72,10 +73,11 @@ def _spread(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def summarize(runs, digests: dict, metrics: list[dict]) -> dict:
+def summarize(runs, digests: dict, metrics: list[dict], partial: bool = False) -> dict:
     """The paired summary of ``runs``; ``digests`` maps each side to its src digest.
 
-    A metric that some paired run does not report is left out.
+    A metric that some paired run does not report stops the script, or with
+    ``partial`` is left out.
     """
     side_of = {digest: side for side, digest in digests.items()}
     grouped = defaultdict(lambda: {side: [] for side in SIDES})
@@ -105,8 +107,11 @@ def summarize(runs, digests: dict, metrics: list[dict]) -> dict:
         }
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
-            if not all(name in run["metrics"] for pair in matched for run in pair):
+            lacking = [run["file"] for pair in matched for run in pair if name not in run["metrics"]]
+            if lacking and partial:
                 continue
+            if lacking:
+                raise SystemExit(f"bench_pairs: {workload} run {lacking[0]} lacks {name}")
             values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in matched]
             wins = sum((c < p) if lower else (c > p) for p, c in values)
             entry["metrics"][name] = {
@@ -137,7 +142,6 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="change src directory or its digest")
     p.add_argument("--results", nargs="+", default=[str(ROOT / ".qlbench" / "results")])
     p.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
-    p.add_argument("--layers", action="store_true", help="also summarize the per-layer metrics of the traced runs")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     digests = {"parent": src_digest(args.parent), "change": src_digest(args.change)}
@@ -145,10 +149,9 @@ def main(argv=None) -> int:
         raise SystemExit("bench_pairs: parent and change measured the same source")
     benchmark = json.loads(Path(args.benchmark).read_text())
     summary = summarize(load_runs(args.results), digests, benchmark["end_to_end"])
-    if args.layers:
-        traced = summarize(load_runs(args.results, trace=1), digests, benchmark["per_layer"])
-        for workload, entry in traced["workloads"].items():
-            summary["workloads"].setdefault(workload, {})["layers"] = entry
+    traced = summarize(load_runs(args.results, trace=1), digests, benchmark["per_layer"], partial=True)
+    for workload, entry in traced["workloads"].items():
+        summary["workloads"].setdefault(workload, {})["layers"] = entry
     if not summary["workloads"]:
         raise SystemExit("bench_pairs: no paired runs found")
     Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")

@@ -260,34 +260,47 @@ class ProbabilityRule:
     def bound_factor(self) -> float:
         """``||sigma_inv||_2 * (1 + 1e-9)``: the mv ``h(x)`` never exceeds ``bound_factor * ||x||``.
 
-        ``||sigma_inv x|| <= ||sigma_inv||_2 ||x||`` holds exactly.  The
-        rounding of the computed ``h``, of ``||x||`` and of the spectral
-        norm is of order d**1.5 * 2**-53 relative to ``||sigma_inv||_2
-        ||x||`` whatever the condition number, far inside the 1e-9 margin
-        for any d the scorer meets.
+        ``||sigma_inv x|| <= ||sigma_inv||_2 ||x||`` holds exactly.  While
+        ``||x||`` and the bound lie in [1e-150, 1e150], the rounding of the
+        computed ``h``, of ``||x||`` and of the spectral norm is of order
+        d**1.5 * 2**-53 relative to ``||sigma_inv||_2 ||x||`` whatever the
+        condition number, far inside the 1e-9 margin for any d the scorer
+        meets; :meth:`screen` screens in every record outside that range.
         """
         return float(np.linalg.norm(self.pilot.sigma0_inv, 2)) * (1.0 + 1e-9)
 
     def screen(self, xb: np.ndarray, yb: np.ndarray, family: LinkFamily, offset: int = 0):
         """``(q, exact)`` of the records ``offset, offset + 1, ...`` for a thinned draw.
 
-        An mv rule at dimension ``sampling.THIN_MIN_DIM`` or above bounds
-        each score by ``|y - mean(x'beta)| * bound_factor * ||x||``, which
-        takes only the one-column product that mvc uses.  ``q`` is the
-        capped probability of the bound, and ``exact(at)`` the capped
-        probability of the exact score of the records at block positions
-        ``at``, whitened by :func:`sampling.whitened_at`: bit for bit what
+        An mv rule at dimension ``sampling.THIN_MIN_DIM`` or above and rate
+        ``r / n_pool`` at most ``sampling.THIN_MAX_RATE`` bounds each score
+        by ``|y - mean(x'beta)| * bound_factor * ||x||``, which takes only
+        the one-column product that mvc uses.  ``q`` is the capped
+        probability of the bound, and ``exact(at)`` the capped probability
+        of the exact score of the records at block positions ``at``,
+        whitened by :func:`sampling.whitened_at`: bit for bit what
         :meth:`block_probabilities` gives them.  The rounding of the score,
         the shrinkage blend and the cap at one is monotone, so p <= q.  Any
         other rule gives ``(block_probabilities(...), None)``.
         """
-        if self.psi_hat is None or self.plan.criterion != "mv" or xb.shape[1] < sampling.THIN_MIN_DIM:
+        if (
+            self.psi_hat is None
+            or self.plan.criterion != "mv"
+            or xb.shape[1] < sampling.THIN_MIN_DIM
+            or self.r > sampling.THIN_MAX_RATE * self.n_pool
+        ):
             return self.block_probabilities(xb, yb, family, offset), None
         eta, norms = score_parts(xb, offset, self.pilot.beta0)
         # one residual for the bound and the exact score, as record_scores takes it
         resid = abs_residuals(yb, family, eta)
-        norms *= self.bound_factor
+        # the margin holds while every square in ||x|| and h is a normal
+        # number or far below one; a record whose ||x|| or bound lies outside
+        # [1e-150, 1e150] is screened in, so its exact p decides it
+        scale = self.bound_factor
+        unsafe = ~((norms >= 1e-150 / min(scale, 1.0)) & (norms <= 1e150 / max(scale, 1.0)))
+        norms *= scale
         q = self.probabilities(np.multiply(resid, norms, out=norms))
+        q[unsafe] = 1.0
 
         def exact(at):
             h = whitened_at(xb[at], offset + at, self.pilot.sigma0_inv)
@@ -349,7 +362,7 @@ def second_pass(
     sample = _scan(stream, seed, MAIN_STREAM, lambda start, xb, yb: rule.screen(xb, yb, family, start), cap=rule.cap)
     # at rho = 0 a record's probability is zero exactly when its score is; a
     # zero score has a zero residual or x = 0 (sigma_inv is nonsingular), so
-    # its bound is zero too unless sigma_inv @ x underflows
+    # its bound is zero too, or the record is screened in at q = 1
     if rule.plan.shrinkage == 0.0 and sample.zero_p:
         warnings.warn(
             "records with zero score receive probability 0 under rho = 0; "

@@ -53,6 +53,10 @@ CHUNK_TILES = 8
 # score bound before it whitens any (``pipeline.ProbabilityRule.screen``).
 # Below it the screen costs more than the whitening it saves.
 THIN_MIN_DIM = 16
+# Largest sampling rate r / n_pool at which it screens.  The bound lets a few
+# times that share of the records through, and from about 4 % of them on,
+# packing and whitening them costs more than whitening every record.
+THIN_MAX_RATE = 0.01
 
 
 def _tiled(x: np.ndarray, offset: int, *ws: np.ndarray):

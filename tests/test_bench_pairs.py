@@ -83,13 +83,15 @@ def test_main_writes_the_summary(results, tmp_path, capsys):
     digest = hashlib.sha256(b"x = 1\ny = 2\n").hexdigest()
     assert bench_pairs.src_digest(str(tmp_path / "src")) == digest
     bench = tmp_path / "BENCHMARK.json"
-    bench.write_text(json.dumps({"end_to_end": METRICS}))
+    bench.write_text(json.dumps({"end_to_end": METRICS, "per_layer": LAYERS}))
     out = tmp_path / "BENCH.json"
     argv = ["--parent", PARENT, "--change", CHANGE, "--results", str(results), "--benchmark", str(bench)]
     assert bench_pairs.main([*argv, "--out", str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["workloads"]["w1"]["metrics"]["wall_rel"]["change_wins"] == 2
     assert "w1 wall_rel: 2 -> 1.1 x_ref (change wins 2/3)" in capsys.readouterr().out
+    # the one traced run has no partner, so no layers are summarized
+    assert "layers" not in summary["workloads"]["w1"]
     with pytest.raises(SystemExit, match="no paired runs"):
         bench_pairs.main(["--parent", PARENT, "--change", "e" * 64, "--results", str(results),
                           "--benchmark", str(bench), "--out", str(out)])
@@ -105,9 +107,9 @@ def test_layers_pair_the_traced_runs(results, tmp_path, capsys):
     bench.write_text(json.dumps({"end_to_end": METRICS, "per_layer": LAYERS}))
     out = tmp_path / "BENCH.json"
     argv = ["--parent", PARENT, "--change", CHANGE, "--results", str(results), "--benchmark", str(bench)]
-    assert bench_pairs.main([*argv, "--layers", "--out", str(out)]) == 0
+    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
     w1 = json.loads(out.read_text())["workloads"]["w1"]
-    # the end-to-end summary is the one made without --layers
+    # the end-to-end summary is the one made from the untraced runs alone
     assert w1["pairs"] == 3 and w1["metrics"]["wall_rel"]["change_wins"] == 2
     layers = w1["layers"]
     assert layers["pairs"] == 2
@@ -120,5 +122,10 @@ def test_layers_pair_the_traced_runs(results, tmp_path, capsys):
     assert second["parent"]["median"] == pytest.approx(0.055)
     assert second["change"]["median"] == pytest.approx(0.05)
     assert "w1 layers pipeline.second_pass_s: 0.055 -> 0.05 s (change wins 1/2)" in capsys.readouterr().out
-    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
-    assert "layers" not in json.loads(out.read_text())["workloads"]["w1"]
+
+
+def test_missing_end_to_end_metric_stops(results):
+    runs = bench_pairs.load_runs([results])
+    del next(run for run in runs if run["machine"]["seed"] == 2)["metrics"]["peak_rss_mb"]
+    with pytest.raises(SystemExit, match=r"^bench_pairs: w1 run w1-seed2-.* lacks peak_rss_mb$"):
+        bench_pairs.summarize(runs, {"parent": PARENT, "change": CHANGE}, METRICS)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from qlsub.distributed import run_distributed
 from qlsub.errors import ConfigError, PilotFailed
 from qlsub.families import EXP, IDENTITY
 from qlsub.ingest import ArrayStream
-from qlsub.pipeline import resolve_rule, run_pilot, run_two_step, second_pass
+from qlsub.pipeline import ProbabilityRule, resolve_rule, run_pilot, run_two_step, second_pass
 from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, uniforms
 from qlsub.sampling import THRESHOLD_MODES, SamplingPlan, block_mask
 from qlsub.synth import full_qle, generate_case, make_spec
@@ -298,7 +299,7 @@ class TestExpectedSize:
         # term a fixed-point integer as well
         for mode in THRESHOLD_MODES:
             plan = SamplingPlan(criterion="mv", expected_size=1000, threshold_mode=mode, seed=seed)
-            with mock.patch.object(sampling, "THIN_MIN_DIM", 0):
+            with mock.patch.multiple(sampling, THIN_MIN_DIM=0, THIN_MAX_RATE=1.0):
                 sizes = {
                     run_two_step(ArrayStream(*poisson_data, block_size=block), EXP, plan, 300).info[
                         "expected_second"
@@ -314,7 +315,7 @@ class TestExpectedSize:
         plan = SamplingPlan(criterion="mv", expected_size=1000, seed=7)
         rule = resolve_rule(stream, EXP, pilot, plan, 1000.0)
         total = math.fsum(rule.block_probabilities(x, y, EXP))
-        with mock.patch.object(sampling, "THIN_MIN_DIM", 0):
+        with mock.patch.multiple(sampling, THIN_MIN_DIM=0, THIN_MAX_RATE=1.0):
             sizes = [second_pass(stream, EXP, pilot, plan, 1000.0, derive_seed(7, t), rule=rule).expected_size
                      for t in range(40)]
         assert sizes[0] != total
@@ -379,16 +380,44 @@ class TestUnbiasedScore:
 
 @pytest.fixture(scope="module")
 def wide_data():
-    """s4 records (d = 35): an mv main pass over them thins."""
+    """s4 records (d = 35): an mv main pass over them at r / N = 0.01 thins."""
     x, y, _ = generate_case(make_spec("s4", 20_000, seed=5))
     assert x.shape[1] >= sampling.THIN_MIN_DIM
     return x, y
 
 
+ZERO_SCORE_WARNING = (
+    "records with zero score receive probability 0 under rho = 0; the optimality premises may be violated"
+)
+
+
+def second_pass_warnings(x, y, pilot, plan, thin=True):
+    """Kept indices and warning messages of an mv main pass, thinned or full."""
+    floor = sampling.THIN_MIN_DIM if thin else x.shape[1] + 1
+    with mock.patch.object(sampling, "THIN_MIN_DIM", floor), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sample = second_pass(ArrayStream(x, y), EXP, pilot, plan, plan.expected_size, plan.seed)
+    return sample.indices, [str(w.message) for w in caught]
+
+
 class TestThinnedFailures:
     """A thinned mv pass fails, and warns, as the full pass over the same records does."""
 
-    PLAN = SamplingPlan(criterion="mv", expected_size=2000, seed=7)
+    PLAN = SamplingPlan(criterion="mv", expected_size=200, seed=7)
+    RHO0 = SamplingPlan(criterion="mv", expected_size=200, shrinkage=0.0, seed=7)
+
+    def test_screen_follows_dimension_and_rate(self, wide_data):
+        x, y = wide_data
+        stream = ArrayStream(x, y)
+        pilot = run_pilot(stream, EXP, 400, seed=7, criterion="mv")
+        n = x.shape[0]
+        for r, d, thins in [(200.0, 35, True), (400.0, 35, False), (200.0, 7, False)]:
+            plan = SamplingPlan(criterion="mv", expected_size=r, seed=7)
+            rule = resolve_rule(stream, EXP, pilot, plan, r)
+            assert (r / n <= sampling.THIN_MAX_RATE) == (r == 200.0)
+            with mock.patch.object(sampling, "THIN_MIN_DIM", 16 if d == 35 else 36):
+                _, exact = rule.screen(x, y, EXP)
+            assert (exact is not None) == thins
 
     @pytest.mark.parametrize("block", [65_536, 1000])
     def test_nan_response_names_its_record(self, wide_data, block):
@@ -407,23 +436,45 @@ class TestThinnedFailures:
 
     def test_zero_residual_warns_once_at_rho_zero(self, wide_data):
         x, y = wide_data
-        stream = ArrayStream(x, y)
-        pilot = run_pilot(stream, EXP, 400, seed=7, criterion="mv")
-        plan = SamplingPlan(criterion="mv", expected_size=2000, shrinkage=0.0, seed=7)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second_pass(stream, EXP, pilot, plan, 2000.0, 7)
-        assert caught == []
+        pilot = run_pilot(ArrayStream(x, y), EXP, 400, seed=7, criterion="mv")
+        assert second_pass_warnings(x, y, pilot, self.RHO0)[1] == []
         # record 777 is (1, 0, ..., 0) with response mean(beta0[0]), which every
         # kernel computes exactly: its residual, score and bound are zero
         x, y = x.copy(), y.copy()
         x[777] = 0.0
         x[777, 0] = 1.0
         y[777] = EXP.mean(pilot.beta0[:1])[0]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second_pass(ArrayStream(x, y), EXP, pilot, plan, 2000.0, 7)
-        assert [str(w.message) for w in caught] == [
-            "records with zero score receive probability 0 under rho = 0; "
-            "the optimality premises may be violated"
-        ]
+        assert second_pass_warnings(x, y, pilot, self.RHO0)[1] == [ZERO_SCORE_WARNING]
+
+    @pytest.mark.parametrize("scale", [1e-300, 4.5e-162, 1e-155])
+    def test_extreme_row_warns_as_the_full_pass(self, wide_data, scale):
+        # at 4.5e-162, ||x||**2 is subnormal and ||sigma_inv x||**2 underflows
+        # to 0: the full pass gives record 777 probability 0 at rho = 0
+        x, y = wide_data
+        pilot = run_pilot(ArrayStream(x, y), EXP, 400, seed=7, criterion="mv")
+        x = x.copy()
+        x[777] = 0.0
+        x[777, 0] = scale
+        thin = second_pass_warnings(x, y, pilot, self.RHO0)
+        full = second_pass_warnings(x, y, pilot, self.RHO0, thin=False)
+        np.testing.assert_array_equal(thin[0], full[0])
+        assert thin[1] == full[1]
+        if scale == 4.5e-162:
+            assert full[1] == [ZERO_SCORE_WARNING]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.2])
+    def test_tiny_rows_under_a_large_sigma_inv_stay_below_the_bound(self, wide_data, rho):
+        # ||x||**2 is subnormal but ||sigma_inv x||**2 is not: the bound
+        # computed from ||x|| alone would fall below the exact score
+        x, y = wide_data
+        pilot = run_pilot(ArrayStream(x, y), EXP, 400, seed=7, criterion="mv")
+        pilot = replace(pilot, sigma0_inv=pilot.sigma0_inv * 1e10)
+        x = x.copy()
+        x[:50] *= np.logspace(-170, -150, 50)[:, None]
+        plan = SamplingPlan(criterion="mv", expected_size=200, shrinkage=rho, seed=7)
+        rule = ProbabilityRule(pilot=pilot, plan=plan, r=200.0, n_pool=float(x.shape[0]),
+                               psi_hat=pilot.psi_hat * 1e10)
+        q, exact = rule.screen(x, y, EXP)
+        p = exact(np.arange(x.shape[0]))
+        assert np.all(p <= q)
+        np.testing.assert_array_equal(p, rule.block_probabilities(x, y, EXP))

@@ -103,8 +103,8 @@ def plan_for(criterion, mode):
 
 @contextmanager
 def thinned():
-    """Every mv main pass screens by the score bound, whatever its dimension."""
-    with mock.patch.object(sampling, "THIN_MIN_DIM", 0):
+    """Every mv main pass screens by the score bound, whatever its dimension and rate."""
+    with mock.patch.multiple(sampling, THIN_MIN_DIM=0, THIN_MAX_RATE=1.0):
         yield
 
 
@@ -407,7 +407,10 @@ import numpy as np
 from types import SimpleNamespace
 from qlsub import EXP, ArrayStream, SamplingPlan
 from qlsub.pipeline import ProbabilityRule, second_pass
+from qlsub import sampling
 from qlsub.sampling import THIN_MIN_DIM, record_scores
+
+sampling.THIN_MAX_RATE = 1.0  # r / n_pool = 0.05 thins as well
 
 rng = np.random.default_rng(6)
 x = np.column_stack([np.ones(6000), rng.normal(0.0, 0.15, (6000, 34))])
