@@ -49,6 +49,8 @@ def run_child(src: str, argv: list[str]) -> tuple[float, float]:
                             stderr=subprocess.DEVNULL, preexec_fn=lambda: os.sched_setaffinity(0, core))
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - started
+    # reaped here, so Popen must not think the child is still running
+    proc.returncode = os.waitstatus_to_exitcode(status)
     if status:
         raise SystemExit(f"cold_pairs: {' '.join(argv)} from {src} exited with status {status}")
     return wall, usage.ru_maxrss / 1024

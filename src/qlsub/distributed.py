@@ -115,9 +115,9 @@ def pilot_summary(
     hessian = subsample_hessian(pilot.x, family, pilot.beta0, p=p, scale=machine_size)
     n_total = float(pilot.n_total)
     pilot_meat = vc_contribution(pilot.x, pilot.y, family, pilot.beta0, pilot.p)
-    pilot_var = _sandwich(pilot.sigma0, pilot_meat / n_total**2)
+    pilot_var = pilot.sigma0_inv @ (pilot_meat / n_total**2) @ pilot.sigma0_inv
     scaled = machine_size * hessian
-    vc = scaled @ pilot_var @ scaled
+    vc = scaled @ (0.5 * (pilot_var + pilot_var.T)) @ scaled
     vc = 0.5 * (vc + vc.T)
     return PartitionSummary(
         partition_id=PILOT_PARTITION_ID,

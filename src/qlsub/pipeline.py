@@ -42,24 +42,6 @@ from .sampling import (
 
 
 @dataclass
-class PilotResult:
-    """Pilot subsample and the statistics derived from it."""
-
-    beta0: np.ndarray
-    psi_hat: float
-    sigma0: np.ndarray
-    sigma0_inv: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-    indices: np.ndarray
-    realized_r0: int
-    scores: np.ndarray
-    n_total: int
-    degenerate: bool
-
-
-@dataclass
 class PassSample:
     """Records captured by one Bernoulli scan, in global index order.
 
@@ -85,6 +67,26 @@ class PassSample:
         return self.indices.shape[0]
 
 
+@dataclass(kw_only=True)
+class PilotResult(PassSample):
+    """Pilot subsample, drawn at the uniform rate r0/N, and the statistics derived from it."""
+
+    beta0: np.ndarray
+    psi_hat: float
+    sigma0_inv: np.ndarray
+    scores: np.ndarray
+    n_total: int
+
+    @property
+    def realized_r0(self) -> int:
+        return self.size
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether every pilot residual is zero, so that every rule it resolves is uniform."""
+        return self.psi_hat <= 0.0
+
+
 def _fixed_point(terms, n: int) -> int:
     """Sum of round(t * 2**32) over the n records' terms (one float for all, or an array it overwrites).
 
@@ -98,18 +100,18 @@ def _fixed_point(terms, n: int) -> int:
     return sum(int(terms[i : i + 2**20].sum()) for i in range(0, terms.size, 2**20))
 
 
-def _scan(stream: RecordStream, seed: int, tag: int, block_probs, cap: float = math.inf) -> PassSample:
-    """Keep each record of ``stream`` independently with its own probability.
+def _scan(stream: RecordStream, seed: int, tag: int, rule: ProbabilityRule, family: LinkFamily) -> PassSample:
+    """Keep each record of ``stream`` independently with its probability under ``rule``.
 
-    ``block_probs(start, x, y)`` gives ``(q, exact)`` for the block's
-    records.  With ``exact`` None, ``q`` is their probabilities, as a new
-    array that the scan then overwrites, or one float for all of them.
-    Otherwise the scan thins: a record is screened in when its uniform lies
-    below q, and ``exact(at)`` gives the probabilities p <= q of the records
-    screened in, at block positions ``at``, which are kept when the same
-    uniform lies below p.  Both draws for record i are keyed on
-    ``(seed, tag, i)``, so a thinned scan keeps exactly the records that a
-    draw at p alone keeps.
+    ``rule.screen`` gives ``(q, exact)`` for each block's records.  With
+    ``exact`` None, ``q`` is their probabilities, as a new array that the
+    scan then overwrites, or one float for all of them.  Otherwise the scan
+    thins: a record is screened in when its uniform lies below q, and
+    ``exact(at)`` gives the probabilities p <= q of the records screened
+    in, at block positions ``at``, which are kept when the same uniform
+    lies below p.  Both draws for record i are keyed on ``(seed, tag, i)``,
+    so a thinned scan keeps exactly the records that a draw at p alone
+    keeps.
     """
     # empty leading pieces give a scan that keeps nothing the right shapes
     xs, ys = [np.empty((0, stream.dim))], [np.empty(0)]
@@ -117,7 +119,7 @@ def _scan(stream: RecordStream, seed: int, tag: int, block_probs, cap: float = m
     expected, zero_p = 0, False
     for start, xb, yb in stream.iter_blocks():
         block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
-        q, exact = block_probs(start, xb, yb)
+        q, exact = rule.screen(xb, yb, family, start)
         # one index list gathers every field of the kept records
         keep = np.flatnonzero(block_mask(seed, block_idx, q, tag))
         zero_p = zero_p or np.min(q, initial=1.0) == 0.0
@@ -142,7 +144,7 @@ def _scan(stream: RecordStream, seed: int, tag: int, block_probs, cap: float = m
         indices=np.concatenate(idxs),
         expected_size=expected / 2**32,
         zero_p=bool(zero_p),
-        cap=cap,
+        cap=rule.cap,
     )
 
 
@@ -165,23 +167,18 @@ def run_pilot(
             RuntimeWarning,
             stacklevel=2,
         )
-    p0 = float(r0) / n
-    sample = _scan(stream, seed, PILOT_STREAM, lambda start, xb, yb: (p0, None))
-    realized = sample.size
+    sample = _scan(stream, seed, PILOT_STREAM, ProbabilityRule(None, None, r0, n), family)
+    px, py, realized = sample.x, sample.y, sample.size
     if realized < d + 1:
-        raise PilotFailed(
-            f"pilot captured only {realized} records for dimension {d}; raise r0"
-        )
-    px, py = sample.x, sample.y
+        raise PilotFailed(f"pilot captured only {realized} records for dimension {d}; raise r0")
 
     try:
         beta0 = solve_weighted_qle(px, py, family, p=sample.p, ridge=ridge).beta
     except SingularHessian as err:
         raise PilotFailed(f"pilot Newton system is singular; raise r0 ({err})") from err
 
-    sigma0 = subsample_hessian(px, family, beta0, scale=realized)
     try:
-        sigma0_inv = _spd_inverse(sigma0)
+        sigma0_inv = _spd_inverse(subsample_hessian(px, family, beta0, scale=realized))
     except SingularHessian as err:
         raise PilotFailed(f"pilot curvature is singular; raise r0 ({err})") from err
 
@@ -195,20 +192,7 @@ def run_pilot(
             stacklevel=2,
         )
 
-    return PilotResult(
-        beta0=beta0,
-        psi_hat=psi_hat,
-        sigma0=sigma0,
-        sigma0_inv=sigma0_inv,
-        x=px,
-        y=py,
-        p=sample.p,
-        indices=sample.indices,
-        realized_r0=realized,
-        scores=scores,
-        n_total=n,
-        degenerate=psi_hat <= 0.0,
-    )
+    return PilotResult(**vars(sample), beta0=beta0, psi_hat=psi_hat, sigma0_inv=sigma0_inv, scores=scores, n_total=n)
 
 
 @dataclass(frozen=True)
@@ -219,11 +203,12 @@ class ProbabilityRule:
     ``pilot.sigma0_inv`` for mv) gets ``shrinkage_probability(self, s, r,
     rho)`` capped at one, with ``cap`` and the score normalizer ``psi_hat``
     resolved for the pool of ``n_pool`` records.  ``psi_hat`` is None for a
-    uniform rule, which gives every record ``r / n_pool``.
+    uniform rule, which gives every record ``r / n_pool``: the pilot draws
+    through ``ProbabilityRule(None, None, r0, N)``.
     """
 
-    pilot: PilotResult
-    plan: SamplingPlan
+    pilot: PilotResult | None
+    plan: SamplingPlan | None
     r: float
     n_pool: float
     psi_hat: float | None = None
@@ -280,12 +265,14 @@ class ProbabilityRule:
         of the exact score of the records at block positions ``at``,
         whitened by :func:`sampling.whitened_at`: bit for bit what
         :meth:`block_probabilities` gives them.  The rounding of the score,
-        the shrinkage blend and the cap at one is monotone, so p <= q.  Any
-        other rule gives ``(block_probabilities(...), None)``.
+        the shrinkage blend and the cap at one is monotone, so p <= q.  A
+        uniform rule gives ``(r / n_pool, None)``, one float for the block,
+        and any other rule ``(block_probabilities(...), None)``.
         """
+        if self.psi_hat is None:
+            return self.r / self.n_pool, None
         if (
-            self.psi_hat is None
-            or self.plan.criterion != "mv"
+            self.plan.criterion != "mv"
             or xb.shape[1] < sampling.THIN_MIN_DIM
             or self.r > sampling.THIN_MAX_RATE * self.n_pool
         ):
@@ -298,8 +285,10 @@ class ProbabilityRule:
         # [1e-150, 1e150] is screened in, so its exact p decides it
         scale = self.bound_factor
         unsafe = ~((norms >= 1e-150 / min(scale, 1.0)) & (norms <= 1e150 / max(scale, 1.0)))
-        norms *= scale
-        q = self.probabilities(np.multiply(resid, norms, out=norms))
+        # a bound that overflows is inf, whose capped probability still bounds p
+        with np.errstate(over="ignore"):
+            norms *= scale
+            q = self.probabilities(np.multiply(resid, norms, out=norms))
         q[unsafe] = 1.0
 
         def exact(at):
@@ -359,7 +348,7 @@ def second_pass(
         raise ConfigError(f"expected size {r} outside (0, {n_pool})")
     if rule is None:
         rule = resolve_rule(stream, family, pilot, plan, r)
-    sample = _scan(stream, seed, MAIN_STREAM, lambda start, xb, yb: rule.screen(xb, yb, family, start), cap=rule.cap)
+    sample = _scan(stream, seed, MAIN_STREAM, rule, family)
     # at rho = 0 a record's probability is zero exactly when its score is; a
     # zero score has a zero residual or x = 0 (sigma_inv is nonsingular), so
     # its bound is zero too, or the record is screened in at q = 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributed import run_distributed
-from .errors import QlsubError
+from .errors import ConfigError, QlsubError
 from .estimator import FitResult, solve_weighted_qle
 from .families import EXP, LinkFamily
 from .ingest import ArrayStream
@@ -70,10 +70,12 @@ def make_spec(case_id: str, n_records: int | None = None, seed: int = 0) -> Case
     case_id = case_id.lower()
     if case_id not in _CASE_TABLE:
         raise ValueError(f"unknown case {case_id!r}; expected one of {sorted(_CASE_TABLE)}")
+    if n_records is not None and n_records < 1:
+        raise ConfigError(f"record count {n_records} below 1")
     dim, beta_fn, law = _CASE_TABLE[case_id]
     return CaseSpec(
         case_id=case_id,
-        n_records=int(n_records) if n_records else _DESK_N,
+        n_records=_DESK_N if n_records is None else int(n_records),
         dim=dim,
         beta_true=beta_fn(),
         covariate_law=law,
@@ -129,6 +131,8 @@ def generate_case(spec: CaseSpec) -> tuple[np.ndarray, np.ndarray, dict]:
 
 def write_case_csv(spec: CaseSpec, path: str, n_files: int = 1) -> list[str]:
     """Write a case to headerless CSV (y first column) plus a JSON sidecar."""
+    if n_files < 1:
+        raise ConfigError(f"file count {n_files} below 1")
     x, y, diag = generate_case(spec)
     table = np.column_stack([y, x])
     paths = []
@@ -304,6 +308,9 @@ def run_replications(
     """Replication study for several methods against a common reference."""
     if t < 1:
         raise ValueError("need at least one replication")
+    d = np.shape(x)[1]
+    if coverage_index is not None and not 0 <= coverage_index < d:
+        raise ConfigError(f"coverage index {coverage_index} outside [0, {d})")
     if reference is None:
         reference = full_qle(x, y, family).beta
         reference_kind = "full_qle"

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import qlsub
+from qlsub import synth
 from qlsub.cli import main
 from qlsub.families import EXP
 from qlsub.rng import PILOT_STREAM, uniforms
@@ -186,11 +188,33 @@ EXIT_MATRIX = [
     pytest.param(["bench", "--case", "c1", "--r-grid", ","], 2, "empty grid ','", id="bench-empty-r-grid"),
 ]
 
+# each row: a command line rejected before it generates or fits anything, and
+# the one line it prints
+REJECTED_UP_FRONT = [
+    pytest.param(["experiment", "--case", "c1", "--n", "2000", "--coverage-index", "99"],
+                 "coverage index 99 outside [0, 7)", id="coverage-index-99"),
+    pytest.param(["experiment", "--case", "c1", "--n", "2000", "--coverage-index", "-1"],
+                 "coverage index -1 outside [0, 7)", id="coverage-index-negative"),
+    pytest.param(["gen-data", "--case", "c1", "--n", "500", "--files", "0"], "file count 0 below 1", id="gen-data-files-0"),
+    pytest.param(["gen-data", "--case", "c1", "--n", "0"], "record count 0 below 1", id="gen-data-n-0"),
+    pytest.param(["gen-data", "--case", "c1", "--n", "-5"], "record count -5 below 1", id="gen-data-n-negative"),
+    pytest.param(["experiment", "--case", "c1", "--n", "0"], "record count 0 below 1", id="experiment-n-0"),
+    pytest.param(["bench", "--case", "c1", "--n", "-5"], "record count -5 below 1", id="bench-n-negative"),
+]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv, code, message", EXIT_MATRIX)
     def test_exit_code(self, inputs, tmp_path, capsys, argv, code, message):
         _expect_exit(inputs, tmp_path, capsys, argv, code, message)
+
+    @pytest.mark.parametrize("argv, message", REJECTED_UP_FRONT)
+    def test_rejected_up_front(self, tmp_path, capsys, argv, message):
+        # a replication would fail the test, not exit 2
+        with mock.patch.object(synth, "replicate", side_effect=AssertionError("a replication ran")):
+            code = main([*argv, "--out", str(tmp_path / "o.csv")])
+        assert (code, capsys.readouterr().err) == (2, f"qlsub: configuration error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     # the rows below predate the matrix and keep their test names
 

@@ -12,7 +12,7 @@ from qlsub.distributed import run_distributed
 from qlsub.errors import ConfigError, PilotFailed
 from qlsub.families import EXP, IDENTITY
 from qlsub.ingest import ArrayStream
-from qlsub.pipeline import ProbabilityRule, resolve_rule, run_pilot, run_two_step, second_pass
+from qlsub.pipeline import PassSample, ProbabilityRule, resolve_rule, run_pilot, run_two_step, second_pass
 from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, uniforms
 from qlsub.sampling import THRESHOLD_MODES, SamplingPlan, block_mask
 from qlsub.synth import full_qle, generate_case, make_spec
@@ -63,6 +63,17 @@ class TestPilot:
         y = rng.normal(size=60)
         with pytest.raises(PilotFailed), pytest.warns(RuntimeWarning):
             run_pilot(ArrayStream(x, y), IDENTITY, 2, seed=5)
+
+    def test_pilot_is_a_pass_sample_the_same_under_every_block_layout(self, poisson_data):
+        n = poisson_data[0].shape[0]
+        pilots = [run_pilot(ArrayStream(*poisson_data, block_size=b), EXP, 400, seed=3)
+                  for b in (65_536, 7000, 1000, 333)]
+        for pilot in pilots:
+            assert isinstance(pilot, PassSample)
+            assert pilot.cap == math.inf and pilot.zero_p is False
+            np.testing.assert_array_equal(pilot.indices, pilots[0].indices)
+        # every record's term is the one rounded probability r0/N
+        assert {pilot.expected_size for pilot in pilots} == {round(400 / n * 2**32) * n / 2**32}
 
     def test_small_pilot_warns(self, stream):
         with pytest.warns(RuntimeWarning, match="below 10"):
@@ -258,6 +269,8 @@ class TestProbabilityRule:
                 rule = resolve_rule(stream, IDENTITY, pilot, plan, 100.0)
                 assert rule.ctx is None and rule.psi_hat is None and rule.cap == math.inf
                 np.testing.assert_array_equal(rule.block_probabilities(x, y, IDENTITY), np.full(1000, 0.1))
+                # a scan draws the whole block at that one float
+                assert rule.screen(x, y, IDENTITY) == (0.1, None)
 
     def test_distributed_run_warns_once_for_a_degenerate_pilot(self):
         x, y = np.ones((4000, 1)), np.ones(4000)
@@ -446,10 +459,11 @@ class TestThinnedFailures:
         y[777] = EXP.mean(pilot.beta0[:1])[0]
         assert second_pass_warnings(x, y, pilot, self.RHO0)[1] == [ZERO_SCORE_WARNING]
 
-    @pytest.mark.parametrize("scale", [1e-300, 4.5e-162, 1e-155])
+    @pytest.mark.parametrize("scale", [1e-300, 4.5e-162, 1e-155, 1e154])
     def test_extreme_row_warns_as_the_full_pass(self, wide_data, scale):
         # at 4.5e-162, ||x||**2 is subnormal and ||sigma_inv x||**2 underflows
-        # to 0: the full pass gives record 777 probability 0 at rho = 0
+        # to 0: the full pass gives record 777 probability 0 at rho = 0; at
+        # 1e154 the row's bound overflows, and the full pass has no bound
         x, y = wide_data
         pilot = run_pilot(ArrayStream(x, y), EXP, 400, seed=7, criterion="mv")
         x = x.copy()
