@@ -7,10 +7,12 @@ the ``src/qlsub`` it measured (``machine.src_sha256``).  Runs of one workload
 and seed pair up in the order they were made; a run without a partner is
 counted but not used.  For each workload and end-to-end metric of
 ``BENCHMARK.json`` the summary gives each side's median and quartiles over
-the paired runs and the number of pairs the change wins; a paired run that
-lacks one of them stops the script.  Where there are ``--trace 1`` runs, they
-are paired the same way, and each workload also gets the same summary of the
-per-layer metrics that its traced runs report (``layers``).
+the paired runs, the number of pairs the change wins and a ``verdict``
+(:func:`verdict`); a paired run that lacks one of them stops the script.
+Where there are ``--trace 1`` runs, they are paired the same way, and each
+workload also gets the same summary of the per-layer metrics that its
+traced runs report (``layers``), with no verdict, since they carry no
+bound.
 
 Run both sides from sibling copies made the same way, as the benchmark
 itself does: where a checkout lives can move a workload by a few per cent::
@@ -73,6 +75,37 @@ def _spread(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def verdict(values, better: str, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``unchanged`` for ``(parent, change)`` value pairs.
+
+    ``bound`` is the largest relative change of the median that the
+    benchmark lets pass.
+
+    - ``gain``: the change wins at least nine tenths of the pairs (ties
+      count for neither side), and its median is better than the parent's
+      by more than the parent's quartile distance;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` of the parent's median;
+    - ``unresolved``: the parent's quartile distance exceeds ``bound`` of
+      its median, and not every change run beats every parent run;
+    - ``unchanged``: any other case.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    # gains are positive: how far each change value lies below its parent (above, for "higher")
+    parent = sign * np.asarray([p for p, _ in values], dtype=np.float64)
+    change = sign * np.asarray([c for _, c in values], dtype=np.float64)
+    wins = int(np.count_nonzero(change < parent))
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    gain = median - np.median(change)
+    if 10 * wins >= 9 * len(values) and gain > q3 - q1:
+        return "gain"
+    if -gain > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not change.max() < parent.min():
+        return "unresolved"
+    return "unchanged"
+
+
 def summarize(runs, digests: dict, metrics: list[dict], partial: bool = False) -> dict:
     """The paired summary of ``runs``; ``digests`` maps each side to its src digest.
 
@@ -121,6 +154,8 @@ def summarize(runs, digests: dict, metrics: list[dict], partial: bool = False) -
                 "change": _spread([c for _, c in values]),
                 "change_wins": wins,
             }
+            if "bound" in metric:
+                entry["metrics"][name]["verdict"] = verdict(values, metric["better"], metric["bound"])
         workloads[workload] = entry
 
     used = [run for matched in pairs.values() for pair in matched for run in pair]
@@ -159,7 +194,7 @@ def main(argv=None) -> int:
         for label, part in ((workload, entry), (f"{workload} layers", entry.get("layers"))):
             for name, m in (part or {}).get("metrics", {}).items():
                 print(f"{label} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} {m['unit']}"
-                      f" (change wins {m['change_wins']}/{part['pairs']})")
+                      f" (change wins {m['change_wins']}/{part['pairs']})" + (f": {m['verdict']}" if "verdict" in m else ""))
     return 0
 
 

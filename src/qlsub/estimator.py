@@ -61,9 +61,17 @@ def _weights(p, m: int) -> np.ndarray:
     if p is None:
         return np.ones(m)
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    if (p <= 0.0).any() or (p > 1.0).any():
         raise ValueError("inclusion probabilities must lie in (0, 1]")
     return 1.0 / p
+
+
+def _symmetrise(m: np.ndarray) -> np.ndarray:
+    """``0.5 * (m + m')`` written into ``m``, a new square matrix of the caller's."""
+    # numpy buffers the overlapping operand, so every entry reads the old m
+    np.add(m, m.T, out=m)
+    m *= 0.5
+    return m
 
 
 def _gram(x: np.ndarray, w: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -72,8 +80,10 @@ def _gram(x: np.ndarray, w: np.ndarray, scale: float = 1.0) -> np.ndarray:
     Every curvature and meat matrix of the package is built here, so their
     summation order is set in one place.
     """
-    g = x.T @ (x * w[:, None]) / scale
-    return 0.5 * (g + g.T)
+    g = x.T @ (x * w[:, None])
+    if scale != 1.0:
+        g /= scale
+    return _symmetrise(g)
 
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:
@@ -92,10 +102,11 @@ def _spd_inverse(a: np.ndarray) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise SingularHessian(math.inf) from None
-    rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    # each 1-norm, the largest column sum of |m|, as np.linalg.norm(m, 1) takes it
+    rcond = 1.0 / (np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
     if not rcond >= RCOND_MIN:
         raise SingularHessian(1.0 / rcond if rcond > 0 else math.inf)
-    return 0.5 * (inv + inv.T)
+    return _symmetrise(inv)
 
 
 def solve_weighted_qle(
@@ -132,14 +143,19 @@ def solve_weighted_qle(
 
     eye = np.eye(d)
     saturated = False
+    # the exp family's derivative is its mean, the same _clamped_exp bits
+    mean_is_derivative = family.kind == "exp"
 
     def score_at(b):
         eta = x @ b
-        resid = y - family.mean(eta)
-        return x.T @ (w * resid), eta
+        mu = family.mean(eta)
+        return x.T @ (w * (y - mu)), eta, mu
 
-    score, eta = score_at(beta)
-    norm = float(np.max(np.abs(score)))
+    def curvature(eta, mu):
+        return _gram(x, w * (mu if mean_is_derivative else family.mean_derivative(eta)))
+
+    score, eta, mu = score_at(beta)
+    norm = float(np.abs(score).max())
     newton = None
     iterations = 0
     converged = norm <= tol * scale
@@ -147,7 +163,7 @@ def solve_weighted_qle(
     while not converged and iterations < max_iter:
         iterations += 1
         saturated = saturated or family.saturates(eta)
-        newton = _gram(x, w * family.mean_derivative(eta))
+        newton = curvature(eta, mu)
         if ridge > 0.0:
             newton = newton + ridge * eye
         delta = _spd_inverse(newton) @ score
@@ -157,24 +173,24 @@ def solve_weighted_qle(
         for _ in range(MAX_HALVINGS + 1):
             cand = beta + step * delta
             try:
-                cand_score, cand_eta = score_at(cand)
+                cand_score, cand_eta, cand_mu = score_at(cand)
             except ValueError:
                 step *= 0.5
                 continue
-            cand_norm = float(np.max(np.abs(cand_score)))
-            if np.isfinite(cand_norm) and cand_norm < norm:
+            cand_norm = float(np.abs(cand_score).max())
+            if math.isfinite(cand_norm) and cand_norm < norm:
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
-        beta, score, eta, norm = cand, cand_score, cand_eta, cand_norm
+        beta, score, eta, mu, norm = cand, cand_score, cand_eta, cand_mu, cand_norm
         if norm <= tol * scale:
             converged = True
 
     if newton is None:
         # converged at the starting point; still report the curvature there
-        newton = _gram(x, w * family.mean_derivative(eta))
+        newton = curvature(eta, mu)
 
     return FitResult(
         beta=beta,
@@ -219,8 +235,7 @@ def vc_contribution(x, y, family: LinkFamily, beta, p) -> np.ndarray:
 
 def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
     inv = _spd_inverse(bread)
-    out = inv @ meat @ inv
-    return 0.5 * (out + out.T)
+    return _symmetrise(inv @ meat @ inv)
 
 
 def sandwich_variance(parts, family: LinkFamily, pooled_hessian, n_total: float) -> np.ndarray:

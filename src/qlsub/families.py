@@ -23,7 +23,7 @@ _RANGES = {"identity": (-np.inf, np.inf), "exp": (0.0, np.inf), "logistic": (0.0
 
 def _check_finite(eta):
     arr = np.asarray(eta, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("linear predictor must be finite")
     return arr
 
@@ -80,7 +80,7 @@ class LinkFamily:
         """True when the exp clamp would engage anywhere in ``eta``."""
         if self.kind != "exp":
             return False
-        return bool(np.any(np.asarray(eta, dtype=np.float64) > ETA_MAX))
+        return bool((np.asarray(eta, dtype=np.float64) > ETA_MAX).any())
 
 
 IDENTITY = LinkFamily("identity", "identity")

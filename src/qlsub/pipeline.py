@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -204,7 +204,10 @@ class ProbabilityRule:
     rho)`` capped at one, with ``cap`` and the score normalizer ``psi_hat``
     resolved for the pool of ``n_pool`` records.  ``psi_hat`` is None for a
     uniform rule, which gives every record ``r / n_pool``: the pilot draws
-    through ``ProbabilityRule(None, None, r0, N)``.
+    through ``ProbabilityRule(None, None, r0, N)``.  ``block_scores`` maps
+    the global start of each block of the pool to its records' scores when
+    the rule was resolved from them (the exact cap), so that the pass over
+    the same blocks reads them instead of scoring each record again.
     """
 
     pilot: PilotResult | None
@@ -213,6 +216,7 @@ class ProbabilityRule:
     n_pool: float
     psi_hat: float | None = None
     cap: float = math.inf
+    block_scores: dict[int, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.psi_hat is not None and not self.psi_hat > 0:
@@ -232,7 +236,8 @@ class ProbabilityRule:
         """Capped probabilities of records with these scores."""
         if self.psi_hat is None:
             return np.full(scores.shape[0], self.r / self.n_pool)
-        return np.minimum(shrinkage_probability(self, scores, self.r, self.plan.shrinkage), 1.0)
+        p = shrinkage_probability(self, scores, self.r, self.plan.shrinkage)
+        return np.minimum(p, 1.0, out=p)
 
     def block_probabilities(
         self, xb: np.ndarray, yb: np.ndarray, family: LinkFamily, offset: int = 0
@@ -266,11 +271,16 @@ class ProbabilityRule:
         whitened by :func:`sampling.whitened_at`: bit for bit what
         :meth:`block_probabilities` gives them.  The rounding of the score,
         the shrinkage blend and the cap at one is monotone, so p <= q.  A
-        uniform rule gives ``(r / n_pool, None)``, one float for the block,
-        and any other rule ``(block_probabilities(...), None)``.
+        uniform rule gives ``(r / n_pool, None)``, one float for the block;
+        a rule that holds the block's scores (``block_scores``) gives their
+        capped probabilities and None, and any other rule
+        ``(block_probabilities(...), None)``.
         """
         if self.psi_hat is None:
             return self.r / self.n_pool, None
+        kept = (self.block_scores or {}).get(offset)
+        if kept is not None and kept.shape[0] == xb.shape[0]:
+            return self.probabilities(kept), None
         if (
             self.plan.criterion != "mv"
             or xb.shape[1] < sampling.THIN_MIN_DIM
@@ -310,23 +320,26 @@ def resolve_rule(
 
     The pool size defaults to the stream's record count.  Only the exact
     cap reads the stream, so with ``n_pool`` given and another threshold
-    mode ``stream`` may be None.  A degenerate pilot (``run_pilot`` has
+    mode ``stream`` may be None.  The exact cap scores every block of the
+    stream and keeps those scores on the rule (``block_scores``) for the
+    pass over the same stream.  A degenerate pilot (``run_pilot`` has
     warned) gives a uniform rule.
     """
     n_pool = float(stream.n_records if n_pool is None else n_pool)
     uniform = ProbabilityRule(pilot, plan, r, n_pool)
     if plan.criterion == "uniform" or pilot.degenerate:
         return uniform
-    scores, cap = pilot.scores, math.inf
+    scores, cap, blocks = pilot.scores, math.inf, None
     if plan.threshold_mode == "quantile":
         cap = threshold_quantile(scores, r, n_pool)
     elif plan.threshold_mode == "exact":
         # score the whole pool with the pilot estimate, then solve the capped allocation on it
-        scores = np.concatenate([uniform.scores(xb, yb, family, start) for start, xb, yb in stream.iter_blocks()])
+        blocks = {start: uniform.scores(xb, yb, family, start) for start, xb, yb in stream.iter_blocks()}
+        scores = np.concatenate(list(blocks.values()))
         cap, _ = waterfill(scores, r)
     # under the inf cap this is bit for bit pilot.psi_hat
     psi_hat = float(np.minimum(scores, cap).mean())
-    return ProbabilityRule(pilot, plan, r, n_pool, psi_hat=psi_hat, cap=cap)
+    return ProbabilityRule(pilot, plan, r, n_pool, psi_hat=psi_hat, cap=cap, block_scores=blocks)
 
 
 def second_pass(

@@ -59,35 +59,29 @@ THIN_MIN_DIM = 16
 THIN_MAX_RATE = 0.01
 
 
-def _tiled(x: np.ndarray, offset: int, *ws: np.ndarray):
-    """``(i, x[i:j], [x[i:j] @ w for w in ws])`` over consecutive pieces of ``x``.
+def _tiled(x: np.ndarray, offset: int):
+    """``(i, rows, tiles, row)`` over consecutive pieces ``rows = x[i:j]`` of ``x``.
 
     Row ``i`` of ``x`` is global record ``offset + i``.  Tiles of
     ``TILE_ROWS`` rows are aligned to the global index.  A run of up to
-    ``CHUNK_TILES`` whole tiles is one stacked matmul per ``w``, one BLAS call
-    per tile; a partial tile at either edge of ``x`` is copied into a
-    zero-filled ``TILE_ROWS``-row buffer at row ``(offset + i) % TILE_ROWS``.
-    Each chunk's products are written into buffers that every chunk reuses,
-    so a yielded product is valid only until the next step.
+    ``CHUNK_TILES`` whole tiles is ``rows`` itself, viewed as a stack of
+    tiles, with ``row`` None: one stacked matmul makes one BLAS call per
+    tile.  A partial tile at either edge of ``x`` is copied into a
+    zero-filled ``TILE_ROWS``-row matrix at ``row = (offset + i) %
+    TILE_ROWS``.
     """
     n, d = x.shape
-    bufs = [np.empty((CHUNK_TILES, TILE_ROWS) + w.shape[1:]) for w in ws]
     i = 0
     while i < n:
         row = (offset + i) % TILE_ROWS
         take = min(TILE_ROWS - row, n - i)
         if take == TILE_ROWS:
             take = min(n - i, CHUNK_TILES * TILE_ROWS) // TILE_ROWS * TILE_ROWS
-            tiles = x[i : i + take].reshape(-1, TILE_ROWS, d)
-            prods = [
-                np.matmul(tiles, w, out=buf[: take // TILE_ROWS]).reshape((take,) + w.shape[1:])
-                for w, buf in zip(ws, bufs)
-            ]
+            yield i, x[i : i + take], x[i : i + take].reshape(-1, TILE_ROWS, d), None
         else:
             tile = np.zeros((TILE_ROWS, d))
             tile[row : row + take] = x[i : i + take]
-            prods = [(tile @ w)[row : row + take] for w in ws]
-        yield i, x[i : i + take], prods
+            yield i, x[i : i + take], tile, row
         i += take
 
 
@@ -106,18 +100,27 @@ def score_parts(x: np.ndarray, offset: int, beta, sigma_inv=None) -> tuple[np.nd
     same whatever the block size, shard layout or source that delivered it,
     and no other row can change them.  mv and mvc share ``x_i' beta`` bit
     for bit; ``h`` is the row-local norm of the ``sigma_inv'`` product (mv)
-    or of ``x_i`` (mvc), taken while the chunk is in cache.
+    or of ``x_i`` (mvc), taken while the chunk is in cache.  A run of whole
+    tiles writes its ``x_i' beta`` and squared norms straight into the
+    results; its ``sigma_inv'`` product goes into one buffer that every run
+    reuses.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    ws = [np.asarray(beta, dtype=np.float64).reshape(-1, 1)]
-    if sigma_inv is not None:
-        ws.append(_whitener(sigma_inv))
-    eta, h2 = np.empty(x.shape[0]), np.empty(x.shape[0])
+    n = x.shape[0]
+    b = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+    wt = None if sigma_inv is None else _whitener(sigma_inv)
+    buf = None if wt is None else np.empty((CHUNK_TILES, TILE_ROWS, wt.shape[1]))
+    eta, h2 = np.empty(n), np.empty(n)
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, rows, prods in _tiled(x, offset, *ws):
-            z = rows if sigma_inv is None else prods[1]
-            eta[i : i + len(rows)] = prods[0][:, 0]
-            h2[i : i + len(rows)] = np.einsum("ij,ij->i", z, z)
+        for i, rows, tiles, row in _tiled(x, offset):
+            j = i + len(rows)
+            if row is None:
+                np.matmul(tiles, b, out=eta[i:j].reshape(-1, TILE_ROWS, 1))
+                z = rows if wt is None else np.matmul(tiles, wt, out=buf[: len(tiles)]).reshape(len(rows), -1)
+            else:
+                eta[i:j] = (tiles @ b)[row : row + len(rows), 0]
+                z = rows if wt is None else (tiles @ wt)[row : row + len(rows)]
+            np.einsum("ij,ij->i", z, z, out=h2[i:j])
     return eta, np.sqrt(h2, out=h2)
 
 
@@ -241,8 +244,14 @@ def shrinkage_probability(rule, score, r: float, rho: float):
     at one.
     """
     s = np.asarray(score, dtype=np.float64)
-    capped = np.minimum(s, rule.cap) if not math.isinf(rule.cap) else s
-    out = (1.0 - rho) * r * capped / (rule.n_pool * rule.psi_hat) + rho * r / rule.n_pool
+    # (1 - rho) * r * capped / (n * psi_hat) + rho * r / n, in one new array
+    if math.isinf(rule.cap):
+        out = s * ((1.0 - rho) * r)
+    else:
+        out = np.minimum(s, rule.cap)
+        out *= (1.0 - rho) * r
+    out /= rule.n_pool * rule.psi_hat
+    out += rho * r / rule.n_pool
     return out if isinstance(score, np.ndarray) else float(out)
 
 

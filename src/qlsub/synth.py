@@ -93,20 +93,30 @@ def _draw_covariates(rng: np.random.Generator, case_id: str, n: int, d: int) -> 
         if case_id == "c4":
             x[:, 5:7] = rng.uniform(-1.0, 1.0, (n, 2))
         return x
+    # the normal laws shift and scale their draw in place, so no second N x d array is made
     if case_id == "s1":
-        return rng.standard_normal((n, d)) + 0.15
+        x = rng.standard_normal((n, d))
+        x += 0.15
+        return x
     if case_id == "s2":
         cov = 0.5 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
         chol = np.linalg.cholesky(cov)
-        return rng.standard_normal((n, d)) @ chol.T + 0.15
+        x = rng.standard_normal((n, d)) @ chol.T
+        x += 0.15
+        return x
     if case_id == "s3":
-        z = rng.standard_normal((n, d))
+        x = rng.standard_normal((n, d))
         scale = np.sqrt(rng.chisquare(9, n) / 9.0)
-        return (0.15 + z / scale[:, None]) / 10.0
+        x /= scale[:, None]
+        x += 0.15
+        x /= 10.0
+        return x
     # s4 / s5: normal with mean 0.15 on the first seven coordinates
     mu = np.zeros(d)
     mu[:7] = 0.15
-    return rng.standard_normal((n, d)) + mu
+    x = rng.standard_normal((n, d))
+    x += mu
+    return x
 
 
 def generate_case(spec: CaseSpec) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -134,12 +144,11 @@ def write_case_csv(spec: CaseSpec, path: str, n_files: int = 1) -> list[str]:
     if n_files < 1:
         raise ConfigError(f"file count {n_files} below 1")
     x, y, diag = generate_case(spec)
-    table = np.column_stack([y, x])
     paths = []
     bounds = np.linspace(0, spec.n_records, n_files + 1).astype(int)
     for j in range(n_files):
         out = path if n_files == 1 else _numbered(path, j)
-        np.savetxt(out, table[bounds[j] : bounds[j + 1]], fmt="%.17g", delimiter=",")
+        _write_rows(out, y[bounds[j] : bounds[j + 1]], x[bounds[j] : bounds[j + 1]])
         paths.append(out)
     sidecar = {
         "case_id": spec.case_id,
@@ -155,6 +164,19 @@ def write_case_csv(spec: CaseSpec, path: str, n_files: int = 1) -> list[str]:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths
+
+
+def _write_rows(path: str, y: np.ndarray, x: np.ndarray) -> None:
+    """Rows ``y_i,x_i1,...,x_id`` in ``%.17g``, the bytes ``np.savetxt`` writes.
+
+    Each block of up to 4096 rows is formatted by one ``%`` operation.
+    """
+    n, d = x.shape
+    row = ",".join(["%.17g"] * (d + 1)) + "\n"
+    with open(path, "w") as fh:
+        for i in range(0, n, 4096):
+            block = np.column_stack([y[i : i + 4096], x[i : i + 4096]])
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def _numbered(path: str, j: int) -> str:

@@ -7,18 +7,21 @@ route instead of normal equations.  The scalar uniform is the
 record-at-a-time form of ``qlsub.rng.uniforms``, built from plain Python
 integers rather than numpy's uint64 arithmetic.  The weighted score, the
 full-data variance and the capped proportional allocation are the textbook
-forms the package's scan-based paths are checked against.
+forms the package's scan-based paths are checked against.  The Newton
+loop is the textbook one, with the curvature weight taken from the family's
+derivative and each 1-norm from ``np.linalg.norm``.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from qlsub.errors import DegenerateScores
-from qlsub.estimator import _gram, _sandwich, _weights, subsample_hessian
-from qlsub.families import LinkFamily
+from qlsub.estimator import MAX_HALVINGS, RCOND_MIN, _gram, _sandwich, _weights, subsample_hessian
+from qlsub.families import ETA_MAX, LinkFamily
 from qlsub.rng import _GAMMA, _INV53, _MASK, MAIN_STREAM, _mix_int, derive_seed
 
 
@@ -123,6 +126,70 @@ def weighted_least_squares(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.nd
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)
     return beta
+
+
+def newton_reference(x, y, family: LinkFamily, p=None, init=None, tol: float = 1e-8, max_iter: int = 100):
+    """Newton-Raphson with step-halving on the weighted estimating equation.
+
+    The loop of ``estimator.solve_weighted_qle``: the step solves the
+    curvature ``x' diag(w * mean'(eta)) x``, symmetrised, against the score,
+    with the inverse symmetrised after a 1-norm condition check; up to
+    ``MAX_HALVINGS`` halvings look for a smaller max-norm of the score.
+    Returns ``beta``, ``iterations``, ``converged``, ``saturated``, the last
+    Newton matrix ``newton`` and the number of ``halvings`` taken.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m, d = x.shape
+    w = np.ones(m) if p is None else 1.0 / np.asarray(p, dtype=np.float64)
+    scale = 1.0 + float(w.sum())
+    beta = np.zeros(d) if init is None else np.array(init, dtype=np.float64)
+
+    def score_at(b):
+        eta = x @ b
+        return x.T @ (w * (y - family.mean(eta))), eta
+
+    def curvature(eta):
+        g = x.T @ (x * (w * family.mean_derivative(eta))[:, None])
+        return 0.5 * (g + g.T)
+
+    def inverse(a):
+        np.linalg.cholesky(a)
+        inv = np.linalg.inv(a)
+        assert 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)) >= RCOND_MIN
+        return 0.5 * (inv + inv.T)
+
+    score, eta = score_at(beta)
+    norm = float(np.max(np.abs(score)))
+    newton, iterations, halvings, saturated = None, 0, 0, False
+    converged = norm <= tol * scale
+    while not converged and iterations < max_iter:
+        iterations += 1
+        saturated = saturated or (family.kind == "exp" and bool(np.any(eta > ETA_MAX)))
+        newton = curvature(eta)
+        delta = inverse(newton) @ score
+        step = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            cand = beta + step * delta
+            try:
+                cand_score, cand_eta = score_at(cand)
+            except ValueError:
+                cand_norm = math.nan
+            else:
+                cand_norm = float(np.max(np.abs(cand_score)))
+            if np.isfinite(cand_norm) and cand_norm < norm:
+                break
+            step *= 0.5
+            halvings += 1
+        else:
+            break
+        beta, score, eta, norm = cand, cand_score, cand_eta, cand_norm
+        converged = norm <= tol * scale
+    if newton is None:
+        newton = curvature(eta)
+    return SimpleNamespace(
+        beta=beta, iterations=iterations, converged=converged, saturated=saturated, newton=newton, halvings=halvings
+    )
 
 
 def uniform_one(seed: int, index: int, stream: int = MAIN_STREAM) -> float:

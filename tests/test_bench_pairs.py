@@ -129,3 +129,57 @@ def test_missing_end_to_end_metric_stops(results):
     del next(run for run in runs if run["machine"]["seed"] == 2)["metrics"]["peak_rss_mb"]
     with pytest.raises(SystemExit, match=r"^bench_pairs: w1 run w1-seed2-.* lacks peak_rss_mb$"):
         bench_pairs.summarize(runs, {"parent": PARENT, "change": CHANGE}, METRICS)
+
+
+TIGHT = [10.0, 10.1, 9.9, 10.0, 10.05, 9.95, 10.0, 10.1, 9.9, 10.0]  # quartile distance 0.1
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, want",
+    [
+        # 9 of 10 wins and a median 0.8 below, beyond the parent's quartile distance
+        (TIGHT, [9.2] * 9 + [10.5], "lower", "gain"),
+        (TIGHT, [10.8] * 9 + [9.5], "higher", "gain"),
+        # 8 of 10 wins are too few
+        (TIGHT, [9.2] * 8 + [10.5] * 2, "lower", "unchanged"),
+        # 10 of 10 wins by less than the quartile distance
+        ([p + 0.001 for p in TIGHT], [p - 0.02 for p in TIGHT], "lower", "unchanged"),
+        # a median 30 % above the parent's, past the 25 % bound
+        (TIGHT, [13.0] * 10, "lower", "worse"),
+        (TIGHT, [7.0] * 10, "higher", "worse"),
+        # a parent spread past the bound: unresolved unless every change run beats every parent run
+        ([6.0, 14.0] * 5, [11.0, 9.0] * 5, "lower", "unresolved"),
+        ([6.0, 14.0] * 5, [5.0] * 10, "lower", "unchanged"),
+        ([6.0, 14.0] * 5, [1.0] * 10, "lower", "gain"),
+        ([10.0, 14.0] * 5, [9.0] * 6 + [15.0] * 4, "lower", "unresolved"),
+    ],
+)
+def test_verdict(parent, change, better, want):
+    assert bench_pairs.verdict(list(zip(parent, change)), better, 0.25) == want
+
+
+def test_summary_lines_state_the_verdict(results, tmp_path, capsys):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": METRICS, "per_layer": LAYERS}))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", PARENT, "--change", CHANGE, "--results", str(results), "--benchmark", str(bench)]
+    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["w1"]["metrics"]
+    # the parent's wall_rel quartiles 1.5-2.1 span 30 % of its median, past the 25 % bound
+    assert metrics["wall_rel"]["verdict"] == "unresolved"
+    # 90 MiB against 100 in every pair
+    assert metrics["peak_rss_mb"]["verdict"] == "gain"
+    lines = capsys.readouterr().out.splitlines()
+    assert "w1 wall_rel: 2 -> 1.1 x_ref (change wins 2/3): unresolved" in lines
+    assert "w1 peak_rss_mb: 100 -> 90 MiB (change wins 3/3): gain" in lines
+
+
+def test_layers_have_no_verdict(results, tmp_path):
+    for j, (seed, parent, change) in enumerate([(5, 0.05, 0.03), (6, 0.06, 0.07)]):
+        write_run(results, "w1", seed, PARENT, 60 + 2 * j, 1.0, trace=1, layers={"pipeline.second_pass_s": parent})
+        write_run(results, "w1", seed, CHANGE, 61 + 2 * j, 1.0, trace=1, layers={"pipeline.second_pass_s": change})
+    traced = bench_pairs.summarize(
+        bench_pairs.load_runs([results], trace=1), {"parent": PARENT, "change": CHANGE}, LAYERS, partial=True
+    )
+    # per-layer metrics carry no bound
+    assert "verdict" not in traced["workloads"]["w1"]["metrics"]["pipeline.second_pass_s"]

@@ -11,12 +11,13 @@ from qlsub.estimator import (
     subsample_hessian,
     vc_contribution,
 )
-from qlsub.families import EXP, IDENTITY
+from qlsub.families import EXP, IDENTITY, LOGISTIC
 from qlsub.sampling import record_scores, waterfill
 from qlsub.synth import generate_case, make_spec
 
 from _oracles import (
     full_data_variance,
+    newton_reference,
     optimal_probabilities,
     weighted_least_squares,
     weighted_score,
@@ -114,6 +115,42 @@ class TestSolver:
                 - weighted_score(x, y, EXP, beta - e, p=p)
             ) / (2 * h)
         np.testing.assert_allclose(newton, -jac, rtol=1e-5)
+
+
+def _newton_case(name):
+    """A weighted fit of one family; the ``exp`` variants saturate or step-halve."""
+    rng = np.random.default_rng(20)
+    n = 300
+    x = np.column_stack([np.ones(n), rng.uniform(-1, 1, (n, 4))])
+    p = rng.uniform(0.05, 1.0, n)
+    eta = x @ np.array([0.5, 1.0, -0.7, 0.3, 0.2])
+    family, y, init = {
+        "identity": (IDENTITY, eta + rng.normal(0, 0.5, n), None),
+        "exp": (EXP, rng.poisson(np.exp(eta)).astype(np.float64), None),
+        "logistic": (LOGISTIC, (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(np.float64), None),
+        # two records start above the clamp, and the fit stops at max_iter
+        "exp-saturating": (EXP, rng.poisson(np.exp(eta)).astype(np.float64), np.array([0.0, 710.0, 0.0, 0.0, 0.0])),
+        # steep counts: full steps from zero overshoot
+        "exp-halving": (EXP, rng.poisson(np.exp(3 * eta)).astype(np.float64), None),
+    }[name]
+    return x, y, family, p, init
+
+
+class TestNewtonAgainstReference:
+    """The solver's Newton loop gives the textbook loop's bits for every family."""
+
+    @pytest.mark.parametrize("name", ["identity", "exp", "logistic", "exp-saturating", "exp-halving"])
+    def test_bit_identical(self, name):
+        x, y, family, p, init = _newton_case(name)
+        fit = solve_weighted_qle(x, y, family, p=p, init=init)
+        ref = newton_reference(x, y, family, p=p, init=init)
+        np.testing.assert_array_equal(fit.beta.view(np.uint64), ref.beta.view(np.uint64))
+        np.testing.assert_array_equal(fit.hessian.view(np.uint64), ref.newton.view(np.uint64))
+        assert (fit.iterations, fit.converged, fit.saturated) == (ref.iterations, ref.converged, ref.saturated)
+        assert fit.saturated == (name == "exp-saturating")
+        assert (ref.halvings > 0) == (name in ("exp", "exp-halving"))
+        if name == "exp-halving":
+            assert ref.halvings >= 5 and fit.converged
 
 
 class TestScore:

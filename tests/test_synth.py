@@ -1,10 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from qlsub import cli
 from qlsub.families import EXP, IDENTITY
 from qlsub.synth import (
+    _CASE_TABLE,
     full_qle,
     generate_case,
     make_spec,
@@ -88,6 +91,77 @@ class TestGeneration:
         assert total == 200
         meta = json.loads((tmp_path / "s5.meta.json").read_text())
         assert meta["dim"] == 140 and meta["seed"] == 9
+
+
+# sha256 of x and y from generate_case(make_spec(case, 2000, seed=12))
+CASE_DIGESTS = {
+    "c1": (
+        "2291b10d9a3d224a270ebff49bb5681064ab263072bde0904095414663d82cde",
+        "71054ca29ec9a991f7d2d8b9af787946b22d033c2ac8066ca21f91df420e9ff2",
+    ),
+    "c2": (
+        "41a2e32c031d7a811cdbb7a20bae1c6819aa3ae6f05fff7b651bfb05a1db8aa0",
+        "6a199fe8a1095bd9314b638597f226cdf30e90dcc53864a9dcd035bff9d5b54f",
+    ),
+    "c3": (
+        "7386e681462047a166ebd1fc8d40191b68579941ef295e9fcc65737b46652f49",
+        "57e09194daa2f47ebc31c681948feb56d4de0917b2d0d95fff75ab23146a6a4c",
+    ),
+    "c4": (
+        "9818f28efeaca011424d54fffa8d0d29c15b1aa7af7970ffe5b44a8d6b822fe0",
+        "d7624c2f5784239156512db9e2174436568a8e6ce841cea01df4c36d3952ced7",
+    ),
+    "s1": (
+        "ec106773a02ae152f50f921752d309f6fa00eff3e208d17b251dfd3386a116e5",
+        "7d7fbf0a4f11bd7cd1346a429b6bddcbc761e08affde2539ebfd0ede0d5badbe",
+    ),
+    "s2": (
+        "0e5c68ab1ef0c26273279c4b6367bb4865b10821320eabb01dfe1cca5565c367",
+        "4a32422efa1642f3163e8914cd2f55e56474eaa912a11ef2084ea774df0f48aa",
+    ),
+    "s3": (
+        "85c07d49dd78a8e47d227a4e358fb8ceea3caad588a41b6d5417f88dc49d5230",
+        "b70f21db869fa9e97161c4a33681fc09c6cbcae11c1616ece535adef6757d90c",
+    ),
+    "s4": (
+        "b12b028e31f07d7714198996b5443a84bf1af0ff62c0eb4e2d225bd81599abea",
+        "0a35452136cdab2e430a2123c223586698d2257f350980623aea01e6a04ec24c",
+    ),
+    "s5": (
+        "29dadb0811471c4d1a030da97cd387b778e413c6ad8a50d23412f90c6970d01e",
+        "8f6c749d5bb06c39a62c73808cc32fc16dc89f785a131a98ab263c5f8357e6bd",
+    ),
+}
+# sha256 of each file of gen-data --case c1 --n 10000 --seed 13, in one file and in three
+GEN_DATA_DIGESTS = {
+    1: ["21039ebd95230207c96f08e137475362574f86811907fd0ebdc24002674a84af"],
+    3: [
+        "3db9c2c58f245563f84a3c7c72da723fa3debed75a9f2ec6bd9a2cd7917f2624",
+        "9d3b6aaa12d1917313136c951c7b0d7050b9f1c39733ee8f0c1f7ce7aacd1ec1",
+        "5a9abc634d33c4f6c34f4ce813a5b3c9905f043bc751cc5d62b278a321c1b0ce",
+    ],
+}
+
+
+class TestPinnedBits:
+    """The generators and the CSV writer give fixed bits and bytes for fixed seeds."""
+
+    def test_every_case_table_entry_is_pinned(self):
+        assert set(CASE_DIGESTS) == set(_CASE_TABLE)
+
+    @pytest.mark.parametrize("case", sorted(CASE_DIGESTS))
+    def test_generate_case(self, case):
+        x, y, _ = generate_case(make_spec(case, 2000, seed=12))
+        got = (hashlib.sha256(x.tobytes()).hexdigest(), hashlib.sha256(y.tobytes()).hexdigest())
+        assert got == CASE_DIGESTS[case]
+
+    @pytest.mark.parametrize("files", sorted(GEN_DATA_DIGESTS))
+    def test_gen_data_bytes(self, tmp_path, files):
+        out = tmp_path / "c1.csv"
+        argv = ["gen-data", "--case", "c1", "--n", "10000", "--seed", "13", "--out", str(out), "--files", str(files)]
+        assert cli.main(argv) == 0
+        paths = [out] if files == 1 else [tmp_path / f"c1.part{j}.csv" for j in range(files)]
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == GEN_DATA_DIGESTS[files]
 
 
 class TestFullQle:

@@ -12,7 +12,7 @@ must keep exactly what the full pass keeps.
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -474,11 +474,38 @@ def test_thinned_pass_matches_the_full_pass(data, block):
         want = reference(data, "mv", mode)
         with thinned(), mock.patch("qlsub.pipeline.whitened_at", wraps=whitened_at) as whiten:
             got = scan_outcome(stream, "mv", mode)
-        # the screen whitened some records, and far from all
-        assert whiten.called
-        assert sum(len(call.args[1]) for call in whiten.call_args_list) < N
+        if mode == "exact":
+            # the exact cap's rule holds every record's score, so nothing is whitened again
+            assert not whiten.called
+        else:
+            # the screen whitened some records, and far from all
+            assert whiten.called
+            assert sum(len(call.args[1]) for call in whiten.call_args_list) < N
         for name in want:
             assert_same_bits(got[name], want[name])
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("block", [TILE_ROWS + 1, N])
+def test_exact_cap_scores_each_block_once(data, criterion, block):
+    """Resolving the exact cap and drawing under it score every block once, thinned or not."""
+    stream = ArrayStream(*data, block_size=block)
+    plan = plan_for(criterion, "exact")
+    pilot = run_pilot(stream, EXP, R0, SEED, criterion)
+    want = reference(data, criterion, "exact")
+    for screen in (nullcontext(), thinned()):
+        with screen, mock.patch("qlsub.sampling.score_parts", wraps=score_parts) as scored, mock.patch(
+            "qlsub.pipeline.score_parts", new=scored
+        ):
+            rule = resolve_rule(stream, EXP, pilot, plan, R)
+            sample = second_pass(stream, EXP, pilot, plan, R, SEED, rule=rule)
+        starts = [start for start, _, _ in stream.iter_blocks()]
+        assert [call.args[1] for call in scored.call_args_list] == starts
+        np.testing.assert_array_equal(sample.indices, want["draw_idx"])
+        assert_same_bits(sample.p, want["draw_p"])
+        # nothing was screened, so the expected size is the sum of p, each term in multiples of 2**-32
+        probs = rule.block_probabilities(*data, EXP)
+        assert sample.expected_size == np.rint(probs * 2**32).sum() / 2**32
 
 
 @settings(max_examples=25, deadline=None)
