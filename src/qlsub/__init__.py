@@ -6,6 +6,7 @@ from .errors import (
     DataError,
     DegenerateScores,
     EmptySample,
+    NonFiniteValue,
     PartitionFailed,
     PilotFailed,
     QlsubError,
@@ -54,6 +55,7 @@ __all__ = [
     "IDENTITY",
     "LinkFamily",
     "LOGISTIC",
+    "NonFiniteValue",
     "PartitionFailed",
     "PartitionSummary",
     "PilotFailed",

@@ -6,8 +6,9 @@ byte-identical file.  Wall-clock timings are reported as log lines on
 stderr, never inside the document.  CSV tables serve the experiment
 commands.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success; a package error exits with the code of its type
+(``errors.py``): 2 configuration error, 3 data error, 4 numerical failure,
+5 out of memory.  An unreadable file is a data error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
+import re
 import sys
 import time
 import warnings
@@ -25,16 +28,7 @@ import numpy as np
 
 from . import synth
 from .distributed import run_distributed
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateScores,
-    EmptySample,
-    PartitionFailed,
-    PilotFailed,
-    QlsubError,
-    SingularHessian,
-)
+from .errors import ConfigError, DataError, OutOfMemory, QlsubError
 from .estimator import Z_975, FitResult
 from .families import LinkFamily, get_family
 from .ingest import CsvStream
@@ -42,12 +36,9 @@ from .pipeline import run_two_step
 from .sampling import SamplingPlan
 from .synth import make_spec
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
-_NUMERIC_ERRORS = (SingularHessian, EmptySample, DegenerateScores, PilotFailed, PartitionFailed)
+# an item of a list flag: a decimal integer, or a decimal float (not inf or nan)
+_INT = re.compile(r"[+-]?\d+")
+_FLOAT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 def _log(phase: str, started: float) -> None:
@@ -62,15 +53,24 @@ def _z_for(level: float) -> float:
     return float(norm.ppf(0.5 + level / 2.0))
 
 
+def _items(text: str, flag: str, item, what: str) -> list[str]:
+    """The non-blank items of a comma-separated flag value, each a full match of ``item``."""
+    items = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for tok in items:
+        if not item.fullmatch(tok):
+            raise ConfigError(f"{flag} {text!r}: {tok!r} is not {what}")
+    return items
+
+
 def _int_list(text: str, flag: str) -> list[int]:
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    values = [int(tok) for tok in _items(text, flag, _INT, "a column number")]
     if not values:
         raise ConfigError(f"{flag} {text!r} names no column")
     return values
 
 
-def _float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(text: str, flag: str) -> list[float]:
+    values = [float(tok) for tok in _items(text, flag, _FLOAT, "a number")]
     if not values:
         raise ConfigError(f"empty grid {text!r}")
     return values
@@ -110,14 +110,11 @@ def _fit_input(args) -> tuple[CsvStream, LinkFamily]:
     return stream, family
 
 
-def _config_dict(args, extra: dict | None = None) -> dict:
+def _config_dict(args) -> dict:
     # operational flags (output location, worker count, parse cache) do not
     # affect the computation and stay out of the embedded config
     skip = {"func", "out", "threads", "no_cache"}
-    config = {k: v for k, v in vars(args).items() if k not in skip}
-    if extra:
-        config.update(extra)
-    return config
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def _fit_document(args, fit: FitResult) -> dict:
@@ -169,7 +166,7 @@ def _cmd_gen_data(args) -> int:
     spec = make_spec(args.case, args.n, args.seed)
     synth.write_case_csv(spec, args.out, n_files=args.files)
     _log(f"gen-data {args.case} N={spec.n_records}", started)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_fit_full(args) -> int:
@@ -180,10 +177,12 @@ def _cmd_fit_full(args) -> int:
     fit = synth.full_qle(stream.x, stream.y, family)
     _log("fit-full", started)
     _emit_fit(args, fit)
-    return EXIT_OK
+    return 0
 
 
 def _plan_from_args(args) -> SamplingPlan:
+    if not math.isfinite(args.ridge):
+        raise ConfigError(f"ridge {args.ridge} is not a finite number")
     if args.ridge < 0.0:
         raise ConfigError(f"ridge {args.ridge} below 0")
     return SamplingPlan(
@@ -202,7 +201,7 @@ def _cmd_fit(args) -> int:
     fit = run_two_step(stream, family, plan, args.r0, ridge=args.ridge)
     _log(f"fit criterion={args.criterion} r={args.r}", started)
     _emit_fit(args, fit)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_fit_distributed(args) -> int:
@@ -222,7 +221,7 @@ def _cmd_fit_distributed(args) -> int:
     fit = run_distributed(stream, family, plan, args.r0, args.k, threads=args.threads, ridge=args.ridge)
     _log(f"fit-distributed K={args.k} r={args.r}", started)
     _emit_fit(args, fit)
-    return EXIT_OK
+    return 0
 
 
 def _load_case(args) -> tuple[np.ndarray, np.ndarray, synth.CaseSpec]:
@@ -233,7 +232,7 @@ def _load_case(args) -> tuple[np.ndarray, np.ndarray, synth.CaseSpec]:
 
 def _cmd_experiment(args) -> int:
     started = time.perf_counter()
-    r_grid, rho_grid = _float_list(args.r_grid), _float_list(args.rho_grid)
+    r_grid, rho_grid = _float_list(args.r_grid, "--r-grid"), _float_list(args.rho_grid, "--rho-grid")
     x, y, spec = _load_case(args)
     family = get_family(args.family)
     reference = (
@@ -243,47 +242,26 @@ def _cmd_experiment(args) -> int:
     for r in r_grid:
         for rho in rho_grid:
             reports = synth.run_replications(
-                x,
-                y,
-                family,
-                args.methods.split(","),
-                r=r,
-                r0=args.r0,
-                rho=rho,
-                k=args.k,
-                t=args.t,
-                seed=args.seed,
-                threshold=args.threshold,
-                reference=reference,
-                reference_kind=args.reference,
+                x, y, family, args.methods.split(","), r=r, r0=args.r0, rho=rho, k=args.k, t=args.t,
+                seed=args.seed, threshold=args.threshold, reference=reference, reference_kind=args.reference,
                 coverage_index=args.coverage_index,
             )
             rows.extend(rep.as_row() for rep in reports)
     _log(f"experiment case={args.case}", started)
     _write_table(rows, args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_bench(args) -> int:
     started = time.perf_counter()
-    r_grid = _float_list(args.r_grid)
+    r_grid = _float_list(args.r_grid, "--r-grid")
     x, y, _ = _load_case(args)
     family = get_family(args.family)
-    rows = synth.timing_study(
-        x,
-        y,
-        family,
-        args.methods.split(","),
-        r_grid,
-        repeats=args.repeats,
-        r0=args.r0,
-        rho=args.rho,
-        k=args.k,
-        seed=args.seed,
-    )
+    rows = synth.timing_study(x, y, family, args.methods.split(","), r_grid, repeats=args.repeats, r0=args.r0,
+                              rho=args.rho, k=args.k, seed=args.seed)
     _log(f"bench case={args.case}", started)
     _write_table([dataclasses.asdict(row) for row in rows], args.out)
-    return EXIT_OK
+    return 0
 
 
 # -- parser ---------------------------------------------------------------
@@ -354,12 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(p)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--k", type=int, default=0, help="number of logical shards")
-    p.add_argument(
-        "--partitions",
-        nargs="+",
-        default=None,
-        help="one CSV per machine; shards align with the files",
-    )
+    p.add_argument("--partitions", nargs="+", default=None, help="one CSV per machine; shards align with the files")
     p.set_defaults(func=_cmd_fit_distributed)
 
     p = commands.add_parser("experiment", help="replication study on a synthetic case")
@@ -400,22 +373,15 @@ def main(argv=None) -> int:
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"qlsub: warning: {message}\n"
     try:
-        return args.func(args)
-    except _NUMERIC_ERRORS as err:
-        print(f"qlsub: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DataError as err:
-        print(f"qlsub: data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigError, ValueError) as err:
-        print(f"qlsub: configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
-        print(f"qlsub: data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except QlsubError as err:  # pragma: no cover - residual package errors
-        print(f"qlsub: error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        try:  # the two foreign errors a run can meet become the package errors that report them
+            return args.func(args)
+        except OSError as err:
+            raise DataError(err) from err
+        except MemoryError as err:
+            raise OutOfMemory(str(err) or "no memory left for the arrays of this run") from err
+    except QlsubError as err:
+        print(f"qlsub: {err.label}: {err}", file=sys.stderr)
+        return err.exit_code
     finally:
         warnings.formatwarning = formatwarning
 

@@ -106,13 +106,16 @@ def pilot_summary(
     estimate of the same threshold, stands in for it.  The summary's meat
     contribution propagates the pilot estimate's own sandwich
     variance (pilot term at p = r0/N) through that combination weight, so
-    the pooled variance stays calibrated.
+    the pooled variance stays calibrated.  A record at p = 0 (a zero score
+    at rho = 0) is one that no shard's draw keeps, so it adds no curvature.
     """
     if plan.threshold_mode == "exact":
         plan = replace(plan, threshold_mode="quantile")
     rule = resolve_rule(None, family, pilot, plan, r, n_pool=machine_size)
-    p = rule.probabilities(pilot.scores)
-    hessian = subsample_hessian(pilot.x, family, pilot.beta0, p=p, scale=machine_size)
+    p, x = rule.probabilities(pilot.scores), pilot.x
+    if not p.all():
+        x, p = x[p > 0.0], p[p > 0.0]
+    hessian = subsample_hessian(x, family, pilot.beta0, p=p, scale=machine_size)
     n_total = float(pilot.n_total)
     pilot_meat = vc_contribution(pilot.x, pilot.y, family, pilot.beta0, pilot.p)
     pilot_var = pilot.sigma0_inv @ (pilot_meat / n_total**2) @ pilot.sigma0_inv

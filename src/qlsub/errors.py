@@ -1,16 +1,38 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the exit code and the label that the command line reports
+it with, as ``qlsub: <label>: <message>``.  A package error is a numerical
+failure (exit 4) unless its type says otherwise.  The types that stand in
+for a ``ValueError`` of a library call also derive from ``ValueError``.
+"""
 
 
 class QlsubError(Exception):
     """Base class for all package errors."""
 
+    exit_code, label = 4, "numerical failure"
 
-class ConfigError(QlsubError):
+
+class ConfigError(QlsubError, ValueError):
     """Invalid configuration or plan parameters."""
+
+    exit_code, label = 2, "configuration error"
 
 
 class DataError(QlsubError):
     """Malformed or unreadable input data."""
+
+    exit_code, label = 3, "data error"
+
+
+class OutOfMemory(QlsubError):
+    """The arrays of a run do not fit in memory."""
+
+    exit_code, label = 5, "out of memory"
+
+
+class NonFiniteValue(QlsubError, ValueError):
+    """A linear predictor that is not finite, or a probability outside [0, 1] (such as NaN)."""
 
 
 class EmptySample(QlsubError):

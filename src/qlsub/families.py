@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteValue
+
 # exp() is clamped here instead of overflowing to inf; Newton steps can
 # overshoot and step-halving needs finite scores to recover.
 ETA_MAX = 700.0
@@ -24,7 +26,7 @@ _RANGES = {"identity": (-np.inf, np.inf), "exp": (0.0, np.inf), "logistic": (0.0
 def _check_finite(eta):
     arr = np.asarray(eta, dtype=np.float64)
     if not np.isfinite(arr).all():
-        raise ValueError("linear predictor must be finite")
+        raise NonFiniteValue("linear predictor must be finite")
     return arr
 
 

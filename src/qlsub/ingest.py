@@ -25,6 +25,7 @@ import mmap
 import os
 import struct
 import tempfile
+import zlib
 from typing import NoReturn
 
 import numpy as np
@@ -34,9 +35,11 @@ from .errors import ConfigError, DataError
 DEFAULT_BLOCK_SIZE = 65536
 
 # sidecar header: magic with the format version, then n, d, the field count
-# of the records and the payload length; the key follows, then x and y
-_CACHE_HEAD = struct.Struct("<8s4Q")
-_CACHE_MAGIC = b"qlcache\x01"
+# of the records, the payload length and the CRC32 of the payload; the key
+# follows, then x and y.  The CRC guards against a damaged payload, not an
+# adversary, so a checksum cheaper than the key's sha256 suffices.
+_CACHE_HEAD = struct.Struct("<8s5Q")
+_CACHE_MAGIC = b"qlcache\x02"
 
 
 class RecordStream:
@@ -105,8 +108,8 @@ class CsvStream(ArrayStream):
     With ``cache``, a file whose sidecar holds its sha256 and this schema is
     read from the sidecar, not parsed; a parsed file gets a sidecar keyed by
     the bytes the parse read, written after the last file is read.  A
-    sidecar that does not match is removed, and one that cannot be read or
-    written is skipped.
+    sidecar that does not match, or whose payload fails its CRC32, is
+    removed, and one that cannot be read or written is skipped.
     """
 
     def __init__(
@@ -261,9 +264,10 @@ class CsvStream(ArrayStream):
 
     def _read_cache(self, path: str, xf, yf) -> bool:
         """Append the records in the sidecar of ``path`` to ``xf`` and ``yf`` and return ``True`` if it holds
-        the file's bytes under this schema; a sidecar that does not is removed.  Without one, nothing is read."""
+        the file's bytes under this schema and an intact payload; a sidecar that does not is removed.  Without one,
+        nothing is read."""
         with contextlib.suppress(OSError, struct.error), open(path + ".qlcache", "rb") as fh:
-            magic, n, d, arity, nbytes = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
+            magic, n, d, arity, nbytes, crc = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
             keylen = os.fstat(fh.fileno()).st_size - _CACHE_HEAD.size - nbytes
             if magic == _CACHE_MAGIC and n and nbytes == n * (d + 1) * 8 and keylen > 0:
                 if self._arity not in (None, arity):
@@ -273,9 +277,7 @@ class CsvStream(ArrayStream):
                     while raw.readinto(buf):
                         pass
                     key = self._cache_key(raw)
-                if fh.read(keylen) == key:
-                    _copy(fh, xf, n * d * 8)
-                    _copy(fh, yf, n * 8)
+                if fh.read(keylen) == key and _copy(fh, yf, n * 8, _copy(fh, xf, n * d * 8)) == crc:
                     self._arity = arity
                     return True
         with contextlib.suppress(OSError):
@@ -285,7 +287,8 @@ class CsvStream(ArrayStream):
     def _write_cache(self, path: str, key: bytes, start: int, count: int) -> None:
         """Store the records of ``path`` in its sidecar, through a temporary file."""
         x, y, tmp = self.x[start : start + count], self.y[start : start + count], None
-        head = _CACHE_HEAD.pack(_CACHE_MAGIC, count, self.dim, self._arity, x.nbytes + y.nbytes)
+        head = _CACHE_HEAD.pack(_CACHE_MAGIC, count, self.dim, self._arity, x.nbytes + y.nbytes,
+                                zlib.crc32(y, zlib.crc32(x)))
         try:
             fd, tmp = tempfile.mkstemp(suffix=".qlcache.tmp", prefix=os.path.basename(path) + ".",
                                        dir=os.path.dirname(path) or ".")
@@ -306,13 +309,16 @@ def _stamp(fh) -> tuple[int, int, int]:
     return st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _copy(src, dst, nbytes: int) -> None:
-    """Copy the next ``nbytes`` of ``src`` to the end of ``dst``, a bounded chunk at a time."""
+def _copy(src, dst, nbytes: int, crc: int = 0) -> int:
+    """Copy the next ``nbytes`` of ``src`` to the end of ``dst``, a bounded chunk at a time; return the CRC32
+    of the bytes copied, continued from ``crc``."""
     while nbytes:
         chunk = src.read(min(nbytes, 1 << 18))
         if not chunk:
             raise OSError(f"{src.name}: shorter than its header says")
         nbytes -= dst.write(chunk)
+        crc = zlib.crc32(chunk, crc)
+    return crc
 
 
 class _DigestFile(io.FileIO):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateScores
+from .errors import ConfigError, DegenerateScores, NonFiniteValue
 from .families import LinkFamily
 from .rng import MAIN_STREAM, uniforms
 
@@ -267,5 +267,5 @@ def block_mask(seed: int, indices: np.ndarray, probs, stream: int = MAIN_STREAM)
     if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
         bad = np.broadcast_to(~((p >= 0.0) & (p <= 1.0)), np.shape(indices))
         idx = np.asarray(indices)[bad][0]
-        raise ValueError(f"probability outside [0, 1] at record {int(idx)}")
+        raise NonFiniteValue(f"probability outside [0, 1] at record {int(idx)}")
     return uniforms(seed, indices, stream) < p

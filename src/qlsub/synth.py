@@ -69,7 +69,7 @@ _CASE_TABLE = {
 def make_spec(case_id: str, n_records: int | None = None, seed: int = 0) -> CaseSpec:
     case_id = case_id.lower()
     if case_id not in _CASE_TABLE:
-        raise ValueError(f"unknown case {case_id!r}; expected one of {sorted(_CASE_TABLE)}")
+        raise ConfigError(f"unknown case {case_id!r}; expected one of {sorted(_CASE_TABLE)}")
     if n_records is not None and n_records < 1:
         raise ConfigError(f"record count {n_records} below 1")
     dim, beta_fn, law = _CASE_TABLE[case_id]
@@ -329,7 +329,7 @@ def run_replications(
 ) -> list[ExperimentReport]:
     """Replication study for several methods against a common reference."""
     if t < 1:
-        raise ValueError("need at least one replication")
+        raise ConfigError(f"replication count {t} below 1")
     d = np.shape(x)[1]
     if coverage_index is not None and not 0 <= coverage_index < d:
         raise ConfigError(f"coverage index {coverage_index} outside [0, {d})")
@@ -396,7 +396,7 @@ def timing_study(
 ) -> list[TimingRow]:
     """Median/IQR wall times per method and expected size, plus the full fit."""
     if repeats < 3:
-        raise ValueError("need at least 3 repeats for stable medians")
+        raise ConfigError(f"repeat count {repeats} below 3, too few for a stable median")
     stream = ArrayStream(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     cells = [(method, float(r)) for method in methods for r in r_grid]
     cell_times = {cell: [] for cell in cells}

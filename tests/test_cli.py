@@ -94,6 +94,7 @@ def inputs(case_csv, tmp_path_factory):
         "nan": _damaged(case_csv, root / "nan" / "damaged.csv", 500, _set_field(0, "nan")),
         "inf": _damaged(case_csv, root / "inf" / "damaged.csv", 1234, _set_field(3, "inf")),
         "negative": _damaged(case_csv, root / "negative.csv", 321, _set_field(0, "-2")),
+        "overflow": _damaged(case_csv, root / "overflow.csv", 6010, lambda line: line[: line.index(",")] + ",1e308" * 7),
     }
 
 
@@ -148,6 +149,11 @@ EXIT_MATRIX = [
         [*FIT, "--data", "@negative"], 3,
         "negative.csv:321: response -2.0 outside [0, inf] of the exp family", id="exp-negative-response",
     ),
+    # record 6009, outside the pilot, has a linear predictor that overflows in the second shard
+    pytest.param(
+        ["fit-distributed", "--data", "@overflow", "--k", "2", "--r", "300", "--seed", "7"], 4,
+        "numerical failure: partition 2: linear predictor must be finite", id="overflow-in-a-shard",
+    ),
     # a missing file exits 3 when read, so these rows also show the level
     # and the block size are checked before any data is read
     pytest.param([*FIT, "--data", "@missing", "--level", "1.5"], 2, "confidence level 1.5 outside (0, 1)", id="fit-level-1.5"),
@@ -162,10 +168,21 @@ EXIT_MATRIX = [
     ),
     pytest.param([*FIT, "--data", "@missing", "--block-size", "0"], 2, "block size must be positive", id="block-size-0"),
     pytest.param([*FIT, "--data", "@missing", "--x-cols", ","], 2, "--x-cols ',' names no column", id="x-cols-empty"),
+    pytest.param(
+        [*FIT, "--data", "@missing", "--x-cols", "a"], 2, "configuration error: --x-cols 'a': 'a' is not a column number",
+        id="x-cols-not-a-number",
+    ),
     pytest.param([*FIT, "--data", "@missing", "--ridge", "-1"], 2, "ridge -1.0 below 0", id="fit-ridge-negative"),
     pytest.param(
         ["fit-distributed", "--data", "@missing", "--k", "2", "--ridge", "-1"], 2,
         "ridge -1.0 below 0", id="fit-distributed-ridge-negative",
+    ),
+    pytest.param([*FIT, "--data", "@missing", "--ridge", "nan"], 2, "ridge nan is not a finite number", id="ridge-nan"),
+    pytest.param([*FIT, "--data", "@missing", "--ridge", "inf"], 2, "ridge inf is not a finite number", id="ridge-inf"),
+    # the shifted response overflows the score, so a probability is NaN
+    pytest.param(
+        [*FIT, "--data", "@case", "--y-shift", "1e308"], 4, "numerical failure: probability outside [0, 1]",
+        id="y-shift-overflow", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
     ),
     pytest.param(
         ["fit-distributed", "--data", "@missing", "--k", "2", "--threads", "0"], 2,
@@ -186,6 +203,16 @@ EXIT_MATRIX = [
     pytest.param(["experiment", "--case", "c1", "--r-grid", ","], 2, "empty grid ','", id="experiment-empty-r-grid"),
     pytest.param(["experiment", "--case", "c1", "--rho-grid", ","], 2, "empty grid ','", id="experiment-empty-rho-grid"),
     pytest.param(["bench", "--case", "c1", "--r-grid", ","], 2, "empty grid ','", id="bench-empty-r-grid"),
+    pytest.param(
+        ["experiment", "--case", "c1", "--r-grid", "abc"], 2, "configuration error: --r-grid 'abc': 'abc' is not a number",
+        id="experiment-r-grid-not-a-number",
+    ),
+    pytest.param(
+        ["experiment", "--case", "c1", "--rho-grid", "0.2,x"], 2, "--rho-grid '0.2,x': 'x' is not a number",
+        id="experiment-rho-grid-not-a-number",
+    ),
+    pytest.param(["experiment", "--case", "c1", "--n", "2000", "--t", "0"], 2, "replication count 0 below 1", id="t-0"),
+    pytest.param(["bench", "--case", "c1", "--n", "2000", "--repeats", "2"], 2, "repeat count 2 below 3", id="repeats-2"),
 ]
 
 # each row: a command line rejected before it generates or fits anything, and
@@ -200,6 +227,8 @@ REJECTED_UP_FRONT = [
     pytest.param(["gen-data", "--case", "c1", "--n", "-5"], "record count -5 below 1", id="gen-data-n-negative"),
     pytest.param(["experiment", "--case", "c1", "--n", "0"], "record count 0 below 1", id="experiment-n-0"),
     pytest.param(["bench", "--case", "c1", "--n", "-5"], "record count -5 below 1", id="bench-n-negative"),
+    pytest.param(["gen-data", "--case", "c9"], "unknown case 'c9'; expected one of "
+                 "['c1', 'c2', 'c3', 'c4', 's1', 's2', 's3', 's4', 's5']", id="gen-data-unknown-case"),
 ]
 
 
@@ -275,7 +304,7 @@ class TestExitCodes:
         assert main(argv) == 3
         assert "negative.csv:321: response -2.0" in capsys.readouterr().err
 
-    def test_overflowing_covariates_on_a_thinned_pass_exit_two(self, tmp_path, capsys):
+    def test_overflowing_covariates_on_a_thinned_pass_exit_four(self, tmp_path, capsys):
         # d = 35 thins the mv main pass; a record outside the pilot whose
         # covariates are all 1e308 has no finite linear predictor there
         data = tmp_path / "wide.csv"
@@ -287,9 +316,9 @@ class TestExitCodes:
         data.write_text("\n".join(lines) + "\n")
         out = tmp_path / "o.json"
         argv = ["fit", "--data", str(data), "--criterion", "mv", "--r", "400", "--r0", "400", "--seed", "7"]
-        assert main([*argv, "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        assert err == "qlsub: configuration error: linear predictor must be finite\n"
+        assert err == "qlsub: numerical failure: linear predictor must be finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["fit"], ["fit-distributed", "--k", "2"]], ids=["fit", "fit-distributed"])
@@ -322,6 +351,37 @@ class TestExitCodes:
         with pytest.warns(RuntimeWarning, match="falling back to uniform"):
             assert main(argv) == 0
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_zero_score_pilot_record_at_rho_zero(self, tmp_path, k):
+        # pilot record 105 has x = 0, so its score and, at rho = 0, its
+        # second-stage probability are 0: it adds no curvature to the pilot's
+        # partition instead of failing its weights
+        data, out = tmp_path / "c1.csv", tmp_path / "o.json"
+        write_case_csv(make_spec("c1", 3000, seed=3), str(data))
+        assert uniforms(7, np.array([105]), PILOT_STREAM)[0] < 300 / 3000
+        lines = data.read_text().splitlines()
+        lines[105] = "1,0,0,0,0,0,0,0"
+        data.write_text("\n".join(lines) + "\n")
+        src = str(Path(qlsub.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["fit-distributed", "--data", str(data), "--k", k, "--rho", "0", "--r", "200", "--r0", "300",
+                "--criterion", "mvc", "--seed", "7", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "qlsub.cli", *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        warned = [line for line in run.stderr.splitlines() if "warning" in line.lower()]
+        assert warned == ["qlsub: warning: records with zero score receive probability 0 under rho = 0; "
+                          "the optimality premises may be violated"]
+        assert len(json.loads(out.read_text())["partition_sizes"]) == int(k) + 1
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 5.82 TiB for an array", ""], ids=["numpy", "bare"])
+    def test_out_of_memory_prints_one_line(self, tmp_path, capsys, message):
+        out = tmp_path / "o.csv"
+        with mock.patch.object(synth, "generate_case", side_effect=MemoryError(message)):
+            code = main(["gen-data", "--case", "c1", "--n", "100", "--out", str(out)])
+        want = message or "no memory left for the arrays of this run"
+        assert (code, capsys.readouterr().err) == (5, f"qlsub: out of memory: {want}\n")
+        assert not out.exists()
+
 
 class TestFitDocuments:
     def test_byte_identical_reruns(self, case_csv, tmp_path):
@@ -343,6 +403,33 @@ class TestFitDocuments:
             docs.append((tmp_path / f"{run}.json").read_bytes())
         assert len(set(docs)) == 1
         assert "no_cache" not in json.loads(docs[0])["config"]
+
+    @pytest.mark.parametrize("damage", ["y-times-3", "nan-and-huge-rows"])
+    def test_damaged_sidecar_payload_gives_the_cold_document(self, tmp_path, damage):
+        # the sidecar's key still matches the file; only its payload fails its checksum
+        n, d = 20_000, 7
+        data = str(tmp_path / "c1.csv")
+        write_case_csv(make_spec("c1", n, seed=3), data)
+        argv = ["fit", "--data", data, "--r", "1000", "--r0", "300"]
+        assert main([*argv, "--no-cache", "--out", str(tmp_path / "cold.json")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "first.json")]) == 0
+        sidecar = Path(data + ".qlcache")
+        intact = sidecar.read_bytes()
+        payload = bytearray(intact)
+        x = np.frombuffer(payload, offset=len(payload) - 8 * n * (d + 1), count=n * d).reshape(n, d)
+        y = np.frombuffer(payload, offset=len(payload) - 8 * n, count=n)
+        if damage == "y-times-3":
+            y *= 3.0
+        else:
+            rows = np.arange(100) * 200
+            x[rows[::2]] = np.nan
+            x[rows[1::2]] = 1e300
+        sidecar.write_bytes(payload)
+        assert main([*argv, "--out", str(tmp_path / "warm.json")]) == 0
+        cold = (tmp_path / "cold.json").read_bytes()
+        assert (tmp_path / "first.json").read_bytes() == cold
+        assert (tmp_path / "warm.json").read_bytes() == cold
+        assert sidecar.read_bytes() == intact  # parsed again and rewritten
 
     def test_document_contents(self, case_csv, tmp_path):
         out = str(tmp_path / "doc.json")

@@ -460,12 +460,12 @@ class TestParseCache:
         CsvStream(four)
         copy, calls = ingest._copy, []
 
-        def copy_then_fail(src, dst, nbytes):
+        def copy_then_fail(src, dst, nbytes, crc=0):
             calls.append(nbytes)
             if len(calls) == 4:
                 copy(src, dst, nbytes // 2)
                 raise OSError(5, "Input/output error")
-            copy(src, dst, nbytes)
+            return copy(src, dst, nbytes, crc)
 
         monkeypatch.setattr(ingest, "_copy", copy_then_fail)
         stream = CsvStream(four)
@@ -493,19 +493,25 @@ class TestParseCache:
         assert CsvStream(str(path)).x[1, 0] == 5.0
         assert CsvStream(str(path)).x[1, 0] == 5.0
 
-    @pytest.mark.parametrize("damage", ["truncated", "extended", "empty", "version", "garbage", "header-only"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "extended", "empty", "version", "garbage", "header-only", "payload-x", "payload-y"]
+    )
     def test_damaged_sidecar_is_ignored_and_replaced(self, small_csv, damage):
         path, _ = small_csv
         good = CsvStream(path, block_size=7)
         sidecar = self.sidecar(path)
         data = sidecar.read_bytes()
+        x_at = len(data) - good.x.nbytes - good.y.nbytes
         broken = {
             "truncated": data[:-8],
             "extended": data + bytes(8),
             "empty": b"",
-            "version": data[:7] + b"\x02" + data[8:],
+            "version": data[:7] + b"\x01" + data[8:],  # the format before the payload CRC
             "garbage": np.random.default_rng(1).bytes(len(data)),
             "header-only": data[: ingest._CACHE_HEAD.size],
+            # one bit of the first x value, or of the last y value: the key still matches
+            "payload-x": data[:x_at] + bytes([data[x_at] ^ 1]) + data[x_at + 1 :],
+            "payload-y": data[:-1] + bytes([data[-1] ^ 1]),
         }[damage]
         sidecar.write_bytes(broken)
         self.assert_same(CsvStream(path, block_size=7), good)

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from qlsub import cli
+from qlsub import cli, synth
+from qlsub.errors import NonFiniteValue
 from qlsub.families import EXP, IDENTITY
+from qlsub.pipeline import run_two_step
 from qlsub.synth import (
     _CASE_TABLE,
     full_qle,
@@ -237,6 +239,23 @@ class TestReplications:
             )
         ]
         assert [rep.rho for rep in reports] == [0.2, 0.8]
+
+    def test_overflow_is_a_failed_replication(self, small_case, monkeypatch):
+        # record 10's linear predictor overflows in every replication; each
+        # failure is counted, and the second is more than 5 % of 20
+        x, y, _ = small_case
+        x = x.copy()
+        x[10] = 1e308
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(calls))
+            return run_two_step(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "run_two_step", counted)
+        with pytest.raises(NonFiniteValue, match="^linear predictor must be finite$"):
+            replicate(x, y, EXP, "mvc", r=300, r0=100, t=20, seed=5)
+        assert calls == [0, 1]
 
     def test_timing_requires_repeats(self, small_case):
         x, y, _ = small_case
