@@ -29,12 +29,10 @@ from .sampling import (
 )
 from .synth import (
     CaseSpec,
-    ExperimentReport,
     full_qle,
     generate_case,
     make_spec,
     replicate,
-    run_replications,
     timing_study,
     write_case_csv,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "DegenerateScores",
     "EmptySample",
     "EXP",
-    "ExperimentReport",
     "FitResult",
     "IDENTITY",
     "LinkFamily",
@@ -74,7 +71,6 @@ __all__ = [
     "replicate",
     "run_distributed",
     "run_pilot",
-    "run_replications",
     "run_two_step",
     "sandwich_variance",
     "second_pass",

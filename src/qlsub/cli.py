@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -30,10 +31,10 @@ from . import synth
 from .distributed import run_distributed
 from .errors import ConfigError, DataError, OutOfMemory, QlsubError
 from .estimator import Z_975, FitResult
-from .families import LinkFamily, get_family
-from .ingest import CsvStream
+from .families import FAMILY_NAMES, LinkFamily, get_family
+from .ingest import DEFAULT_BLOCK_SIZE, CsvStream
 from .pipeline import run_two_step
-from .sampling import SamplingPlan
+from .sampling import CRITERIA, THRESHOLD_MODES, SamplingPlan
 from .synth import make_spec
 
 # an item of a list flag: a decimal integer, or a decimal float (not inf or nan)
@@ -224,29 +225,24 @@ def _cmd_fit_distributed(args) -> int:
     return 0
 
 
-def _load_case(args) -> tuple[np.ndarray, np.ndarray, synth.CaseSpec]:
-    spec = make_spec(args.case, args.n, args.seed)
-    x, y, _ = synth.generate_case(spec)
-    return x, y, spec
-
-
 def _cmd_experiment(args) -> int:
     started = time.perf_counter()
     r_grid, rho_grid = _float_list(args.r_grid, "--r-grid"), _float_list(args.rho_grid, "--rho-grid")
-    x, y, spec = _load_case(args)
+    spec, cover = make_spec(args.case, args.n, args.seed), args.coverage_index
+    if cover is not None and not 0 <= cover < spec.dim:
+        raise ConfigError(f"coverage index {cover} outside [0, {spec.dim})")
+    x, y, _ = synth.generate_case(spec)
     family = get_family(args.family)
-    reference = (
-        spec.beta_true if args.reference == "true" else synth.full_qle(x, y, family).beta
-    )
+    reference = spec.beta_true if args.reference == "true" else synth.full_qle(x, y, family).beta
     rows = []
-    for r in r_grid:
-        for rho in rho_grid:
-            reports = synth.run_replications(
-                x, y, family, args.methods.split(","), r=r, r0=args.r0, rho=rho, k=args.k, t=args.t,
-                seed=args.seed, threshold=args.threshold, reference=reference, reference_kind=args.reference,
-                coverage_index=args.coverage_index,
-            )
-            rows.extend(rep.as_row() for rep in reports)
+    # one replicate batch per (r, rho, method) cell, r outermost
+    for r, rho, method in itertools.product(r_grid, rho_grid, args.methods.split(",")):
+        batch = synth.replicate(x, y, family, method, r=r, r0=args.r0, rho=rho, k=args.k, t=args.t, seed=args.seed,
+                                threshold=args.threshold, keep_variances=cover is not None)
+        coverage, length = (None, None) if cover is None else batch.coverage(reference, cover)
+        rows.append({"method": method, "r": r, "r0": args.r0, "rho": rho, "K": args.k, "T": args.t,
+                     "mse": batch.mse(reference), "mse_reference": args.reference, "coverage": coverage,
+                     "avg_ci_length": length, "failures": batch.failures})
     _log(f"experiment case={args.case}", started)
     _write_table(rows, args.out)
     return 0
@@ -255,7 +251,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_bench(args) -> int:
     started = time.perf_counter()
     r_grid = _float_list(args.r_grid, "--r-grid")
-    x, y, _ = _load_case(args)
+    x, y, _ = synth.generate_case(make_spec(args.case, args.n, args.seed))
     family = get_family(args.family)
     rows = synth.timing_study(x, y, family, args.methods.split(","), r_grid, repeats=args.repeats, r0=args.r0,
                               rho=args.rho, k=args.k, seed=args.seed)
@@ -273,22 +269,22 @@ def _add_schema_flags(sub, required: bool = True) -> None:
     sub.add_argument("--x-cols", default=None, help="comma-separated covariate columns")
     sub.add_argument("--intercept", action="store_true")
     sub.add_argument("--y-shift", type=float, default=0.0, help="add a constant to the response")
-    sub.add_argument("--block-size", type=int, default=65536)
+    sub.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     sub.add_argument("--header", action="store_true", help="skip one header line")
     sub.add_argument("--no-cache", action="store_true", help="neither read nor write <file>.qlcache sidecars")
 
 
 def _add_plan_flags(sub) -> None:
-    sub.add_argument("--criterion", choices=["uniform", "mv", "mvc"], default="mvc")
+    sub.add_argument("--criterion", choices=CRITERIA, default="mvc")
     sub.add_argument("--r", type=float, default=1000.0)
     sub.add_argument("--r0", type=float, default=200.0)
     sub.add_argument("--rho", type=float, default=0.2)
-    sub.add_argument("--threshold", choices=["inf", "quantile", "exact"], default="inf")
+    sub.add_argument("--threshold", choices=THRESHOLD_MODES, default="inf")
     sub.add_argument("--ridge", type=float, default=0.0)
 
 
 def _add_common_flags(sub) -> None:
-    sub.add_argument("--family", choices=["identity", "exp", "logistic"], default="exp")
+    sub.add_argument("--family", choices=FAMILY_NAMES, default="exp")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)
 
@@ -344,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-grid", default="0.2")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t", type=int, default=500)
-    p.add_argument("--threshold", choices=["inf", "quantile", "exact"], default="inf")
+    p.add_argument("--threshold", choices=THRESHOLD_MODES, default="inf")
     p.add_argument("--reference", choices=["full", "true"], default="full")
     p.add_argument("--coverage-index", type=int, default=None)
     _add_common_flags(p)

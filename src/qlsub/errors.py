@@ -32,7 +32,7 @@ class OutOfMemory(QlsubError):
 
 
 class NonFiniteValue(QlsubError, ValueError):
-    """A linear predictor that is not finite, or a probability outside [0, 1] (such as NaN)."""
+    """A linear predictor, weighted score or Newton matrix that is not finite, or a probability outside [0, 1]."""
 
 
 class EmptySample(QlsubError):

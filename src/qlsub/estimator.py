@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySample, SingularHessian
+from .errors import EmptySample, NonFiniteValue, SingularHessian
 from .families import LinkFamily
 
 # reciprocal condition number below this is treated as singular
@@ -109,6 +109,8 @@ def _spd_inverse(a: np.ndarray) -> np.ndarray:
     return _symmetrise(inv)
 
 
+# an overflow surfaces as the non-finite score or Newton matrix it leaves, or as a rejected step
+@np.errstate(over="ignore", invalid="ignore")
 def solve_weighted_qle(
     x,
     y,
@@ -124,7 +126,8 @@ def solve_weighted_qle(
     Convergence is declared when the max-norm of the weighted score falls
     below ``tol * (1 + sum of weights)``; the weight mass plays the role of
     the data size so the criterion is scale-free.  Steps that fail to reduce
-    the score norm are halved up to 30 times.
+    the score norm are halved up to 30 times.  A score at ``init`` or a
+    Newton matrix that is not finite raises :class:`NonFiniteValue`.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -152,10 +155,15 @@ def solve_weighted_qle(
         return x.T @ (w * (y - mu)), eta, mu
 
     def curvature(eta, mu):
-        return _gram(x, w * (mu if mean_is_derivative else family.mean_derivative(eta)))
+        g = _gram(x, w * (mu if mean_is_derivative else family.mean_derivative(eta)))
+        if not np.isfinite(g).all():
+            raise NonFiniteValue("Newton matrix is not finite")
+        return g
 
     score, eta, mu = score_at(beta)
     norm = float(np.abs(score).max())
+    if not math.isfinite(norm):
+        raise NonFiniteValue("weighted score is not finite")
     newton = None
     iterations = 0
     converged = norm <= tol * scale

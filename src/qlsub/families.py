@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteValue
+from .errors import ConfigError, NonFiniteValue
 
 # exp() is clamped here instead of overflowing to inf; Newton steps can
 # overshoot and step-halving needs finite scores to recover.
@@ -90,6 +90,7 @@ EXP = LinkFamily("exp", "exp")
 LOGISTIC = LinkFamily("logistic", "logistic")
 
 _BY_NAME = {f.name: f for f in (IDENTITY, EXP, LOGISTIC)}
+FAMILY_NAMES = tuple(_BY_NAME)
 
 
 def get_family(name: str) -> LinkFamily:
@@ -97,6 +98,4 @@ def get_family(name: str) -> LinkFamily:
     try:
         return _BY_NAME[name.lower()]
     except KeyError:
-        raise ValueError(
-            f"unknown family {name!r}; expected one of {sorted(_BY_NAME)}"
-        ) from None
+        raise ConfigError(f"unknown family {name!r}; expected one of {sorted(_BY_NAME)}") from None

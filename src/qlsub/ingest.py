@@ -35,11 +35,12 @@ from .errors import ConfigError, DataError
 DEFAULT_BLOCK_SIZE = 65536
 
 # sidecar header: magic with the format version, then n, d, the field count
-# of the records, the payload length and the CRC32 of the payload; the key
-# follows, then x and y.  The CRC guards against a damaged payload, not an
-# adversary, so a checksum cheaper than the key's sha256 suffices.
+# of the records, the payload length and the CRC32 of the header's bytes
+# before it and of the payload; the key follows, then x and y.  The CRC guards
+# against a damaged sidecar, not an adversary, so a checksum cheaper than the
+# key's sha256 suffices.
 _CACHE_HEAD = struct.Struct("<8s5Q")
-_CACHE_MAGIC = b"qlcache\x02"
+_CACHE_MAGIC = b"qlcache\x03"
 
 
 class RecordStream:
@@ -108,8 +109,8 @@ class CsvStream(ArrayStream):
     With ``cache``, a file whose sidecar holds its sha256 and this schema is
     read from the sidecar, not parsed; a parsed file gets a sidecar keyed by
     the bytes the parse read, written after the last file is read.  A
-    sidecar that does not match, or whose payload fails its CRC32, is
-    removed, and one that cannot be read or written is skipped.
+    sidecar that does not match, or whose header or payload fails its CRC32,
+    is removed, and one that cannot be read or written is skipped.
     """
 
     def __init__(
@@ -264,10 +265,11 @@ class CsvStream(ArrayStream):
 
     def _read_cache(self, path: str, xf, yf) -> bool:
         """Append the records in the sidecar of ``path`` to ``xf`` and ``yf`` and return ``True`` if it holds
-        the file's bytes under this schema and an intact payload; a sidecar that does not is removed.  Without one,
-        nothing is read."""
+        the file's bytes under this schema, an intact header and an intact payload; a sidecar that does not is
+        removed.  Without one, nothing is read."""
         with contextlib.suppress(OSError, struct.error), open(path + ".qlcache", "rb") as fh:
-            magic, n, d, arity, nbytes, crc = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
+            head = fh.read(_CACHE_HEAD.size)
+            magic, n, d, arity, nbytes, crc = _CACHE_HEAD.unpack(head)
             keylen = os.fstat(fh.fileno()).st_size - _CACHE_HEAD.size - nbytes
             if magic == _CACHE_MAGIC and n and nbytes == n * (d + 1) * 8 and keylen > 0:
                 if self._arity not in (None, arity):
@@ -277,7 +279,8 @@ class CsvStream(ArrayStream):
                     while raw.readinto(buf):
                         pass
                     key = self._cache_key(raw)
-                if fh.read(keylen) == key and _copy(fh, yf, n * 8, _copy(fh, xf, n * d * 8)) == crc:
+                covered = zlib.crc32(head[:-8])  # every header field but the CRC itself
+                if fh.read(keylen) == key and _copy(fh, yf, n * 8, _copy(fh, xf, n * d * 8, covered)) == crc:
                     self._arity = arity
                     return True
         with contextlib.suppress(OSError):
@@ -287,8 +290,9 @@ class CsvStream(ArrayStream):
     def _write_cache(self, path: str, key: bytes, start: int, count: int) -> None:
         """Store the records of ``path`` in its sidecar, through a temporary file."""
         x, y, tmp = self.x[start : start + count], self.y[start : start + count], None
-        head = _CACHE_HEAD.pack(_CACHE_MAGIC, count, self.dim, self._arity, x.nbytes + y.nbytes,
-                                zlib.crc32(y, zlib.crc32(x)))
+        fields = (_CACHE_MAGIC, count, self.dim, self._arity, x.nbytes + y.nbytes)
+        crc = zlib.crc32(y, zlib.crc32(x, zlib.crc32(_CACHE_HEAD.pack(*fields, 0)[:-8])))
+        head = _CACHE_HEAD.pack(*fields, crc)
         try:
             fd, tmp = tempfile.mkstemp(suffix=".qlcache.tmp", prefix=os.path.basename(path) + ".",
                                        dir=os.path.dirname(path) or ".")

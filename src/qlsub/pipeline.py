@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import sampling
-from .errors import ConfigError, EmptySample, PilotFailed, SingularHessian
+from .errors import ConfigError, EmptySample, NonFiniteValue, PilotFailed, SingularHessian
 from .estimator import (
     FitResult,
     _spd_inverse,
@@ -176,6 +176,8 @@ def run_pilot(
         beta0 = solve_weighted_qle(px, py, family, p=sample.p, ridge=ridge).beta
     except SingularHessian as err:
         raise PilotFailed(f"pilot Newton system is singular; raise r0 ({err})") from err
+    except NonFiniteValue as err:  # an overflow, which no r0 mends
+        raise NonFiniteValue(f"pilot {err}") from err
 
     try:
         sigma0_inv = _spd_inverse(subsample_hessian(px, family, beta0, scale=realized))
@@ -204,10 +206,11 @@ class ProbabilityRule:
     rho)`` capped at one, with ``cap`` and the score normalizer ``psi_hat``
     resolved for the pool of ``n_pool`` records.  ``psi_hat`` is None for a
     uniform rule, which gives every record ``r / n_pool``: the pilot draws
-    through ``ProbabilityRule(None, None, r0, N)``.  ``block_scores`` maps
-    the global start of each block of the pool to its records' scores when
-    the rule was resolved from them (the exact cap), so that the pass over
-    the same blocks reads them instead of scoring each record again.
+    through ``ProbabilityRule(None, None, r0, N)``.  ``pool_scores`` holds
+    the score of every record of the pool, the first at global index
+    ``pool_start``, when the rule was resolved from them (the exact cap), so
+    that the pass over the pool reads them instead of scoring each record
+    again.
     """
 
     pilot: PilotResult | None
@@ -216,7 +219,8 @@ class ProbabilityRule:
     n_pool: float
     psi_hat: float | None = None
     cap: float = math.inf
-    block_scores: dict[int, np.ndarray] | None = field(default=None, compare=False, repr=False)
+    pool_scores: np.ndarray | None = field(default=None, compare=False, repr=False)
+    pool_start: int | None = None
 
     def __post_init__(self):
         if self.psi_hat is not None and not self.psi_hat > 0:
@@ -272,15 +276,15 @@ class ProbabilityRule:
         :meth:`block_probabilities` gives them.  The rounding of the score,
         the shrinkage blend and the cap at one is monotone, so p <= q.  A
         uniform rule gives ``(r / n_pool, None)``, one float for the block;
-        a rule that holds the block's scores (``block_scores``) gives their
-        capped probabilities and None, and any other rule
-        ``(block_probabilities(...), None)``.
+        a rule that holds its pool's scores (``pool_scores``) gives the
+        capped probabilities of the block's slice of them and None, and any
+        other rule ``(block_probabilities(...), None)``.
         """
         if self.psi_hat is None:
             return self.r / self.n_pool, None
-        kept = (self.block_scores or {}).get(offset)
-        if kept is not None and kept.shape[0] == xb.shape[0]:
-            return self.probabilities(kept), None
+        if self.pool_scores is not None:
+            at = offset - self.pool_start
+            return self.probabilities(self.pool_scores[at : at + xb.shape[0]]), None
         if (
             self.plan.criterion != "mv"
             or xb.shape[1] < sampling.THIN_MIN_DIM
@@ -320,8 +324,8 @@ def resolve_rule(
 
     The pool size defaults to the stream's record count.  Only the exact
     cap reads the stream, so with ``n_pool`` given and another threshold
-    mode ``stream`` may be None.  The exact cap scores every block of the
-    stream and keeps those scores on the rule (``block_scores``) for the
+    mode ``stream`` may be None.  The exact cap scores every record of the
+    stream into one array and keeps it on the rule (``pool_scores``) for the
     pass over the same stream.  A degenerate pilot (``run_pilot`` has
     warned) gives a uniform rule.
     """
@@ -329,17 +333,19 @@ def resolve_rule(
     uniform = ProbabilityRule(pilot, plan, r, n_pool)
     if plan.criterion == "uniform" or pilot.degenerate:
         return uniform
-    scores, cap, blocks = pilot.scores, math.inf, None
+    scores, cap, pool, first = pilot.scores, math.inf, None, None
     if plan.threshold_mode == "quantile":
         cap = threshold_quantile(scores, r, n_pool)
     elif plan.threshold_mode == "exact":
         # score the whole pool with the pilot estimate, then solve the capped allocation on it
-        blocks = {start: uniform.scores(xb, yb, family, start) for start, xb, yb in stream.iter_blocks()}
-        scores = np.concatenate(list(blocks.values()))
+        scores = pool = np.empty(stream.n_records)
+        for start, xb, yb in stream.iter_blocks():
+            first = start if first is None else first
+            pool[start - first : start - first + xb.shape[0]] = uniform.scores(xb, yb, family, start)
         cap, _ = waterfill(scores, r)
     # under the inf cap this is bit for bit pilot.psi_hat
     psi_hat = float(np.minimum(scores, cap).mean())
-    return ProbabilityRule(pilot, plan, r, n_pool, psi_hat=psi_hat, cap=cap, block_scores=blocks)
+    return ProbabilityRule(pilot, plan, r, n_pool, psi_hat=psi_hat, cap=cap, pool_scores=pool, pool_start=first)
 
 
 def second_pass(

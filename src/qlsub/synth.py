@@ -218,38 +218,6 @@ class ReplicationBatch:
         return float(hit.mean()), float(np.mean(2 * z * se))
 
 
-@dataclass
-class ExperimentReport:
-    """One (method, parameter set) row of an experiment table."""
-
-    method: str
-    r: float
-    r0: float
-    rho: float
-    k: int
-    t: int
-    mse: float
-    mse_reference: str
-    coverage: float | None = None
-    avg_ci_length: float | None = None
-    failures: int = 0
-
-    def as_row(self) -> dict:
-        return {
-            "method": self.method,
-            "r": self.r,
-            "r0": self.r0,
-            "rho": self.rho,
-            "K": self.k,
-            "T": self.t,
-            "mse": self.mse,
-            "mse_reference": self.mse_reference,
-            "coverage": "" if self.coverage is None else self.coverage,
-            "avg_ci_length": "" if self.avg_ci_length is None else self.avg_ci_length,
-            "failures": self.failures,
-        }
-
-
 def replicate(
     x,
     y,
@@ -275,6 +243,8 @@ def replicate(
     divide-and-conquer path even at K = 1 (the inference experiments do
     this, since the pooled variance formula belongs to that pipeline).
     """
+    if t < 1:
+        raise ConfigError(f"replication count {t} below 1")
     stream = ArrayStream(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     betas, variances, seeds = [], [], []
     failures = 0
@@ -308,69 +278,6 @@ def replicate(
         failures=failures,
         seeds=seeds,
     )
-
-
-def run_replications(
-    x,
-    y,
-    family: LinkFamily,
-    methods,
-    *,
-    r: float,
-    r0: float = 200.0,
-    rho: float = 0.2,
-    k: int = 1,
-    t: int = 500,
-    seed: int = 0,
-    threshold: str = "inf",
-    reference: np.ndarray | None = None,
-    reference_kind: str = "full_qle",
-    coverage_index: int | None = None,
-) -> list[ExperimentReport]:
-    """Replication study for several methods against a common reference."""
-    if t < 1:
-        raise ConfigError(f"replication count {t} below 1")
-    d = np.shape(x)[1]
-    if coverage_index is not None and not 0 <= coverage_index < d:
-        raise ConfigError(f"coverage index {coverage_index} outside [0, {d})")
-    if reference is None:
-        reference = full_qle(x, y, family).beta
-        reference_kind = "full_qle"
-    reports = []
-    for method in methods:
-        batch = replicate(
-            x,
-            y,
-            family,
-            method,
-            r=r,
-            r0=r0,
-            rho=rho,
-            k=k,
-            t=t,
-            seed=seed,
-            threshold=threshold,
-            keep_variances=coverage_index is not None,
-        )
-        coverage = length = None
-        if coverage_index is not None:
-            coverage, length = batch.coverage(reference, coverage_index)
-        reports.append(
-            ExperimentReport(
-                method=method,
-                r=r,
-                r0=r0,
-                rho=rho,
-                k=k,
-                t=t,
-                mse=batch.mse(reference),
-                mse_reference=reference_kind,
-                coverage=coverage,
-                avg_ci_length=length,
-                failures=batch.failures,
-            )
-        )
-    return reports
 
 
 @dataclass

@@ -16,7 +16,7 @@ from qlsub import synth
 from qlsub.cli import main
 from qlsub.families import EXP
 from qlsub.rng import PILOT_STREAM, uniforms
-from qlsub.synth import full_qle, generate_case, make_spec, run_replications, write_case_csv
+from qlsub.synth import full_qle, generate_case, make_spec, replicate, write_case_csv
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,9 @@ def inputs(case_csv, tmp_path_factory):
         "inf": _damaged(case_csv, root / "inf" / "damaged.csv", 1234, _set_field(3, "inf")),
         "negative": _damaged(case_csv, root / "negative.csv", 321, _set_field(0, "-2")),
         "overflow": _damaged(case_csv, root / "overflow.csv", 6010, lambda line: line[: line.index(",")] + ",1e308" * 7),
+        "pilot-overflow": _damaged(
+            case_csv, root / "pilot-overflow.csv", 6000, lambda line: line[: line.index(",")] + ",1e308" * 7
+        ),
     }
 
 
@@ -154,6 +157,19 @@ EXIT_MATRIX = [
         ["fit-distributed", "--data", "@overflow", "--k", "2", "--r", "300", "--seed", "7"], 4,
         "numerical failure: partition 2: linear predictor must be finite", id="overflow-in-a-shard",
     ),
+    # record 5999 is in seed 7's pilot, so the pilot's weighted score
+    # overflows: no singular system, and no r0 would mend it; numpy warns of
+    # nothing first
+    pytest.param(
+        ["fit", "--data", "@pilot-overflow", "--r", "300", "--seed", "7"], 4,
+        "numerical failure: pilot weighted score is not finite", id="overflow-in-the-pilot",
+        marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+    ),
+    pytest.param(
+        ["fit-distributed", "--data", "@pilot-overflow", "--k", "2", "--r", "300", "--seed", "7"], 4,
+        "numerical failure: pilot weighted score is not finite", id="overflow-in-the-distributed-pilot",
+        marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+    ),
     # a missing file exits 3 when read, so these rows also show the level
     # and the block size are checked before any data is read
     pytest.param([*FIT, "--data", "@missing", "--level", "1.5"], 2, "confidence level 1.5 outside (0, 1)", id="fit-level-1.5"),
@@ -179,10 +195,14 @@ EXIT_MATRIX = [
     ),
     pytest.param([*FIT, "--data", "@missing", "--ridge", "nan"], 2, "ridge nan is not a finite number", id="ridge-nan"),
     pytest.param([*FIT, "--data", "@missing", "--ridge", "inf"], 2, "ridge inf is not a finite number", id="ridge-inf"),
-    # the shifted response overflows the score, so a probability is NaN
+    # the shifted response overflows the pilot's weighted score
     pytest.param(
-        [*FIT, "--data", "@case", "--y-shift", "1e308"], 4, "numerical failure: probability outside [0, 1]",
-        id="y-shift-overflow", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        [*FIT, "--data", "@case", "--y-shift", "1e308"], 4, "numerical failure: pilot weighted score is not finite",
+        id="y-shift-overflow", marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+    ),
+    pytest.param(
+        ["fit-full", "--data", "@case", "--y-shift", "1e308"], 4, "numerical failure: weighted score is not finite",
+        id="y-shift-overflow-full-fit", marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
     ),
     pytest.param(
         ["fit-distributed", "--data", "@missing", "--k", "2", "--threads", "0"], 2,
@@ -575,27 +595,43 @@ class TestExperimentCommands:
         assert len(rows) == 3
 
     def test_rho_sweep_table(self, tmp_path):
-        # each (r, rho) cell, r outermost, writes the rows of one
-        # run_replications call against the full-data reference
+        # each (r, rho, method) cell, r outermost, is the row of one replicate
+        # batch against the full-data reference
         out = tmp_path / "rho.csv"
         argv = ["experiment", "--case", "c1", "--n", "4000", "--methods", "mv,mvc", "--r-grid", "300",
                 "--rho-grid", "0.2,0.8", "--r0", "100", "--t", "2", "--seed", "4", "--out", str(out)]
         assert main(argv) == 0
         x, y, _ = generate_case(make_spec("c1", 4000, seed=4))
         reference = full_qle(x, y, EXP).beta
-        rows = []
-        for rho in (0.2, 0.8):
-            reports = run_replications(x, y, EXP, ["mv", "mvc"], r=300.0, r0=100.0, rho=rho, t=2, seed=4,
-                                       reference=reference, reference_kind="full")
-            rows.extend(rep.as_row() for rep in reports)
         expected = io.StringIO(newline="")
-        writer = csv.DictWriter(expected, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(expected)
+        writer.writerow(["method", "r", "r0", "rho", "K", "T", "mse", "mse_reference", "coverage", "avg_ci_length",
+                         "failures"])
+        for rho in (0.2, 0.8):
+            for method in ("mv", "mvc"):
+                batch = replicate(x, y, EXP, method, r=300.0, r0=100.0, rho=rho, t=2, seed=4)
+                writer.writerow([method, 300.0, 100.0, rho, 1, 2, batch.mse(reference), "full", "", "",
+                                 batch.failures])
         assert out.read_bytes() == expected.getvalue().encode()
         with out.open(newline="") as fh:
             cells = [(row["method"], row["rho"]) for row in csv.DictReader(fh)]
         assert cells == [("mv", "0.2"), ("mvc", "0.2"), ("mv", "0.8"), ("mvc", "0.8")]
+
+    def test_coverage_index_columns(self, tmp_path):
+        # with --coverage-index, each row also holds its batch's coverage and
+        # mean interval length for that coefficient
+        out = tmp_path / "cover.csv"
+        argv = ["experiment", "--case", "c1", "--n", "4000", "--methods", "mvc", "--r-grid", "300", "--r0", "100",
+                "--t", "3", "--seed", "4", "--coverage-index", "1", "--out", str(out)]
+        assert main(argv) == 0
+        x, y, _ = generate_case(make_spec("c1", 4000, seed=4))
+        reference = full_qle(x, y, EXP).beta
+        batch = replicate(x, y, EXP, "mvc", r=300.0, r0=100.0, t=3, seed=4, keep_variances=True)
+        with out.open(newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        coverage, length = batch.coverage(reference, 1)
+        assert (row["coverage"], row["avg_ci_length"]) == (str(coverage), str(length))
+        assert row["mse"] == str(batch.mse(reference))
 
     def test_rho_abbreviates_rho_grid(self, tmp_path):
         base = ["experiment", "--case", "c1", "--n", "4000", "--methods", "mv", "--r-grid", "300",

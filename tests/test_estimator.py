@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qlsub import estimator
-from qlsub.errors import EmptySample, SingularHessian
+from qlsub.errors import EmptySample, NonFiniteValue, SingularHessian
 from qlsub.estimator import (
     sandwich_variance,
     solve_weighted_qle,
@@ -91,6 +92,19 @@ class TestSolver:
         with pytest.raises(SingularHessian) as err:
             solve_weighted_qle(x, y, IDENTITY)
         assert err.value.condition > 1e12
+
+    @pytest.mark.parametrize("y_big, part", [(5.0, "weighted score"), (1.0, "Newton matrix")])
+    def test_overflow_is_a_non_finite_value(self, y_big, part):
+        # a 1e308 row overflows the score at beta = 0 unless its residual
+        # there is 0 (y = 1 under exp); the curvature overflows either way
+        rng = np.random.default_rng(12)
+        x = rng.uniform(size=(50, 3))
+        y = rng.poisson(1.0, 50).astype(np.float64)
+        x[7], y[7] = 1e308, y_big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=f"^{part} is not finite$"):
+                solve_weighted_qle(x, y, EXP)
 
     def test_ridge_rescues_singular_design(self):
         x = np.ones((30, 2))

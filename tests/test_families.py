@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qlsub.families import ETA_MAX, EXP, IDENTITY, LOGISTIC, LinkFamily, get_family
+from qlsub.errors import ConfigError
+from qlsub.families import ETA_MAX, EXP, FAMILY_NAMES, IDENTITY, LOGISTIC, LinkFamily, get_family
 
 FAMILIES = [IDENTITY, EXP, LOGISTIC]
 
@@ -107,8 +108,9 @@ def test_inputs_left_unchanged_and_scalars_stay_floats(family):
 def test_get_family_resolution():
     assert get_family("exp") is EXP
     assert get_family("Identity") is IDENTITY
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^unknown family 'probit'; expected one of \['exp', 'identity', 'logistic'\]$"):
         get_family("probit")
+    assert FAMILY_NAMES == ("identity", "exp", "logistic")
 
 
 def test_unknown_kind_rejected():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qlsub.distributed import fit_partition, run_distributed
 from qlsub.errors import DataError
@@ -494,7 +495,8 @@ class TestParseCache:
         assert CsvStream(str(path)).x[1, 0] == 5.0
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "extended", "empty", "version", "garbage", "header-only", "payload-x", "payload-y"]
+        "damage",
+        ["truncated", "extended", "empty", "version", "garbage", "header-only", "arity", "payload-x", "payload-y"],
     )
     def test_damaged_sidecar_is_ignored_and_replaced(self, small_csv, damage):
         path, _ = small_csv
@@ -509,6 +511,8 @@ class TestParseCache:
             "version": data[:7] + b"\x01" + data[8:],  # the format before the payload CRC
             "garbage": np.random.default_rng(1).bytes(len(data)),
             "header-only": data[: ingest._CACHE_HEAD.size],
+            # the field count, which neither the key nor the payload holds
+            "arity": data[:24] + bytes([data[24] ^ 1]) + data[25:],
             # one bit of the first x value, or of the last y value: the key still matches
             "payload-x": data[:x_at] + bytes([data[x_at] ^ 1]) + data[x_at + 1 :],
             "payload-y": data[:-1] + bytes([data[-1] ^ 1]),
@@ -687,3 +691,44 @@ class TestParseCache:
         with pytest.raises(DataError, match="no records in"):
             CsvStream([empty, empty])
         assert not self.sidecar(empty).exists()
+
+
+@pytest.fixture(scope="module")
+def two_file_source(tmp_path_factory):
+    """A 2-file c1 source, its cold stream and the bytes of its intact sidecars."""
+    paths = write_case_csv(make_spec("c1", 600, seed=5), str(tmp_path_factory.mktemp("fuzz") / "f.csv"), n_files=2)
+    cold = CsvStream(paths, cache=False)
+    CsvStream(paths)
+    return paths, cold, [Path(p + ".qlcache").read_bytes() for p in paths]
+
+
+# the first file's field count (header bytes 24 to 31) is the damage that a
+# stream once served, which made the second file's records ragged
+@example(which=0, part="header", at=24, xor=1)
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    part=st.sampled_from(["truncate", "header", "key", "payload"]),
+    at=st.integers(0, 2**20),
+    xor=st.integers(1, 255),
+)
+def test_damaged_sidecar_fuzz(two_file_source, which, part, at, xor):
+    """A sidecar truncated anywhere, or with any byte of its header, key or
+    payload changed, gives the cold records: it is served intact or the file
+    is parsed, and nothing is raised."""
+    paths, cold, intact = two_file_source
+    head = ingest._CACHE_HEAD.size
+    keylen = len(intact[which]) - head - 8 * cold.file_counts[which] * (cold.dim + 1)
+    data = bytearray(intact[which])
+    if part == "truncate":
+        del data[at % len(data) :]
+    else:
+        lo, hi = {"header": (0, head), "key": (head, head + keylen), "payload": (head + keylen, len(data))}[part]
+        data[lo + at % (hi - lo)] ^= xor
+    for path, blob in zip(paths, intact):
+        Path(path + ".qlcache").write_bytes(blob)
+    Path(paths[which] + ".qlcache").write_bytes(data)
+    got = CsvStream(paths)
+    for field in ("x", "y"):
+        assert getattr(got, field).tobytes() == getattr(cold, field).tobytes()
+    assert got.file_counts == cold.file_counts

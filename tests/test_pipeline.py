@@ -164,6 +164,19 @@ class TestScanMemory:
         assert pilot_peak <= 3.5
         assert main_peak <= 4.5
 
+    @pytest.mark.parametrize("criterion", ["mv", "mvc"])
+    def test_exact_cap_rule_peaks_per_record(self, criterion):
+        # the exact cap scores the pool into one array that the rule keeps (1
+        # per record), and its allocation needs one working copy of it
+        n = 50_000
+        x, y, _ = generate_case(make_spec("c4", n, seed=11))
+        stream = ArrayStream(x, y, block_size=5000)
+        plan = SamplingPlan(criterion=criterion, expected_size=1000, threshold_mode="exact", seed=11)
+        pilot = run_pilot(stream, EXP, 200, 11, criterion)
+        rule, peak = _peak_records(lambda: resolve_rule(stream, EXP, pilot, plan, 1000.0), n)
+        assert rule.pool_scores.shape == (n,)
+        assert peak <= 2.5
+
 
 class TestTwoStep:
     def test_uniform_plan_matches_rho_one_optimal(self, stream):

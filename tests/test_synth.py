@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlsub import cli, synth
-from qlsub.errors import NonFiniteValue
+from qlsub.errors import ConfigError, NonFiniteValue
 from qlsub.families import EXP, IDENTITY
 from qlsub.pipeline import run_two_step
 from qlsub.synth import (
@@ -14,7 +14,6 @@ from qlsub.synth import (
     generate_case,
     make_spec,
     replicate,
-    run_replications,
     timing_study,
     write_case_csv,
 )
@@ -198,12 +197,14 @@ def small_case():
 class TestReplications:
     def test_single_replication_mse(self, small_case):
         x, y, ref = small_case
-        reports = run_replications(
-            x, y, EXP, ["uniform"], r=300, r0=100, t=1, seed=1, reference=ref
-        )
         batch = replicate(x, y, EXP, "uniform", r=300, r0=100, t=1, seed=1)
         expected = float(np.sum((batch.betas[0] - ref) ** 2))
-        assert reports[0].mse == pytest.approx(expected, rel=1e-12)
+        assert batch.mse(ref) == pytest.approx(expected, rel=1e-12)
+
+    def test_replication_count_below_one_rejected(self, small_case):
+        x, y, _ = small_case
+        with pytest.raises(ConfigError, match="^replication count 0 below 1$"):
+            replicate(x, y, EXP, "uniform", r=300, r0=100, t=0)
 
     def test_rho_one_matches_uniform_exactly(self, small_case):
         x, y, ref = small_case
@@ -213,32 +214,20 @@ class TestReplications:
 
     def test_coverage_fields_populated(self, small_case):
         x, y, ref = small_case
-        reports = run_replications(
-            x,
-            y,
-            EXP,
-            ["mvc"],
-            r=400,
-            r0=100,
-            t=20,
-            seed=3,
-            reference=ref,
-            coverage_index=1,
-        )
-        assert 0.0 <= reports[0].coverage <= 1.0
-        assert reports[0].avg_ci_length > 0
+        batch = replicate(x, y, EXP, "mvc", r=400, r0=100, t=20, seed=3, keep_variances=True)
+        assert batch.variances.shape == (20, 7, 7)
+        coverage, length = batch.coverage(ref, 1)
+        assert 0.0 <= coverage <= 1.0
+        assert length > 0
 
     def test_rho_sweep_shape(self, small_case):
-        # experiment --rho-grid sweeps rho with one run_replications call per value
-        x, y, ref = small_case
-        reports = [
-            rep
-            for rho in (0.2, 0.8)
-            for rep in run_replications(
-                x, y, EXP, ["mvc"], r=300, r0=100, rho=rho, t=5, seed=4, reference=ref
-            )
-        ]
-        assert [rep.rho for rep in reports] == [0.2, 0.8]
+        # experiment --rho-grid runs one batch per value: the same replication
+        # seeds at every rho, and rho moves the estimates
+        x, y, _ = small_case
+        low, high = (replicate(x, y, EXP, "mvc", r=300, r0=100, rho=rho, t=5, seed=4) for rho in (0.2, 0.8))
+        assert low.betas.shape == high.betas.shape == (5, 7)
+        assert low.seeds == high.seeds
+        assert not np.array_equal(low.betas, high.betas)
 
     def test_overflow_is_a_failed_replication(self, small_case, monkeypatch):
         # record 10's linear predictor overflows in every replication; each
