@@ -33,7 +33,6 @@ from .synth import (
     generate_case,
     make_spec,
     replicate,
-    timing_study,
     write_case_csv,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "solve_weighted_qle",
     "subsample_hessian",
     "threshold_quantile",
-    "timing_study",
     "waterfill",
     "write_case_csv",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -251,12 +250,30 @@ def _cmd_experiment(args) -> int:
 def _cmd_bench(args) -> int:
     started = time.perf_counter()
     r_grid = _float_list(args.r_grid, "--r-grid")
+    if args.repeats < 3:
+        raise ConfigError(f"repeat count {args.repeats} below 3, too few for a stable median")
     x, y, _ = synth.generate_case(make_spec(args.case, args.n, args.seed))
     family = get_family(args.family)
-    rows = synth.timing_study(x, y, family, args.methods.split(","), r_grid, repeats=args.repeats, r0=args.r0,
-                              rho=args.rho, k=args.k, seed=args.seed)
+    # r is nan only for the full fit, the last cell
+    cells = [*itertools.product(args.methods.split(","), r_grid), ("full_qle", math.nan)]
+    times = [[] for _ in cells]
+    # each repeat times every cell once, in turn, so a slow phase of the
+    # machine lands on every method alike; repeat i fits with seed + i
+    for i in range(args.repeats):
+        for (method, r), cell_times in zip(cells, times):
+            start = time.perf_counter()
+            if math.isnan(r):
+                synth.full_qle(x, y, family)
+            else:
+                synth.replicate(x, y, family, method, r=r, r0=args.r0, rho=args.rho, k=args.k, t=1,
+                                seed=args.seed + i)
+            cell_times.append(time.perf_counter() - start)
+    rows = []
+    for (method, r), cell_times in zip(cells, times):
+        q25, q50, q75 = np.quantile(cell_times, [0.25, 0.5, 0.75])
+        rows.append({"method": method, "r": r, "median_seconds": float(q50), "iqr_seconds": float(q75 - q25)})
     _log(f"bench case={args.case}", started)
-    _write_table([dataclasses.asdict(row) for row in rows], args.out)
+    _write_table(rows, args.out)
     return 0
 
 

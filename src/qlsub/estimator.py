@@ -228,6 +228,8 @@ def subsample_hessian(x, family: LinkFamily, beta, p=None, scale: float = 1.0) -
     return _gram(x, w * family.mean_derivative(x @ beta), float(scale))
 
 
+# an overflow surfaces as the non-finite variance that _sandwich rejects
+@np.errstate(over="ignore", invalid="ignore")
 def vc_contribution(x, y, family: LinkFamily, beta, p) -> np.ndarray:
     """Unnormalized meat-matrix contribution of one subsample.
 
@@ -241,9 +243,14 @@ def vc_contribution(x, y, family: LinkFamily, beta, p) -> np.ndarray:
     return _gram(x, resid**2 * (1.0 - p) / p**2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
+    """``inv(bread) @ meat @ inv(bread)``, symmetrised; one that is not finite raises :class:`NonFiniteValue`."""
     inv = _spd_inverse(bread)
-    return _symmetrise(inv @ meat @ inv)
+    variance = _symmetrise(inv @ meat @ inv)
+    if not np.isfinite(variance).all():
+        raise NonFiniteValue("sandwich variance is not finite")
+    return variance
 
 
 def sandwich_variance(parts, family: LinkFamily, pooled_hessian, n_total: float) -> np.ndarray:

@@ -175,7 +175,7 @@ def run_pilot(
     try:
         beta0 = solve_weighted_qle(px, py, family, p=sample.p, ridge=ridge).beta
     except SingularHessian as err:
-        raise PilotFailed(f"pilot Newton system is singular; raise r0 ({err})") from err
+        raise PilotFailed(f"pilot Newton system is singular; raise r0 or drop collinear covariates ({err})") from err
     except NonFiniteValue as err:  # an overflow, which no r0 mends
         raise NonFiniteValue(f"pilot {err}") from err
 
@@ -223,6 +223,8 @@ class ProbabilityRule:
     pool_start: int | None = None
 
     def __post_init__(self):
+        if self.psi_hat is not None and not math.isfinite(self.psi_hat):
+            raise NonFiniteValue(f"score normalizer {self.psi_hat} is not finite")
         if self.psi_hat is not None and not self.psi_hat > 0:
             raise ConfigError("pilot score normalizer must be positive")
 

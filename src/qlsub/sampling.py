@@ -199,6 +199,9 @@ def waterfill(scores, r: float) -> tuple[float, int]:
         raise ValueError("expected size must be positive")
     if r >= n:
         raise ValueError("expected size must be below the number of scores")
+    total = float(s.sum())
+    if not math.isfinite(total):
+        raise NonFiniteValue(f"sampling scores are not finite: their sum is {total}")
     npos = int(np.count_nonzero(s > 0))
     if npos < math.ceil(r):
         raise DegenerateScores(
@@ -206,7 +209,6 @@ def waterfill(scores, r: float) -> tuple[float, int]:
         )
     m = min(n, int(math.floor(r)) + 2)
     top = np.sort(np.partition(s, n - m)[n - m :])[::-1]
-    total = float(s.sum())
     cum = np.concatenate(([0.0], np.cumsum(top)))
     for k in range(0, int(math.floor(r)) + 1):
         remainder = total - float(cum[k])

@@ -3,22 +3,21 @@
 The named cases generate Poisson-response datasets over a menu of covariate
 laws (independent uniforms, correlated uniforms, multivariate normals, an
 AR-correlated normal, and a scaled heavy-tailed t).  The harness runs
-repeated subsampling fits on a fixed dataset and summarizes empirical MSE,
-confidence-interval coverage, and wall times.
+repeated subsampling fits on a fixed dataset and summarizes empirical MSE
+and confidence-interval coverage.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributed import run_distributed
 from .errors import ConfigError, QlsubError
-from .estimator import FitResult, solve_weighted_qle
+from .estimator import Z_975, FitResult, solve_weighted_qle
 from .families import EXP, LinkFamily
 from .ingest import ArrayStream
 from .pipeline import run_two_step
@@ -208,7 +207,7 @@ class ReplicationBatch:
         diff = self.betas - np.asarray(reference)
         return float(np.mean(np.sum(diff * diff, axis=1)))
 
-    def coverage(self, reference: np.ndarray, coef: int, z: float = 1.959963985):
+    def coverage(self, reference: np.ndarray, coef: int, z: float = Z_975):
         if self.variances is None:
             raise ValueError("variances were not collected")
         se = np.sqrt(np.clip(self.variances[:, coef, coef], 0.0, None))
@@ -278,60 +277,3 @@ def replicate(
         failures=failures,
         seeds=seeds,
     )
-
-
-@dataclass
-class TimingRow:
-    method: str
-    r: float
-    median_seconds: float
-    iqr_seconds: float
-
-
-def timing_study(
-    x,
-    y,
-    family: LinkFamily,
-    methods,
-    r_grid,
-    *,
-    repeats: int = 5,
-    r0: float = 200.0,
-    rho: float = 0.2,
-    k: int = 1,
-    seed: int = 0,
-) -> list[TimingRow]:
-    """Median/IQR wall times per method and expected size, plus the full fit."""
-    if repeats < 3:
-        raise ConfigError(f"repeat count {repeats} below 3, too few for a stable median")
-    stream = ArrayStream(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    cells = [(method, float(r)) for method in methods for r in r_grid]
-    cell_times = {cell: [] for cell in cells}
-    # the cells take turns within each repeat, so a slow phase of the machine
-    # lands on every method alike rather than on whichever is timed first
-    for i in range(repeats):
-        for method, r in cells:
-            plan = SamplingPlan(
-                criterion=method,
-                expected_size=r,
-                shrinkage=rho,
-                seed=derive_seed(seed, 7, i),
-            )
-            start = time.perf_counter()
-            if k == 1:
-                run_two_step(stream, family, plan, r0)
-            else:
-                run_distributed(stream, family, plan, r0, k)
-            cell_times[method, r].append(time.perf_counter() - start)
-    rows = []
-    for method, r in cells:
-        q25, q50, q75 = np.quantile(cell_times[method, r], [0.25, 0.5, 0.75])
-        rows.append(TimingRow(method, r, float(q50), float(q75 - q25)))
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        full_qle(x, y, family)
-        times.append(time.perf_counter() - start)
-    q25, q50, q75 = np.quantile(times, [0.25, 0.5, 0.75])
-    rows.append(TimingRow("full_qle", float("nan"), float(q50), float(q75 - q25)))
-    return rows

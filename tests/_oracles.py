@@ -9,12 +9,14 @@ integers rather than numpy's uint64 arithmetic.  The weighted score, the
 full-data variance and the capped proportional allocation are the textbook
 forms the package's scan-based paths are checked against.  The Newton
 loop is the textbook one, with the curvature weight taken from the family's
-derivative and each 1-norm from ``np.linalg.norm``.
+derivative and each 1-norm from ``np.linalg.norm``.  The CSV reference
+reads each file's bytes whole and parses each field with Python's ``float``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -254,3 +256,44 @@ def optimal_probabilities(scores, r: float, cap: float = math.inf) -> np.ndarray
     if rest_sum > 0.0:
         p[~capped] = (r - k) * s[~capped] / rest_sum
     return p
+
+
+def _csv_number(field: str) -> float:
+    """A CSV number: ASCII, without ``_``, then Python's ``float``; ``float`` alone also takes
+    ``1_0`` and non-ASCII digits, which no CSV writer emits."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return float(field)
+
+
+def csv_reference(paths, skip_header: bool = False):
+    """``(rows, file_counts, None)`` of numeric CSV files, or ``(None, None, where)`` of the first bad line.
+
+    Each file's bytes split into lines at ``\\r\\n``, ``\\r`` and ``\\n``.  Every
+    line must be UTF-8.  A record is a non-blank line after the optional
+    header; each of its comma-separated fields is a number, every record has
+    the first record's field count, and every value is finite.  ``where`` is
+    ``"path:line"`` of the first line that breaks a rule, or None when no
+    file holds a record.
+    """
+    rows, counts, arity = [], [], None
+    for path in paths:
+        with open(path, "rb") as fh:
+            lines = re.split(rb"\r\n|\r|\n", fh.read())
+        if lines[-1] == b"":  # what follows the last line end is no line
+            lines.pop()
+        counts.append(0)
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                text = raw.decode("utf-8")
+                if (skip_header and lineno == 1) or not text.strip():
+                    continue
+                values = [_csv_number(field) for field in text.split(",")]
+            except ValueError:  # UnicodeDecodeError too
+                return None, None, f"{path}:{lineno}"
+            arity = len(values) if arity is None else arity
+            if len(values) != arity or not all(map(math.isfinite, values)):
+                return None, None, f"{path}:{lineno}"
+            rows.append(values)
+            counts[-1] += 1
+    return (rows, counts, None) if rows else (None, None, None)

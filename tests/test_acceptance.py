@@ -7,7 +7,8 @@ statistical checks at desk scale (N = 50 000, d = 7, T = 500 unless a
 criterion states otherwise) with fixed seeds throughout.
 """
 
-import json
+import csv
+import io
 import math
 import os
 import subprocess
@@ -276,17 +277,16 @@ def test_criterion_12_shrinkage_sweep(bench):
                 f"and rho=0.99 sits within {abs(near_one - unif) / unif:.1%} of uniform")
 
 
-# Criterion 13's timing study, run in a child process that pins itself to one
-# core before numpy starts: OpenBLAS thread hand-offs between busy cores would
-# otherwise swamp the small BLAS calls of the tiled scorer.
+# Criterion 13's timing table, made by ``qlsub bench`` in a child process that
+# pins itself to one core before numpy starts: OpenBLAS thread hand-offs
+# between busy cores would otherwise swamp the small BLAS calls of the tiled
+# scorer.
 _TIMING_STUDY = """
-import json, os
+import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from qlsub.families import EXP
-from qlsub.synth import generate_case, make_spec, timing_study
-x, y, _ = generate_case(make_spec("s4", 500_000, seed=113))
-rows = timing_study(x, y, EXP, ["uniform", "mvc", "mv"], [2000], repeats=5, r0=400, seed=113)
-print(json.dumps({row.method: row.median_seconds for row in rows}))
+from qlsub.cli import main
+sys.exit(main(["bench", "--case", "s4", "--n", "500000", "--seed", "113", "--methods", "uniform,mvc,mv",
+               "--r-grid", "2000", "--r0", "400", "--repeats", "5"]))
 """
 
 
@@ -295,7 +295,7 @@ def test_criterion_13_wall_time_ordering():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", _TIMING_STUDY], env=env, capture_output=True, text=True, check=True)
-    med = json.loads(run.stdout)
+    med = {row["method"]: float(row["median_seconds"]) for row in csv.DictReader(io.StringIO(run.stdout))}
     assert med["uniform"] <= med["mvc"]
     assert 1.05 * med["mvc"] <= med["mv"]
     assert 1.05 * med["mv"] <= med["full_qle"]

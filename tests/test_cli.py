@@ -74,6 +74,8 @@ def inputs(case_csv, tmp_path_factory):
     table = np.column_stack([np.arange(50.0), np.ones(50), np.ones(50) * 2.0])
     np.savetxt(root / "collinear.csv", table, fmt="%.17g", delimiter=",")
     write_case_csv(make_spec("c1", 2000, seed=3), str(root / "small.csv"))
+    write_case_csv(make_spec("c1", 4000, seed=3), str(root / "c1.csv"))
+    parts = write_case_csv(make_spec("c1", 4000, seed=3), str(root / "m.csv"), n_files=2)
     latin = Path(case_csv).read_bytes().splitlines(keepends=True)
     latin[1] = latin[1].replace(b",", b",\xff", 1)
     (root / "latin.csv").write_bytes(b"".join(latin))
@@ -85,7 +87,7 @@ def inputs(case_csv, tmp_path_factory):
     (root / "headed.csv").write_text("y,x1,x2,x3,x4,x5,x6,x7\n" + text)
     files = {
         key: str(root / f"{key}.csv")
-        for key in ("empty", "three", "collinear", "small", "latin", "missing", "truncated", "headed")
+        for key in ("empty", "three", "collinear", "small", "c1", "latin", "missing", "truncated", "headed")
     }
     return files | {
         "case": case_csv,
@@ -98,6 +100,10 @@ def inputs(case_csv, tmp_path_factory):
         "pilot-overflow": _damaged(
             case_csv, root / "pilot-overflow.csv", 6000, lambda line: line[: line.index(",")] + ",1e308" * 7
         ),
+        "big": _damaged(root / "c1.csv", root / "big.csv", 4000, _set_field(0, "1.7e308")),
+        "m0": parts[0],
+        "m1": _damaged(parts[1], Path(parts[1]), 5, _set_field(0, "-1")),
+        "nodir": str(root / "no-such-dir" / "o.json"),
     }
 
 
@@ -108,8 +114,10 @@ def _expect_exit(inputs, tmp_path, capsys, argv, code, message):
     """
     out = tmp_path / "o.json"
     argv = [inputs[arg[1:]] if arg.startswith("@") else arg for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
     try:
-        got = main([*argv, "--out", str(out)])
+        got = main(argv)
     except SystemExit as exc:  # argparse rejects the command line
         got = exc.code
     err = capsys.readouterr().err
@@ -120,6 +128,14 @@ def _expect_exit(inputs, tmp_path, capsys, argv, code, message):
 
 
 FIT = ["fit", "--criterion", "mv", "--r", "800", "--r0", "200", "--seed", "7"]
+# the last response of c1 (N = 4000) is 1.7e308; its record is drawn at p = 1
+BIG = ["--data", "@big", "--r", "300", "--r0", "100", "--criterion", "mvc", "--seed", "7", "--no-cache"]
+# numpy still warns of the overflow in the record's score, and the distributed
+# fit of the estimate that it pulls to about 1e304
+OVERFLOW_WARNINGS = [
+    pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+    pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
+]
 
 # each row: command line, exit code, a fragment of the message
 EXIT_MATRIX = [
@@ -169,6 +185,37 @@ EXIT_MATRIX = [
         ["fit-distributed", "--data", "@pilot-overflow", "--k", "2", "--r", "300", "--seed", "7"], 4,
         "numerical failure: pilot weighted score is not finite", id="overflow-in-the-distributed-pilot",
         marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+    ),
+    pytest.param(
+        ["fit", *BIG, "--threshold", "inf"], 4, "numerical failure: sandwich variance is not finite",
+        id="response-overflows-the-variance", marks=OVERFLOW_WARNINGS,
+    ),
+    pytest.param(
+        ["fit-distributed", *BIG, "--k", "2", "--threshold", "inf"], 4,
+        "numerical failure: sandwich variance is not finite", id="response-overflows-the-distributed-variance",
+        marks=OVERFLOW_WARNINGS,
+    ),
+    pytest.param(
+        ["fit", *BIG, "--threshold", "exact"], 4, "numerical failure: sampling scores are not finite: their sum is inf",
+        id="response-overflows-the-exact-cap", marks=OVERFLOW_WARNINGS,
+    ),
+    # a repeated covariate column makes every pilot singular, whatever r0
+    pytest.param(
+        ["fit", "--data", "@c1", "--x-cols", "1,1,2"], 4,
+        "numerical failure: pilot Newton system is singular; raise r0 or drop collinear covariates",
+        id="collinear-pilot",
+    ),
+    pytest.param(
+        ["fit-distributed", "--data", "@c1", "--x-cols", "1,1,2", "--k", "2"], 4,
+        "numerical failure: pilot Newton system is singular; raise r0 or drop collinear covariates",
+        id="collinear-distributed-pilot",
+    ),
+    pytest.param([*FIT, "--data", "@case", "--out", "@nodir"], 3, "data error: [Errno 2] No such file or directory",
+                 id="out-in-a-missing-directory"),
+    # only a record past the first file is located by counting the files before it
+    pytest.param(
+        ["fit", "--data", "@m0", "@m1"], 3, "m.part1.csv:5: response -1.0 outside [0, inf] of the exp family",
+        id="response-range-in-a-second-file",
     ),
     # a missing file exits 3 when read, so these rows also show the level
     # and the block size are checked before any data is read
@@ -643,30 +690,18 @@ class TestExperimentCommands:
         assert a.read_text().splitlines()[1].split(",")[3] == "0.5"
 
     def test_bench_table(self, tmp_path):
-        out = str(tmp_path / "bench.csv")
-        code = main(
-            [
-                "bench",
-                "--case",
-                "c1",
-                "--n",
-                "4000",
-                "--methods",
-                "uniform",
-                "--r-grid",
-                "200",
-                "--repeats",
-                "3",
-                "--r0",
-                "100",
-                "--out",
-                out,
-            ]
-        )
-        assert code == 0
-        lines = Path(out).read_text().strip().splitlines()
-        assert lines[0] == "method,r,median_seconds,iqr_seconds"
-        assert len(lines) == 3
+        # K = 2 times the distributed fits; the cells are methods x r, then the full fit
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--case", "c1", "--n", "4000", "--methods", "uniform,mv", "--r-grid", "200,300",
+                "--repeats", "3", "--r0", "100", "--k", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[0] == "method,r,median_seconds,iqr_seconds"
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = [(row["method"], row["r"]) for row in rows]
+        assert cells == [("uniform", "200.0"), ("uniform", "300.0"), ("mv", "200.0"), ("mv", "300.0"),
+                         ("full_qle", "nan")]
+        assert all(float(row["median_seconds"]) > 0 and float(row["iqr_seconds"]) >= 0 for row in rows)
 
 
 class TestFormatsAndPartitions:

@@ -1,6 +1,9 @@
 import contextlib
+import io
 import os
+import re
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qlsub import cli
 from qlsub.distributed import fit_partition, run_distributed
 from qlsub.errors import DataError
 from qlsub.estimator import solve_weighted_qle
@@ -19,6 +23,8 @@ from qlsub.ingest import ArrayStream, CsvStream, SubsetStream, partition_view
 from qlsub.pipeline import run_pilot, run_two_step
 from qlsub.sampling import SamplingPlan
 from qlsub.synth import make_spec, write_case_csv
+
+from _oracles import csv_reference
 
 
 def rows(stream):
@@ -732,3 +738,101 @@ def test_damaged_sidecar_fuzz(two_file_source, which, part, at, xor):
     for field in ("x", "y"):
         assert getattr(got, field).tobytes() == getattr(cold, field).tobytes()
     assert got.file_counts == cold.file_counts
+
+
+# number spellings a record may hold
+_NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.6e}"),
+    st.floats(0.0, 1e6).map(lambda v: f"+{v:.3E}"),
+    st.floats(0.0, 1e3).map(lambda v: f"+{v!r}"),
+)
+# fields no record may hold: not numbers, or not finite
+_BAD_FIELDS = st.sampled_from(
+    ["nan", "-inf", "+Infinity", "1e400", "-1e400", "", " ", "abc", "1_0", "0x10", "1e", "--1", "1.2.3", "#1", "\u0661"]
+)
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"])
+
+
+@st.composite
+def csv_sources(draw):
+    """``(files, header)``: the bytes of one to three CSV files, and whether each starts with a header line.
+
+    The records have one field count; blank and whitespace-only lines lie
+    between them.  Up to two damages follow: a field replaced by one that no
+    record may hold, a field added or dropped, or bytes that are not UTF-8
+    put into a line.  Each line ends in ``\\n``, ``\\r\\n`` or ``\\r``, the last
+    one possibly in nothing.
+    """
+    arity, header = draw(st.integers(1, 4)), draw(st.booleans())
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        lines = [draw(st.sampled_from([b"y,x1,x2", b"1,2", b"", b" "]))] if header else []
+        for _ in range(draw(st.integers(0, 6))):
+            blank = draw(st.sampled_from([None, None, None, b"", b" ", b"\t \t"]))
+            if blank is not None:
+                lines.append(blank)
+            pad = st.sampled_from(["", " ", "\t"])
+            fields = [draw(pad) + draw(_NUMBERS) + draw(pad) for _ in range(arity)]
+            lines.append(",".join(fields).encode())
+        for _ in range(draw(st.integers(0, 2)) if lines else 0):
+            j = draw(st.integers(0, len(lines) - 1))
+            kind, fields = draw(st.sampled_from(["field", "ragged", "bytes"])), lines[j].split(b",")
+            if kind == "field":
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(_BAD_FIELDS).encode()
+            elif kind == "ragged" and len(fields) > 1 and draw(st.booleans()):
+                fields.pop()
+            elif kind == "ragged":
+                fields.append(draw(_NUMBERS).encode())
+            else:
+                at = draw(st.integers(0, len(lines[j])))
+                fields = [lines[j][:at] + draw(_NOT_UTF8) + lines[j][at:]]
+            lines[j] = b",".join(fields)
+        ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+        if ends and draw(st.booleans()):
+            ends[-1] = b""
+        files.append(b"".join(line + end for line, end in zip(lines, ends)))
+    return files, header
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=csv_sources())
+def test_reader_fuzz(source):
+    """Cold, warm and at block sizes 1, 2 and 7, the reader gives the floats of
+    ``csv_reference`` bit for bit, or a ``DataError`` naming its first bad
+    line; the CLI then exits 3 with that one line."""
+    files, header = source
+    with tempfile.TemporaryDirectory() as root:
+        paths = [os.path.join(root, f"f{j}.csv") for j in range(len(files))]
+        for path, data in zip(paths, files):
+            Path(path).write_bytes(data)
+        rows, counts, where = csv_reference(paths, skip_header=header)
+
+        def check(block, cache):
+            if rows is None:
+                with pytest.raises(DataError, match=f"^{re.escape(where)}: " if where else "^no records in "):
+                    CsvStream(paths, block_size=block, skip_header=header, cache=cache)
+                return
+            got = CsvStream(paths, block_size=block, skip_header=header, cache=cache)
+            table = np.array(rows)
+            assert got.y.tobytes() == table[:, 0].tobytes()
+            assert got.x.tobytes() == np.ascontiguousarray(table[:, 1:]).tobytes()
+            assert got.file_counts == counts
+
+        for block in (1, 2, 7):
+            check(block, cache=False)
+        # warm: each file that reads alone gets a sidecar first
+        for path in paths:
+            with contextlib.suppress(DataError):
+                CsvStream(path, block_size=7, skip_header=header)
+        check(2, cache=True)
+        if rows is None:
+            out, err = os.path.join(root, "o.json"), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["fit-full", "--data", *paths, *(["--header"] if header else []), "--out", out])
+            message = err.getvalue()
+            assert code == 3, message
+            assert message.startswith(f"qlsub: data error: {where}: " if where else "qlsub: data error: no records in ")
+            assert message.count("\n") == 1 and message.endswith("\n")
+            assert not os.path.exists(out)

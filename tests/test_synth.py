@@ -14,7 +14,6 @@ from qlsub.synth import (
     generate_case,
     make_spec,
     replicate,
-    timing_study,
     write_case_csv,
 )
 
@@ -245,14 +244,3 @@ class TestReplications:
         with pytest.raises(NonFiniteValue, match="^linear predictor must be finite$"):
             replicate(x, y, EXP, "mvc", r=300, r0=100, t=20, seed=5)
         assert calls == [0, 1]
-
-    def test_timing_requires_repeats(self, small_case):
-        x, y, _ = small_case
-        with pytest.raises(ValueError):
-            timing_study(x, y, EXP, ["uniform"], [300], repeats=2)
-
-    def test_timing_rows(self, small_case):
-        x, y, _ = small_case
-        rows = timing_study(x, y, EXP, ["uniform"], [200], repeats=3, r0=100)
-        assert [row.method for row in rows] == ["uniform", "full_qle"]
-        assert all(row.median_seconds > 0 for row in rows)
