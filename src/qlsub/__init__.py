@@ -1,5 +1,7 @@
 """Optimal Poisson subsampling for quasi-likelihood estimation."""
 
+import importlib
+
 from .distributed import PartitionSummary, aggregate, fit_partition, run_distributed
 from .errors import (
     ConfigError,
@@ -27,16 +29,19 @@ from .sampling import (
     threshold_quantile,
     waterfill,
 )
-from .synth import (
-    CaseSpec,
-    full_qle,
-    generate_case,
-    make_spec,
-    replicate,
-    write_case_csv,
-)
 
 __version__ = "0.1.0"
+
+# synth generates cases and runs replications, which no fit needs, so it
+# and its exports load on first use
+_SYNTH_EXPORTS = frozenset({"CaseSpec", "full_qle", "generate_case", "make_spec", "replicate", "write_case_csv"})
+
+
+def __getattr__(name):
+    if name == "synth" or name in _SYNTH_EXPORTS:
+        synth = importlib.import_module(".synth", __name__)
+        return synth if name == "synth" else getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ArrayStream",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import gc
 import itertools
 import json
 import math
@@ -26,15 +26,13 @@ import warnings
 
 import numpy as np
 
-from . import synth
 from .distributed import run_distributed
 from .errors import ConfigError, DataError, OutOfMemory, QlsubError
-from .estimator import Z_975, FitResult
+from .estimator import Z_975, FitResult, solve_weighted_qle
 from .families import FAMILY_NAMES, LinkFamily, get_family
 from .ingest import DEFAULT_BLOCK_SIZE, CsvStream
 from .pipeline import run_two_step
 from .sampling import CRITERIA, THRESHOLD_MODES, SamplingPlan
-from .synth import make_spec
 
 # an item of a list flag: a decimal integer, or a decimal float (not inf or nan)
 _INT = re.compile(r"[+-]?\d+")
@@ -88,6 +86,8 @@ def _write_json(doc: dict, path: str | None) -> None:
 def _write_table(rows: list[dict], path: str | None) -> None:
     if not rows:
         return
+    import csv  # only the tables load it
+
     with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -162,8 +162,10 @@ def _emit_fit(args, fit: FitResult) -> None:
 
 
 def _cmd_gen_data(args) -> int:
+    from . import synth
+
     started = time.perf_counter()
-    spec = make_spec(args.case, args.n, args.seed)
+    spec = synth.make_spec(args.case, args.n, args.seed)
     synth.write_case_csv(spec, args.out, n_files=args.files)
     _log(f"gen-data {args.case} N={spec.n_records}", started)
     return 0
@@ -174,7 +176,7 @@ def _cmd_fit_full(args) -> int:
     stream, family = _fit_input(args)
     _log("load", started)
     started = time.perf_counter()
-    fit = synth.full_qle(stream.x, stream.y, family)
+    fit = solve_weighted_qle(stream.x, stream.y, family)
     _log("fit-full", started)
     _emit_fit(args, fit)
     return 0
@@ -225,9 +227,11 @@ def _cmd_fit_distributed(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from . import synth
+
     started = time.perf_counter()
     r_grid, rho_grid = _float_list(args.r_grid, "--r-grid"), _float_list(args.rho_grid, "--rho-grid")
-    spec, cover = make_spec(args.case, args.n, args.seed), args.coverage_index
+    spec, cover = synth.make_spec(args.case, args.n, args.seed), args.coverage_index
     if cover is not None and not 0 <= cover < spec.dim:
         raise ConfigError(f"coverage index {cover} outside [0, {spec.dim})")
     x, y, _ = synth.generate_case(spec)
@@ -248,11 +252,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import synth
+
     started = time.perf_counter()
     r_grid = _float_list(args.r_grid, "--r-grid")
     if args.repeats < 3:
         raise ConfigError(f"repeat count {args.repeats} below 3, too few for a stable median")
-    x, y, _ = synth.generate_case(make_spec(args.case, args.n, args.seed))
+    x, y, _ = synth.generate_case(synth.make_spec(args.case, args.n, args.seed))
     family = get_family(args.family)
     # r is nan only for the full fit, the last cell
     cells = [*itertools.product(args.methods.split(","), r_grid), ("full_qle", math.nan)]
@@ -399,5 +405,19 @@ def main(argv=None) -> int:
         warnings.formatwarning = formatwarning
 
 
+def run() -> int:
+    """The process entry (``python -m qlsub.cli``, the ``qlsub`` script): ``main`` on ``sys.argv``.
+
+    Once ``main`` has returned, the document and any sidecar are closed and
+    every object still alive lives until the process exits, so ``gc.freeze``
+    moves them all to the permanent generation, which the interpreter's last
+    full collection skips.  ``main`` itself never freezes: an in-process
+    caller would then keep every later cycle alive.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -12,12 +12,11 @@ reproducible bit-for-bit under any worker count or summary arrival order.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, PartitionFailed, QlsubError, SingularHessian
+from .errors import ConfigError, NonFiniteValue, PartitionFailed, QlsubError, SingularHessian
 from .estimator import (
     FitResult,
     _sandwich,
@@ -139,7 +138,9 @@ def aggregate(summaries, n_total: float | None = None) -> FitResult:
     sandwich un-normalizes each curvature by its partition's record count to
     form the pooled bread on the full-data scale, and sums the meat
     contributions.  Summaries are reduced in partition-id order so the result
-    does not depend on list order.
+    does not depend on list order.  A partition whose ``H_j beta_j`` is not
+    finite (an estimate pulled out of range by an overflowing record) raises
+    :class:`NonFiniteValue` naming it, before any pooled product is formed.
     """
     summaries = sorted(summaries, key=lambda s: s.partition_id)
     if not summaries:
@@ -152,14 +153,20 @@ def aggregate(summaries, n_total: float | None = None) -> FitResult:
         shard_n = [s.n_records for s in summaries if s.partition_id != PILOT_PARTITION_ID]
         n_total = float(sum(shard_n)) if shard_n else float(summaries[0].n_records)
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [s.hessian @ s.beta for s in summaries]
+    for s, product in zip(summaries, products):
+        if not np.isfinite(product).all():
+            raise NonFiniteValue(f"partition {s.partition_id}: curvature-weighted estimate is not finite")
+
     weight = np.zeros((d, d))
     weighted_beta = np.zeros(d)
     bread = np.zeros((d, d))
     meat = np.zeros((d, d))
     realized = 0
-    for s in summaries:
+    for s, product in zip(summaries, products):
         weight += s.hessian
-        weighted_beta += s.hessian @ s.beta
+        weighted_beta += product
         bread += s.n_records * s.hessian
         meat += s.vc_contrib
         realized += s.realized_size
@@ -224,6 +231,8 @@ def run_distributed(
 
     jobs = list(enumerate(shards, start=1))
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # an unthreaded run never loads it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(job, jobs))
     else:

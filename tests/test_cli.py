@@ -19,6 +19,14 @@ from qlsub.rng import PILOT_STREAM, uniforms
 from qlsub.synth import full_qle, generate_case, make_spec, replicate, write_case_csv
 
 
+def _cli_process(argv, *command):
+    """Run ``command`` (by default the process entry ``python -m qlsub.cli``) on ``argv`` with this checkout's qlsub."""
+    src = str(Path(qlsub.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    command = command or ("-m", "qlsub.cli")
+    return subprocess.run([sys.executable, *command, *argv], env=env, capture_output=True, text=True)
+
+
 @pytest.fixture(scope="module")
 def case_csv(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
@@ -130,8 +138,7 @@ def _expect_exit(inputs, tmp_path, capsys, argv, code, message):
 FIT = ["fit", "--criterion", "mv", "--r", "800", "--r0", "200", "--seed", "7"]
 # the last response of c1 (N = 4000) is 1.7e308; its record is drawn at p = 1
 BIG = ["--data", "@big", "--r", "300", "--r0", "100", "--criterion", "mvc", "--seed", "7", "--no-cache"]
-# numpy still warns of the overflow in the record's score, and the distributed
-# fit of the estimate that it pulls to about 1e304
+# numpy still warns of the overflow in the record's score
 OVERFLOW_WARNINGS = [
     pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
     pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
@@ -190,10 +197,14 @@ EXIT_MATRIX = [
         ["fit", *BIG, "--threshold", "inf"], 4, "numerical failure: sandwich variance is not finite",
         id="response-overflows-the-variance", marks=OVERFLOW_WARNINGS,
     ),
+    # the second shard's estimate is pulled to about 1e304, so the
+    # aggregation names that partition before it forms any pooled product;
+    # only the record's score in the per-block scorer still warns
     pytest.param(
         ["fit-distributed", *BIG, "--k", "2", "--threshold", "inf"], 4,
-        "numerical failure: sandwich variance is not finite", id="response-overflows-the-distributed-variance",
-        marks=OVERFLOW_WARNINGS,
+        "numerical failure: partition 2: curvature-weighted estimate is not finite",
+        id="response-overflows-the-distributed-variance",
+        marks=pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:overflow encountered in multiply"),
     ),
     pytest.param(
         ["fit", *BIG, "--threshold", "exact"], 4, "numerical failure: sampling scores are not finite: their sum is inf",
@@ -396,10 +407,8 @@ class TestExitCodes:
         data, out = tmp_path / "ones.csv", tmp_path / "o.json"
         x = np.random.default_rng(8).normal(size=(4000, 3))
         np.savetxt(data, np.column_stack([np.ones(4000), x]), fmt="%.17g", delimiter=",")
-        src = str(Path(qlsub.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = [*command, "--data", str(data), "--family", "exp", "--r", "300", "--r0", "100", "--out", str(out)]
-        run = subprocess.run([sys.executable, "-m", "qlsub.cli", *argv], env=env, capture_output=True, text=True)
+        run = _cli_process(argv)
         assert run.returncode == 0, run.stderr
         # one line per warning, even with two shards, and no source location
         warned = [line for line in run.stderr.splitlines() if "warning" in line.lower()]
@@ -429,16 +438,26 @@ class TestExitCodes:
         lines = data.read_text().splitlines()
         lines[105] = "1,0,0,0,0,0,0,0"
         data.write_text("\n".join(lines) + "\n")
-        src = str(Path(qlsub.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = ["fit-distributed", "--data", str(data), "--k", k, "--rho", "0", "--r", "200", "--r0", "300",
-                "--criterion", "mvc", "--seed", "7", "--out", str(out)]
-        run = subprocess.run([sys.executable, "-m", "qlsub.cli", *argv], env=env, capture_output=True, text=True)
+                "--criterion", "mvc", "--seed", "7", "--no-cache"]
+        run = _cli_process([*argv, "--out", str(out)])
         assert run.returncode == 0, run.stderr
         warned = [line for line in run.stderr.splitlines() if "warning" in line.lower()]
         assert warned == ["qlsub: warning: records with zero score receive probability 0 under rho = 0; "
                           "the optimality premises may be violated"]
         assert len(json.loads(out.read_text())["partition_sizes"]) == int(k) + 1
+        # the process entry writes the document that the in-process entry writes
+        with pytest.warns(RuntimeWarning, match="zero score"):
+            assert main([*argv, "--out", str(tmp_path / "main.json")]) == 0
+        assert (tmp_path / "main.json").read_bytes() == out.read_bytes()
+
+    def test_process_entry_fails_as_main_does(self, inputs, tmp_path, capsys):
+        argv = [*FIT, "--data", inputs["ragged"]]
+        run = _cli_process([*argv, "--out", str(tmp_path / "process.json")])
+        assert main([*argv, "--out", str(tmp_path / "main.json")]) == run.returncode == 3
+        want = f"qlsub: data error: {inputs['ragged']}:700: expected 8 fields, found 3\n"
+        assert capsys.readouterr().err == run.stderr == want
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("message", ["Unable to allocate 5.82 TiB for an array", ""], ids=["numpy", "bare"])
     def test_out_of_memory_prints_one_line(self, tmp_path, capsys, message):
@@ -547,19 +566,35 @@ class TestFitDocuments:
         assert len(doc["partition_sizes"]) == 5  # pilot + 4 shards
 
 
+class TestStartUp:
+    def test_a_fit_loads_only_what_it_runs(self, case_csv, tmp_path):
+        # a fit generates no case, runs no replication, writes no table and,
+        # unthreaded, starts no pool; the package exports resolve all the same
+        probe = (
+            "import json, sys, qlsub.cli\n"
+            "lazy = lambda: sorted({'qlsub.synth', 'csv', 'concurrent.futures'} & set(sys.modules))\n"
+            "imported = lazy()\n"
+            "code = qlsub.cli.main(sys.argv[1:])\n"
+            "fitted = lazy()\n"
+            "names = {}\n"
+            "exec('from qlsub import *', names)\n"
+            "print(json.dumps([imported, code, fitted, sorted(set(qlsub.__all__) - set(names)),\n"
+            "                  [n for n in qlsub.__all__ if names[n] is not getattr(qlsub, n)], qlsub.synth.__name__]))\n"
+        )
+        argv = ["fit-distributed", "--data", case_csv, "--k", "2", "--r", "600", "--out", str(tmp_path / "o.json")]
+        run = _cli_process(argv, "-c", probe)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == [[], 0, [], [], [], "qlsub.synth"]
+
+
 class TestConfidenceLevel:
     def test_cli_import_leaves_out_scipy_stats(self):
-        src = str(Path(qlsub.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         probe = "import sys, qlsub.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
+        out = _cli_process([], "-c", probe)
+        assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
 
     def test_default_level_fits_leave_out_scipy(self, case_csv, tmp_path):
-        src = str(Path(qlsub.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         runs = [
             _fit_args(case_csv, str(tmp_path / "fit.json")),
             ["fit-distributed", "--data", case_csv, "--k", "4", "--r", "600",
@@ -573,13 +608,8 @@ class TestConfidenceLevel:
             "print(codes, sorted(m for m in sys.modules\n"
             "                    if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe, json.dumps(runs)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
+        out = _cli_process([json.dumps(runs)], "-c", probe)
+        assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[0, 0, 0] []"
 
     def test_level_sets_normal_quantile(self, case_csv, tmp_path):
