@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue, PartitionFailed, QlsubError, SingularHessian
+from .errors import ConfigError, EmptySample, NonFiniteValue, PartitionFailed, QlsubError, SingularHessian
 from .estimator import (
     FitResult,
     _sandwich,
@@ -65,14 +65,12 @@ def fit_partition(
     try:
         sample = second_pass(shard, family, pilot, plan, r, seed)
         if sample.size == 0:
-            raise PartitionFailed(partition_id, "no records drawn in partition")
+            raise EmptySample("no records drawn")
         fit = solve_weighted_qle(
             sample.x, sample.y, family, p=sample.p, init=pilot.beta0, ridge=ridge
         )
         hessian = subsample_hessian(sample.x, family, fit.beta, p=sample.p, scale=n_j)
         vc = vc_contribution(sample.x, sample.y, family, fit.beta, sample.p)
-    except PartitionFailed:
-        raise
     except QlsubError as err:
         raise PartitionFailed(partition_id, f"partition {partition_id}: {err}") from err
     return PartitionSummary(
@@ -131,13 +129,13 @@ def pilot_summary(
     )
 
 
-def aggregate(summaries, n_total: float | None = None) -> FitResult:
+def aggregate(summaries, n_total: float) -> FitResult:
     """Curvature-weighted combination of partition summaries.
 
     The estimate is ``(sum_j H_j)^-1 sum_j H_j beta_j``.  The variance
     sandwich un-normalizes each curvature by its partition's record count to
-    form the pooled bread on the full-data scale, and sums the meat
-    contributions.  Summaries are reduced in partition-id order so the result
+    form the pooled bread on the scale of all ``n_total`` records, and sums
+    the meat contributions.  Summaries are reduced in partition-id order so the result
     does not depend on list order.  A partition whose ``H_j beta_j`` is not
     finite (an estimate pulled out of range by an overflowing record) raises
     :class:`NonFiniteValue` naming it, before any pooled product is formed.
@@ -149,9 +147,6 @@ def aggregate(summaries, n_total: float | None = None) -> FitResult:
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate partition ids: {ids}")
     d = summaries[0].beta.shape[0]
-    if n_total is None:
-        shard_n = [s.n_records for s in summaries if s.partition_id != PILOT_PARTITION_ID]
-        n_total = float(sum(shard_n)) if shard_n else float(summaries[0].n_records)
 
     with np.errstate(over="ignore", invalid="ignore"):
         products = [s.hessian @ s.beta for s in summaries]

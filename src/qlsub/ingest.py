@@ -11,9 +11,10 @@ later stream over the unchanged file, which reads the sidecar
 ``<file>.qlcache``.
 
 A CSV record is a non-blank line of comma-separated numbers after the
-optional header line; ``#`` starts no comment.  A malformed or ragged record,
+optional header line; ``#`` starts no comment, and a field may be padded by
+any character for which ``str.isspace`` holds.  A malformed or ragged record,
 a non-finite selected field or a byte that is not UTF-8 raises ``DataError``
-naming the file and line.
+naming the file and line; a schema that leaves no covariate, naming the file.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class ArrayStream(RecordStream):
     def __init__(self, x, y, block_size: int = DEFAULT_BLOCK_SIZE):
         self.x = np.asarray(x, dtype=np.float64)
         self.y = np.asarray(y, dtype=np.float64)
-        if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
-            raise DataError("x must be (n, d) and y must be (n,)")
+        if self.x.ndim != 2 or not self.x.shape[1] or self.y.shape != (self.x.shape[0],):
+            raise DataError("x must be (n, d) with d >= 1 and y must be (n,)")
         self.block_size = _block_size(block_size)
 
     @property
@@ -152,8 +153,8 @@ class CsvStream(ArrayStream):
                 raise DataError(f"no records in {', '.join(self.paths)}")
             xf.flush()
             yf.flush()
-            x, y = (np.frombuffer(mmap.mmap(fh.fileno(), 0)) if fh.tell() else np.empty(0) for fh in (xf, yf))
-        super().__init__(x.reshape(n, x.size // n), y, block_size=block_size)
+            x, y = (np.frombuffer(mmap.mmap(fh.fileno(), 0)) for fh in (xf, yf))
+        super().__init__(x.reshape(n, -1), y, block_size=block_size)
         for args in parsed:
             self._write_cache(*args)
 
@@ -192,6 +193,8 @@ class CsvStream(ArrayStream):
             for col in cols:
                 if not 0 <= col < arity:
                     raise DataError(f"{path}: {kind} column {col} out of range for {arity} fields")
+        if not (arity - 1 if self.x_cols is None else len(self.x_cols)) + self.intercept:
+            raise DataError(f"{path}: no covariate column; add --intercept or --x-cols")
         self._arity = arity
 
     def _split(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +284,7 @@ class CsvStream(ArrayStream):
                     key = self._cache_key(raw)
                 covered = zlib.crc32(head[:-8])  # every header field but the CRC itself
                 if fh.read(keylen) == key and _copy(fh, yf, n * 8, _copy(fh, xf, n * d * 8, covered)) == crc:
-                    self._arity = arity
+                    self._set_arity(path, arity)
                     return True
         with contextlib.suppress(OSError):
             os.unlink(path + ".qlcache")
@@ -376,8 +379,6 @@ def partition_view(stream: RecordStream, k: int) -> list[RecordStream]:
     n = stream.n_records
     if k > n:
         raise DataError(f"cannot split {n} records into {k} shards")
-    if k == 1:
-        return [stream]
     if isinstance(stream, CsvStream) and len(stream.paths) == k:
         for path, count in zip(stream.paths, stream.file_counts):
             if not count:

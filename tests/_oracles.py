@@ -259,8 +259,8 @@ def optimal_probabilities(scores, r: float, cap: float = math.inf) -> np.ndarray
 
 
 def _csv_number(field: str) -> float:
-    """A CSV number: ASCII, without ``_``, then Python's ``float``; ``float`` alone also takes
-    ``1_0`` and non-ASCII digits, which no CSV writer emits."""
+    """A CSV number with its padding stripped: ASCII, without ``_``, then Python's ``float``;
+    ``float`` alone also takes ``1_0`` and non-ASCII digits, which no CSV writer emits."""
     if not field.isascii() or "_" in field:
         raise ValueError(field)
     return float(field)
@@ -269,12 +269,15 @@ def _csv_number(field: str) -> float:
 def csv_reference(paths, skip_header: bool = False):
     """``(rows, file_counts, None)`` of numeric CSV files, or ``(None, None, where)`` of the first bad line.
 
-    Each file's bytes split into lines at ``\\r\\n``, ``\\r`` and ``\\n``.  Every
-    line must be UTF-8.  A record is a non-blank line after the optional
-    header; each of its comma-separated fields is a number, every record has
-    the first record's field count, and every value is finite.  ``where`` is
-    ``"path:line"`` of the first line that breaks a rule, or None when no
-    file holds a record.
+    Each file's bytes split into lines at ``\\r\\n``, ``\\r`` and ``\\n`` only,
+    not at ``\\x1c``, ``\\x85`` or ``\\u2028``.  Every line must be UTF-8.  A
+    record is a non-blank line after the optional header; each of its
+    comma-separated fields is a number, padded on either side by any
+    characters for which ``str.isspace`` holds.  The first record has at
+    least two fields, the response and a covariate, every record has its
+    field count, and every value is finite.  ``where`` is ``"path:line"`` of
+    the first line that breaks a rule, ``"path"`` of a first record with one
+    field, or None when no file holds a record.
     """
     rows, counts, arity = [], [], None
     for path in paths:
@@ -288,9 +291,11 @@ def csv_reference(paths, skip_header: bool = False):
                 text = raw.decode("utf-8")
                 if (skip_header and lineno == 1) or not text.strip():
                     continue
-                values = [_csv_number(field) for field in text.split(",")]
+                values = [_csv_number(field.strip()) for field in text.split(",")]
             except ValueError:  # UnicodeDecodeError too
                 return None, None, f"{path}:{lineno}"
+            if arity is None and len(values) == 1:
+                return None, None, path
             arity = len(values) if arity is None else arity
             if len(values) != arity or not all(map(math.isfinite, values)):
                 return None, None, f"{path}:{lineno}"

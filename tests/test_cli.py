@@ -5,11 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 import qlsub
 from qlsub import synth
@@ -79,6 +79,7 @@ def inputs(case_csv, tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
     (root / "empty.csv").write_text("")
     (root / "three.csv").write_text("1,2\n3,4\n5,6\n")
+    (root / "one.csv").write_text("1\n2\n3\n0\n5\n")
     table = np.column_stack([np.arange(50.0), np.ones(50), np.ones(50) * 2.0])
     np.savetxt(root / "collinear.csv", table, fmt="%.17g", delimiter=",")
     write_case_csv(make_spec("c1", 2000, seed=3), str(root / "small.csv"))
@@ -95,7 +96,7 @@ def inputs(case_csv, tmp_path_factory):
     (root / "headed.csv").write_text("y,x1,x2,x3,x4,x5,x6,x7\n" + text)
     files = {
         key: str(root / f"{key}.csv")
-        for key in ("empty", "three", "collinear", "small", "c1", "latin", "missing", "truncated", "headed")
+        for key in ("empty", "three", "one", "collinear", "small", "c1", "latin", "missing", "truncated", "headed")
     }
     return files | {
         "case": case_csv,
@@ -156,6 +157,19 @@ EXIT_MATRIX = [
     pytest.param(
         ["fit-distributed", "--data", "@three", "--k", "5", "--r", "1"], 3,
         "cannot split 3 records into 5 shards", id="k-above-n",
+    ),
+    # one field per record: the response, and no covariate
+    pytest.param(["fit-full", "--data", "@one"], 3, "one.csv: no covariate column; add --intercept or --x-cols",
+                 id="no-covariate-fit-full"),
+    pytest.param(["fit", "--data", "@one", "--r", "2", "--r0", "2"], 3, "one.csv: no covariate column",
+                 id="no-covariate-fit"),
+    pytest.param(["fit-distributed", "--data", "@one", "--r", "2", "--r0", "2"], 3, "one.csv: no covariate column",
+                 id="no-covariate-fit-distributed"),
+    # shards of one record at r = 0.5: the first draws none
+    pytest.param(
+        ["fit-distributed", "--data", "@small", "--k", "2000", "--r", "0.5", "--r0", "100"], 4,
+        "numerical failure: partition 1: no records drawn", id="shard-draws-no-record",
+        marks=pytest.mark.filterwarnings("ignore:partition count"),
     ),
     pytest.param(
         [*FIT[:-4], "--r0", "3", "--data", "@case"], 4, "pilot captured only", id="pilot-below-d",
@@ -618,7 +632,38 @@ class TestConfidenceLevel:
         doc = json.loads(Path(out).read_text())
         assert doc["ci_level"] == 0.9
         estimate, se = np.array(doc["estimate"]), np.array(doc["std_errors"])
-        z = norm.ppf(0.95)
+        z = NormalDist().inv_cdf(0.95)
+        np.testing.assert_array_equal(doc["ci_upper"], estimate + z * se)
+        np.testing.assert_array_equal(doc["ci_lower"], estimate - z * se)
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency; the tests alone use scipy
+        data, level = str(tmp_path / "c1.csv"), tmp_path / "level.json"
+        runs = [
+            ["gen-data", "--case", "c1", "--n", "4000", "--out", data],
+            ["fit-full", "--data", data, "--out", str(tmp_path / "full.json")],
+            ["fit", "--data", data, "--criterion", "mv", "--threshold", "exact", "--r", "400", "--r0", "200",
+             "--out", str(tmp_path / "exact.json")],
+            ["fit-distributed", "--data", data, "--k", "2", "--threads", "2", "--r", "400", "--r0", "200",
+             "--out", str(tmp_path / "dist.json")],
+            ["experiment", "--case", "c1", "--n", "2000", "--methods", "mv", "--r-grid", "200", "--r0", "100",
+             "--t", "2", "--coverage-index", "1", "--out", str(tmp_path / "experiment.csv")],
+            ["bench", "--case", "c1", "--n", "2000", "--methods", "uniform", "--r-grid", "200", "--r0", "100",
+             "--repeats", "3", "--out", str(tmp_path / "bench.csv")],
+            ["fit", "--data", data, "--r", "400", "--r0", "200", "--level", "0.9", "--out", str(level)],
+        ]
+        probe = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # every import of scipy fails\n"
+            "import qlsub.cli\n"
+            "print(json.dumps([qlsub.cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
+        )
+        run = _cli_process([json.dumps(runs)], "-c", probe)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == [0] * len(runs)
+        doc = json.loads(level.read_text())
+        estimate, se = np.array(doc["estimate"]), np.array(doc["std_errors"])
+        z = NormalDist().inv_cdf(0.95)
         np.testing.assert_array_equal(doc["ci_upper"], estimate + z * se)
         np.testing.assert_array_equal(doc["ci_lower"], estimate - z * se)
 

@@ -50,12 +50,12 @@ class TestAggregate:
         for j in range(4):
             a = rng.normal(size=(2, 2))
             summaries.append(_summary(j, beta, a @ a.T + np.eye(2)))
-        out = aggregate(summaries)
+        out = aggregate(summaries, n_total=300.0)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
 
     def test_scalar_weighted_average(self):
         out = aggregate(
-            [_summary(1, [1.0], [[2.0]]), _summary(2, [3.0], [[6.0]])]
+            [_summary(1, [1.0], [[2.0]]), _summary(2, [3.0], [[6.0]])], n_total=200.0
         )
         assert out.beta[0] == pytest.approx(2.5, abs=1e-15)
 
@@ -75,11 +75,11 @@ class TestAggregate:
     def test_duplicate_ids_rejected(self):
         s = _summary(1, [0.0], [[1.0]])
         with pytest.raises(ConfigError):
-            aggregate([s, s])
+            aggregate([s, s], n_total=200.0)
 
     def test_singular_pooled_weight(self):
         with pytest.raises(SingularHessian):
-            aggregate([_summary(1, [0.0, 0.0], np.zeros((2, 2)))])
+            aggregate([_summary(1, [0.0, 0.0], np.zeros((2, 2)))], n_total=100.0)
 
     def test_variance_zero_under_certain_inclusion(self, data):
         # every record with p = 1 in both the pilot and the shard: the meat

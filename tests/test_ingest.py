@@ -6,6 +6,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -241,12 +242,35 @@ class TestTransforms:
         fit_b = solve_weighted_qle(xb, yb, IDENTITY)
         np.testing.assert_allclose(fit_a.beta, fit_b.beta, atol=1e-12)
 
+    @pytest.mark.parametrize("text, schema", [("1\n2\n", {}), ("1,2\n3,4\n", {"x_cols": []})],
+                             ids=["one-field", "no-x-cols"])
+    def test_schema_without_covariate_is_refused(self, tmp_path, text, schema):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=r"f\.csv: no covariate column; add --intercept or --x-cols$"):
+            CsvStream(str(path), **schema)
+        assert CsvStream(str(path), intercept=True, **schema).dim == 1
+
+    @pytest.mark.parametrize(
+        "x, y", [(np.zeros((4, 0)), np.zeros(4)), (np.zeros(4), np.zeros(4)), (np.zeros((4, 2)), np.zeros(3))],
+        ids=["no-column", "x-1d", "y-short"],
+    )
+    def test_array_shapes_checked(self, x, y):
+        with pytest.raises(DataError, match=r"x must be \(n, d\) with d >= 1"):
+            ArrayStream(x, y)
+
 
 class TestPartition:
     def test_identity_partition(self, small_csv):
-        path, _ = small_csv
-        stream = CsvStream(path)
-        assert partition_view(stream, 1) == [stream]
+        # K = 1 is one shard holding every record, in order, under its global index
+        path, table = small_csv
+        stream = CsvStream(path, block_size=7)
+        [shard] = partition_view(stream, 1)
+        assert (shard.n_records, shard.dim) == (20, 3)
+        got = rows(shard)
+        assert [i for i, _, _ in got] == list(range(20))
+        assert np.array([x for _, x, _ in got]).tobytes() == table[:, 1:].tobytes()
+        assert np.array([y for _, _, y in got]).tobytes() == table[:, 0].tobytes()
 
     def test_balanced_split_sizes(self):
         stream = ArrayStream(np.zeros((10, 2)), np.zeros(10))
@@ -527,6 +551,20 @@ class TestParseCache:
         self.assert_same(CsvStream(path, block_size=7), good)
         assert sidecar.read_bytes() == data
 
+    def test_sidecar_without_covariate_is_refused(self, tmp_path):
+        # an earlier reader took one-field records and cached them with d = 0:
+        # here, the sidecar of the intercept schema with no x and the key of the plain one
+        path = tmp_path / "one.csv"
+        path.write_text("1\n2\n3\n")
+        stream, head = CsvStream(str(path), intercept=True), ingest._CACHE_HEAD
+        data = self.sidecar(path).read_bytes()
+        key = data[head.size : len(data) - stream.x.nbytes - stream.y.nbytes].replace(b"True", b"False")
+        fields = (ingest._CACHE_MAGIC, 3, 0, 1, stream.y.nbytes)
+        crc = zlib.crc32(stream.y, zlib.crc32(head.pack(*fields, 0)[:-8]))
+        self.sidecar(path).write_bytes(head.pack(*fields, crc) + key + stream.y.tobytes())
+        with pytest.raises(DataError, match=r"one\.csv: no covariate column"):
+            CsvStream(str(path))
+
     def test_file_changed_during_the_parse_is_never_served(self, tmp_path, monkeypatch):
         # the parse reads through a 256 KiB buffer and the same-size rewrite
         # lands between two reads, so the records read are old and new ones;
@@ -750,8 +788,12 @@ _NUMBERS = st.one_of(
 )
 # fields no record may hold: not numbers, or not finite
 _BAD_FIELDS = st.sampled_from(
-    ["nan", "-inf", "+Infinity", "1e400", "-1e400", "", " ", "abc", "1_0", "0x10", "1e", "--1", "1.2.3", "#1", "\u0661"]
+    ["nan", "-inf", "+Infinity", "1e400", "-1e400", "", " ", "abc", "1_0", "0x10", "1e", "--1", "1.2.3", "#1", "\u0661",
+     "1\u200b", "\u200b1"]
 )
+# padding a field may carry: the characters for which str.isspace holds, but
+# the line ends; a zero-width space (U+200B) is not one of them (_BAD_FIELDS)
+_PADS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"])
 _NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"])
 
 
@@ -759,7 +801,8 @@ _NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\
 def csv_sources(draw):
     """``(files, header)``: the bytes of one to three CSV files, and whether each starts with a header line.
 
-    The records have one field count; blank and whitespace-only lines lie
+    The records have one field count, one field leaving no covariate; each
+    field is padded by whitespace, and blank and whitespace-only lines lie
     between them.  Up to two damages follow: a field replaced by one that no
     record may hold, a field added or dropped, or bytes that are not UTF-8
     put into a line.  Each line ends in ``\\n``, ``\\r\\n`` or ``\\r``, the last
@@ -770,11 +813,10 @@ def csv_sources(draw):
     for _ in range(draw(st.integers(1, 3))):
         lines = [draw(st.sampled_from([b"y,x1,x2", b"1,2", b"", b" "]))] if header else []
         for _ in range(draw(st.integers(0, 6))):
-            blank = draw(st.sampled_from([None, None, None, b"", b" ", b"\t \t"]))
+            blank = draw(st.sampled_from([None, None, None, b"", b" ", b"\t \t", "\xa0\x1c".encode()]))
             if blank is not None:
                 lines.append(blank)
-            pad = st.sampled_from(["", " ", "\t"])
-            fields = [draw(pad) + draw(_NUMBERS) + draw(pad) for _ in range(arity)]
+            fields = [draw(_PADS) + draw(_NUMBERS) + draw(_PADS) for _ in range(arity)]
             lines.append(",".join(fields).encode())
         for _ in range(draw(st.integers(0, 2)) if lines else 0):
             j = draw(st.integers(0, len(lines) - 1))
@@ -796,6 +838,11 @@ def csv_sources(draw):
     return files, header
 
 
+# padding: whitespace outside ASCII and an ASCII separator, then a zero-width
+# space; and records of one field, which leave no covariate
+@example(source=(["1,2\x1f\n3\xa0,\u30004\n".encode()], False))
+@example(source=(["1,2\u200b\n".encode()], False))
+@example(source=([b"\n", b"1\n2\n"], False))
 @settings(max_examples=200, deadline=None)
 @given(source=csv_sources())
 def test_reader_fuzz(source):
