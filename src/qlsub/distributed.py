@@ -27,8 +27,8 @@ from .estimator import (
 )
 from .families import LinkFamily
 from .ingest import RecordStream, partition_view
-from .pipeline import PilotResult, resolve_rule, run_pilot, second_pass
-from .sampling import SamplingPlan
+from .pipeline import PilotResult, run_pilot, second_pass
+from .sampling import SamplingPlan, resolve_rule
 
 PILOT_PARTITION_ID = 0
 
@@ -48,6 +48,7 @@ class PartitionSummary:
     vc_contrib: np.ndarray
     n_records: float
     realized_size: int
+    converged: bool  # whether the Newton solve behind beta converged
 
 
 def fit_partition(
@@ -80,6 +81,7 @@ def fit_partition(
         vc_contrib=vc,
         n_records=float(n_j),
         realized_size=sample.size,
+        converged=fit.converged,
     )
 
 
@@ -126,6 +128,7 @@ def pilot_summary(
         vc_contrib=vc,
         n_records=float(machine_size),
         realized_size=pilot.realized_r0,
+        converged=pilot.converged,
     )
 
 
@@ -139,6 +142,7 @@ def aggregate(summaries, n_total: float) -> FitResult:
     does not depend on list order.  A partition whose ``H_j beta_j`` is not
     finite (an estimate pulled out of range by an overflowing record) raises
     :class:`NonFiniteValue` naming it, before any pooled product is formed.
+    The result converged when every partition's solve did.
     """
     summaries = sorted(summaries, key=lambda s: s.partition_id)
     if not summaries:
@@ -179,7 +183,7 @@ def aggregate(summaries, n_total: float) -> FitResult:
         hessian=bread,
         variance=variance,
         iterations=0,
-        converged=True,
+        converged=all(s.converged for s in summaries),
         subsample_size=realized,
         info={
             "partition_ids": ids,

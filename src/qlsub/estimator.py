@@ -30,20 +30,17 @@ Z_975 = 1.959963985
 class FitResult:
     """Outcome of a weighted fit or an aggregation.
 
-    ``hessian`` holds the positive-definite curvature relevant to the
-    producing routine: the final (unnormalized) Newton matrix for a direct
-    solve, the pooled bread matrix for pipeline and distributed variance
-    estimates.  ``variance`` is the plug-in sandwich estimate when one was
-    computed.
+    ``variance`` is the plug-in sandwich estimate when one was computed, and
+    ``hessian`` its bread, the pooled curvature on the scale of all records;
+    a direct solve computes neither and leaves both None.
     """
 
     beta: np.ndarray
-    hessian: np.ndarray
+    hessian: np.ndarray | None
     variance: np.ndarray | None
     iterations: int
     converged: bool
     subsample_size: int
-    score_norm: float = 0.0
     saturated: bool = False
     info: dict = field(default_factory=dict)
 
@@ -164,7 +161,6 @@ def solve_weighted_qle(
     norm = float(np.abs(score).max())
     if not math.isfinite(norm):
         raise NonFiniteValue("weighted score is not finite")
-    newton = None
     iterations = 0
     converged = norm <= tol * scale
 
@@ -196,20 +192,14 @@ def solve_weighted_qle(
         if norm <= tol * scale:
             converged = True
 
-    if newton is None:
-        # converged at the starting point; still report the curvature there
-        newton = curvature(eta, mu)
-
     return FitResult(
         beta=beta,
-        hessian=newton,
+        hessian=None,
         variance=None,
         iterations=iterations,
         converged=converged,
         subsample_size=m,
-        score_norm=norm,
         saturated=saturated,
-        info={"score_scale": scale, "ridge": ridge},
     )
 
 

@@ -130,6 +130,8 @@ class CsvStream(ArrayStream):
             raise DataError("no input files given")
         self.y_col = int(y_col)
         self.x_cols = None if x_cols is None else [int(c) for c in x_cols]
+        if self.y_col in (self.x_cols or []):
+            raise ConfigError(f"covariate column {self.y_col} is the response column")
         self.intercept = bool(intercept)
         self.y_shift = float(y_shift)
         self.block_size = _block_size(block_size)

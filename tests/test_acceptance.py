@@ -122,8 +122,8 @@ def test_criterion_4_zero_variance_degeneracy():
     hessian = subsample_hessian(x, EXP, full.beta, p=ones, scale=n)
     vc = vc_contribution(x, y, EXP, full.beta, ones)
     summaries = [
-        PartitionSummary(0, full.beta, hessian, vc, float(n), n),
-        PartitionSummary(1, full.beta, hessian, vc, float(n), n),
+        PartitionSummary(0, full.beta, hessian, vc, float(n), n, True),
+        PartitionSummary(1, full.beta, hessian, vc, float(n), n, True),
     ]
     out = aggregate(summaries, n_total=n)
     assert np.array_equal(out.variance, np.zeros_like(out.variance))

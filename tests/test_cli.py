@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlsub
 from qlsub import synth
@@ -137,6 +141,18 @@ def _expect_exit(inputs, tmp_path, capsys, argv, code, message):
 
 
 FIT = ["fit", "--criterion", "mv", "--r", "800", "--r0", "200", "--seed", "7"]
+# the exit codes a fit command may give, by the label of the line it fails with
+EXIT_LABELS = {0: None, 2: "configuration error", 3: "data error", 4: "numerical failure"}
+# the fuzzed flags' values on the 2000-record file; a few flags per example take an odd one
+FUZZ_ORDINARY = {
+    "r": st.floats(1, 2500), "r0": st.floats(1, 2500), "rho": st.floats(0, 1), "ridge": st.floats(0, 10),
+    "level": st.floats(0, 1, exclude_min=True, exclude_max=True), "k": st.integers(1, 8),
+    "block-size": st.integers(1, 3000),
+}
+_ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308, 1e308, 5e-324])
+FUZZ_ODD = {flag: _ODD_FLOATS for flag in ("r", "r0", "rho", "ridge", "level")} | {
+    "k": st.sampled_from([0, -1, 2000, 2001, 10**9]), "block-size": st.sampled_from([0, -1, 2001, 10**9]),
+}
 # the last response of c1 (N = 4000) is 1.7e308; its record is drawn at p = 1
 BIG = ["--data", "@big", "--r", "300", "--r0", "100", "--criterion", "mvc", "--seed", "7", "--no-cache"]
 # numpy still warns of the overflow in the record's score
@@ -259,6 +275,15 @@ EXIT_MATRIX = [
     pytest.param(
         [*FIT, "--data", "@missing", "--x-cols", "a"], 2, "configuration error: --x-cols 'a': 'a' is not a column number",
         id="x-cols-not-a-number",
+    ),
+    # the response is no covariate of its own
+    pytest.param([*FIT, "--data", "@missing", "--x-cols", "0,1"], 2,
+                 "configuration error: covariate column 0 is the response column", id="x-cols-response-fit"),
+    pytest.param(["fit-full", "--data", "@missing", "--x-cols", "0", "--intercept"], 2,
+                 "configuration error: covariate column 0 is the response column", id="x-cols-response-fit-full"),
+    pytest.param(
+        ["fit-distributed", "--data", "@missing", "--k", "2", "--y-col", "3", "--x-cols", "1,3"], 2,
+        "configuration error: covariate column 3 is the response column", id="x-cols-response-fit-distributed",
     ),
     pytest.param([*FIT, "--data", "@missing", "--ridge", "-1"], 2, "ridge -1.0 below 0", id="fit-ridge-negative"),
     pytest.param(
@@ -481,6 +506,37 @@ class TestExitCodes:
         want = message or "no memory left for the arrays of this run"
         assert (code, capsys.readouterr().err) == (5, f"qlsub: out of memory: {want}\n")
         assert not out.exists()
+
+    # every value reaches the command, and every failure is one labelled line
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["fit", "fit-distributed"]),
+        flags=st.fixed_dictionaries(FUZZ_ORDINARY),
+        odd=st.sets(st.sampled_from(sorted(FUZZ_ODD)), max_size=2).flatmap(
+            lambda names: st.fixed_dictionaries({name: FUZZ_ODD[name] for name in names})
+        ),
+        threads=st.sampled_from([1, 2, 4, 0, -1]),
+    )
+    def test_numeric_flags_fuzz(self, inputs, command, flags, odd, threads):
+        out = Path(inputs["small"]).with_name("fuzz.json")
+        out.unlink(missing_ok=True)
+        flags |= odd
+        if command == "fit":
+            del flags["k"]
+        else:
+            flags["threads"] = threads
+        argv = [command, "--data", inputs["small"], "--seed", "7", "--out", str(out)]
+        argv += [f"--{flag}={value!r}" for flag, value in flags.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in EXIT_LABELS, lines
+        assert not any("Traceback" in line for line in lines)
+        assert out.exists() == (code == 0)
+        if code:
+            assert lines[-1].startswith(f"qlsub: {EXIT_LABELS[code]}: "), lines
 
 
 class TestFitDocuments:

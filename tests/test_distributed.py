@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def stream(data):
     return ArrayStream(*data)
 
 
-def _summary(pid, beta, hessian, n=100.0):
+def _summary(pid, beta, hessian, n=100.0, converged=True):
     d = len(beta)
     return PartitionSummary(
         partition_id=pid,
@@ -39,6 +40,7 @@ def _summary(pid, beta, hessian, n=100.0):
         vc_contrib=np.zeros((d, d)),
         n_records=n,
         realized_size=10,
+        converged=converged,
     )
 
 
@@ -92,8 +94,8 @@ class TestAggregate:
         h = subsample_hessian(x, EXP, full.beta, p=ones, scale=len(y))
         vc = vc_contribution(x, y, EXP, full.beta, ones)
         parts = [
-            PartitionSummary(0, full.beta, h, vc, float(len(y)), len(y)),
-            PartitionSummary(1, full.beta, h, vc, float(len(y)), len(y)),
+            PartitionSummary(0, full.beta, h, vc, float(len(y)), len(y), True),
+            PartitionSummary(1, full.beta, h, vc, float(len(y)), len(y), True),
         ]
         out = aggregate(parts, n_total=len(y))
         np.testing.assert_array_equal(out.variance, np.zeros_like(out.variance))
@@ -111,6 +113,11 @@ class TestAggregate:
         out = aggregate(summaries, n_total=100.0)
         expected = sum(50.0 * m for m in mats) / 100.0
         np.testing.assert_array_equal(out.hessian, expected)
+
+    @pytest.mark.parametrize("flags", [(True, True, True), (True, False, True), (False, True, True)])
+    def test_converged_only_when_every_partition_converged(self, flags):
+        summaries = [_summary(j, [1.0], [[1.0]], converged=flag) for j, flag in enumerate(flags)]
+        assert aggregate(summaries, n_total=300.0).converged is all(flags)
 
 
 class TestFitPartition:
@@ -181,6 +188,26 @@ class TestRunDistributed:
         v = fit.variance
         assert np.array_equal(v, v.T)
         assert np.linalg.eigvalsh(v).min() >= -1e-12 * np.trace(v)
+
+    # the shards solve through distributed and the pilot through pipeline;
+    # one solve there, shard 2's or the pilot's, reports that it stopped short
+    @pytest.mark.parametrize("module, call", [("distributed", 2), ("pipeline", 1)], ids=["shard", "pilot"])
+    def test_unconverged_solve_is_reported(self, stream, module, call):
+        plan = SamplingPlan(criterion="mvc", expected_size=600, seed=37)
+        calls = []
+
+        def stops_short(*args, **kwargs):
+            fit = solve_weighted_qle(*args, **kwargs)
+            calls.append(fit)
+            return replace(fit, converged=False) if len(calls) == call else fit
+
+        want = run_distributed(stream, EXP, plan, 200, 3)
+        with mock.patch(f"qlsub.{module}.solve_weighted_qle", new=stops_short):
+            got = run_distributed(stream, EXP, plan, 200, 3)
+        assert want.converged and not got.converged
+        assert calls and all(fit.converged for fit in calls)
+        np.testing.assert_array_equal(got.beta, want.beta)
+        np.testing.assert_array_equal(got.variance, want.variance)
 
     def test_partition_sizes_reported(self, stream):
         plan = SamplingPlan(criterion="mvc", expected_size=600, seed=23)

@@ -159,7 +159,7 @@ class TestNewtonAgainstReference:
         fit = solve_weighted_qle(x, y, family, p=p, init=init)
         ref = newton_reference(x, y, family, p=p, init=init)
         np.testing.assert_array_equal(fit.beta.view(np.uint64), ref.beta.view(np.uint64))
-        np.testing.assert_array_equal(fit.hessian.view(np.uint64), ref.newton.view(np.uint64))
+        assert fit.hessian is None  # a direct solve reports no bread
         assert (fit.iterations, fit.converged, fit.saturated) == (ref.iterations, ref.converged, ref.saturated)
         assert fit.saturated == (name == "exp-saturating")
         assert (ref.halvings > 0) == (name in ("exp", "exp-halving"))

@@ -473,7 +473,7 @@ def test_thinned_pass_matches_the_full_pass(data, block):
     stream = ArrayStream(*data, block_size=block)
     for mode in THRESHOLD_MODES:
         want = reference(data, "mv", mode)
-        with thinned(), mock.patch("qlsub.pipeline.whitened_at", wraps=whitened_at) as whiten:
+        with thinned(), mock.patch("qlsub.sampling.whitened_at", wraps=whitened_at) as whiten:
             got = scan_outcome(stream, "mv", mode)
         if mode == "exact":
             # the exact cap's rule holds every record's score, so nothing is whitened again
@@ -495,9 +495,7 @@ def test_exact_cap_scores_each_block_once(data, criterion, block):
     pilot = run_pilot(stream, EXP, R0, SEED, criterion)
     want = reference(data, criterion, "exact")
     for screen in (nullcontext(), thinned()):
-        with screen, mock.patch("qlsub.sampling.score_parts", wraps=score_parts) as scored, mock.patch(
-            "qlsub.pipeline.score_parts", new=scored
-        ):
+        with screen, mock.patch("qlsub.sampling.score_parts", wraps=score_parts) as scored:
             rule = resolve_rule(stream, EXP, pilot, plan, R)
             sample = second_pass(stream, EXP, pilot, plan, R, SEED, rule=rule)
         starts = [start for start, _, _ in stream.iter_blocks()]
