@@ -11,6 +11,7 @@ reproducible bit-for-bit under any worker count or summary arrival order.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -192,6 +193,40 @@ def aggregate(summaries, n_total: float) -> FitResult:
     )
 
 
+def _threaded(job, jobs: list, threads: int) -> list:
+    """``[job(j) for j in jobs]`` on up to ``threads`` worker threads.
+
+    Each worker takes the next job that no worker has taken.  Once every
+    worker has joined, the error of the first failing job is raised, so a
+    run reports the same failure under any worker count.  Plain threads
+    need no module that numpy has not loaded already.
+    """
+    results, errors = [None] * len(jobs), [None] * len(jobs)
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = job(jobs[i])
+            except BaseException as err:  # re-raised in the calling thread
+                errors[i] = err
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads, len(jobs)))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
+
+
 def run_distributed(
     stream: RecordStream,
     family: LinkFamily,
@@ -230,10 +265,7 @@ def run_distributed(
 
     jobs = list(enumerate(shards, start=1))
     if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # an unthreaded run never loads it
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, jobs))
+        parts = _threaded(job, jobs, threads)
     else:
         parts = [job(pair) for pair in jobs]
 

@@ -65,6 +65,11 @@ THIN_MIN_DIM = 16
 # times that share of the records through, and from about 4 % of them on,
 # packing and whitening them costs more than whitening every record.
 THIN_MAX_RATE = 0.01
+# Smallest row length at which :func:`_row_sq_norms` takes squared norms with
+# ``np.vecdot`` (one dot product per row) rather than ``np.einsum``.  Per
+# 4096-row chunk on one core, vecdot took 1.7-2.2x einsum's time at d <= 12,
+# 1.0-1.4x at d = 16-30 and 0.5-0.8x at d = 32-64.
+DOT_MIN_DIM = 32
 
 
 def _tiled(x: np.ndarray, offset: int):
@@ -91,6 +96,17 @@ def _tiled(x: np.ndarray, offset: int):
             tile[row : row + take] = x[i : i + take]
             yield i, x[i : i + take], tile, row
         i += take
+
+
+def _row_sq_norms(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared norms of the rows of ``z``, each reduced within its own row.
+
+    The kernel is set by the row length alone, so a record's norm has the
+    same bits wherever its row sits and whatever rows surround it.
+    """
+    if z.shape[1] < DOT_MIN_DIM:
+        return np.einsum("ij,ij->i", z, z, out=out)
+    return np.vecdot(z, z, out=out)
 
 
 def _whitener(sigma_inv) -> np.ndarray:
@@ -128,7 +144,7 @@ def score_parts(x: np.ndarray, offset: int, beta, sigma_inv=None) -> tuple[np.nd
             else:
                 eta[i:j] = (tiles @ b)[row : row + len(rows), 0]
                 z = rows if wt is None else (tiles @ wt)[row : row + len(rows)]
-            np.einsum("ij,ij->i", z, z, out=h2[i:j])
+            _row_sq_norms(z, out=h2[i:j])
     return eta, np.sqrt(h2, out=h2)
 
 
@@ -153,7 +169,7 @@ def whitened_at(x: np.ndarray, indices: np.ndarray, sigma_inv) -> np.ndarray:
     tiles[rank, rows] = x
     with np.errstate(invalid="ignore", over="ignore"):
         z = np.matmul(tiles, _whitener(sigma_inv))[rank, rows]
-        return np.sqrt(np.einsum("ij,ij->i", z, z))
+        return np.sqrt(_row_sq_norms(z))
 
 
 def abs_residuals(y, family: LinkFamily, eta: np.ndarray) -> np.ndarray:
@@ -183,8 +199,7 @@ def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Row norms: bit for bit the ``h`` of ``score_parts(x, 0, beta)`` (mvc)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
+    return np.sqrt(_row_sq_norms(np.ascontiguousarray(x, dtype=np.float64)))
 
 
 def whitened_norms(x: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
@@ -471,12 +486,17 @@ class ProbabilityRule:
         # number or far below one; a record whose ||x|| or bound lies outside
         # [1e-150, 1e150] is screened in, so its exact p decides it
         scale = self.bound_factor
-        unsafe = ~((norms >= 1e-150 / min(scale, 1.0)) & (norms <= 1e150 / max(scale, 1.0)))
+        lo, hi = 1e-150 / min(scale, 1.0), 1e150 / max(scale, 1.0)
+        unsafe = None
+        # two reductions clear the block; a NaN fails both comparisons
+        if not (norms.min(initial=lo) >= lo and norms.max(initial=hi) <= hi):
+            unsafe = ~((norms >= lo) & (norms <= hi))
         # a bound that overflows is inf, whose capped probability still bounds p
         with np.errstate(over="ignore"):
             norms *= scale
             q = self.probabilities(np.multiply(resid, norms, out=norms))
-        q[unsafe] = 1.0
+        if unsafe is not None:
+            q[unsafe] = 1.0
 
         def exact(at):
             h = whitened_at(xb[at], offset + at, self.pilot.sigma0_inv)

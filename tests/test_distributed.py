@@ -1,3 +1,5 @@
+import sys
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -6,12 +8,13 @@ import pytest
 
 from qlsub.distributed import (
     PartitionSummary,
+    _threaded,
     aggregate,
     fit_partition,
     pilot_summary,
     run_distributed,
 )
-from qlsub.errors import ConfigError, PartitionFailed, SingularHessian
+from qlsub.errors import ConfigError, EmptySample, PartitionFailed, SingularHessian
 from qlsub.estimator import solve_weighted_qle, subsample_hessian
 from qlsub.families import EXP
 from qlsub.ingest import ArrayStream
@@ -209,12 +212,43 @@ class TestRunDistributed:
         np.testing.assert_array_equal(got.beta, want.beta)
         np.testing.assert_array_equal(got.variance, want.variance)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lowest_failing_shard_is_raised(self, stream, threads):
+        # shards 2 and 4 fail, shard 2 last, so two workers see shard 4's failure first
+        plan = SamplingPlan(criterion="mvc", expected_size=600, seed=29)
+        delays = {5000: 0.05, 15000: 0.0}
+
+        def withheld(shard, *args, **kwargs):
+            if shard.lo in delays:
+                time.sleep(delays[shard.lo])
+                raise EmptySample(f"records from {shard.lo} withheld")
+            return second_pass(shard, *args, **kwargs)
+
+        with mock.patch("qlsub.distributed.second_pass", new=withheld), pytest.raises(PartitionFailed) as err:
+            run_distributed(stream, EXP, plan, 200, 4, threads=threads)
+        assert err.value.partition_id == 2
+        assert str(err.value) == "partition 2: records from 5000 withheld"
+        assert isinstance(err.value.__cause__, EmptySample)
+
     def test_partition_sizes_reported(self, stream):
         plan = SamplingPlan(criterion="mvc", expected_size=600, seed=23)
         fit = run_distributed(stream, EXP, plan, 200, 3)
         sizes = fit.info["partition_sizes"]
         assert len(sizes) == 4  # pilot + 3 shards
         assert fit.subsample_size == sum(sizes)
+
+
+def test_threaded_runs_each_job_once_in_order():
+    # more workers than cores, switching often: no job is lost, repeated or misplaced
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = _threaded(lambda j: calls.append(j) or j * j, list(range(500)), 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [j * j for j in range(500)]
+    assert sorted(calls) == list(range(500))
 
 
 def test_pilot_summary_scales_like_information(stream):

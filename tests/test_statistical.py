@@ -44,17 +44,26 @@ def test_estimates_are_near_normal(bench):
         assert abs(stats.kurtosis(z)) <= 0.5
 
 
-def test_variance_estimator_matches_monte_carlo(bench):
+def assert_variance_matches_monte_carlo(batch):
     # average plug-in variance vs the empirical covariance of the estimates;
     # entries are compared on the correlation scale sqrt(V_ii V_jj) because
     # several off-diagonal entries sit near zero, where a raw ratio only
     # measures Monte-Carlo noise
-    batch = bench.batch("c1", "mvc", 1000, r0=400.0, t=1000, engine="distributed")
+    assert batch.failures == 0
     emp = np.cov(batch.betas.T)
     avg = batch.variances.mean(axis=0)
     scale = np.sqrt(np.outer(np.diag(emp), np.diag(emp)))
     assert np.max(np.abs(avg - emp) / scale) <= 0.15
     assert np.max(np.abs(np.diag(avg) / np.diag(emp) - 1.0)) <= 0.15
+
+
+def test_variance_estimator_matches_monte_carlo(bench):
+    assert_variance_matches_monte_carlo(bench.batch("c1", "mvc", 1000, r0=400.0, t=1000, engine="distributed"))
+
+
+def test_two_step_variance_matches_monte_carlo(bench):
+    # the sandwich that run_two_step reports (engine "auto" at K = 1)
+    assert_variance_matches_monte_carlo(bench.batch("c1", "mvc", 1000, r0=400.0, t=1000))
 
 
 def test_distributed_beats_single_machine_at_fixed_r(bench):

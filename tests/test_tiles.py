@@ -98,8 +98,8 @@ def make_stream(source, data, csv_path, block):
     return ArrayStream(*data, block_size=block)
 
 
-def plan_for(criterion, mode):
-    return SamplingPlan(criterion=criterion, expected_size=R, threshold_mode=mode, seed=SEED)
+def plan_for(criterion, mode, r=R):
+    return SamplingPlan(criterion=criterion, expected_size=r, threshold_mode=mode, seed=SEED)
 
 
 @contextmanager
@@ -109,17 +109,17 @@ def thinned():
         yield
 
 
-def scan_outcome(stream, criterion, mode):
+def scan_outcome(stream, criterion, mode, r=R, r0=R0):
     """Scores, probabilities, second-pass draws and the two-step fit."""
-    plan = plan_for(criterion, mode)
-    pilot = run_pilot(stream, EXP, R0, SEED, criterion)
-    rule = resolve_rule(stream, EXP, pilot, plan, R)
+    plan = plan_for(criterion, mode, r)
+    pilot = run_pilot(stream, EXP, r0, SEED, criterion)
+    rule = resolve_rule(stream, EXP, pilot, plan, r)
     scores, probs = [], []
     for start, xb, yb in stream.iter_blocks():
         scores.append(rule.scores(xb, yb, EXP, start))
         probs.append(rule.block_probabilities(xb, yb, EXP, start))
-    sample = second_pass(stream, EXP, pilot, plan, R, SEED, rule=rule)
-    fit = run_two_step(stream, EXP, plan, R0)
+    sample = second_pass(stream, EXP, pilot, plan, r, SEED, rule=rule)
+    fit = run_two_step(stream, EXP, plan, r0)
     return {
         "pilot_scores": pilot.scores,
         "scores": np.concatenate(scores),
@@ -239,6 +239,61 @@ def test_random_layouts_bit_identical(data, csv_path, block, bounds, source, k, 
     assert fit.info["partition_sizes"] == ref.info["partition_sizes"]
 
 
+WIDE_N = 20000
+WIDE_R = 150.0  # r / N = 0.0075: an mv main pass over the whole case thins
+WIDE_R0 = 400  # above 10 d, so the pilot raises no warning
+WIDE_BLOCKS = (65536, 1000, 777)
+
+
+@pytest.fixture(scope="module")
+def wide_data():
+    """A Poisson case of the s4 width, whose norms come from the wide-row kernel."""
+    rng = np.random.default_rng(35)
+    x = np.column_stack([np.ones(WIDE_N), rng.normal(0.0, 0.15, (WIDE_N, 34))])
+    y = rng.poisson(np.exp(x[:, :3] @ np.array([0.5, 0.4, -0.3]))).astype(np.float64)
+    return x, y
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory, wide_data):
+    return write_csv(tmp_path_factory, wide_data)
+
+
+@pytest.fixture(scope="module")
+def wide_reference(wide_data):
+    """Outcomes and K = 1 and 3 fits of one in-memory block of the wide case, whitening every record."""
+    stream = ArrayStream(*wide_data, block_size=WIDE_N)
+    with mock.patch.object(sampling, "THIN_MAX_RATE", 0.0):
+        return {
+            (criterion, mode): (
+                scan_outcome(stream, criterion, mode, WIDE_R, WIDE_R0),
+                {k: run_distributed(stream, EXP, plan_for(criterion, mode, WIDE_R), WIDE_R0, k) for k in (1, 3)},
+            )
+            for criterion in CRITERIA
+            for mode in ("inf", "exact")
+        }
+
+
+@pytest.mark.parametrize("source", ["array", "csv"])
+@pytest.mark.parametrize("block", WIDE_BLOCKS)
+def test_wide_rows_bit_identical(wide_data, wide_csv, wide_reference, source, block):
+    assert wide_data[0].shape[1] >= sampling.DOT_MIN_DIM >= sampling.THIN_MIN_DIM
+    stream = make_stream(source, wide_data, wide_csv, block)
+    for (criterion, mode), (want, fits) in wide_reference.items():
+        with mock.patch("qlsub.sampling.whitened_at", wraps=whitened_at) as whiten:
+            got = scan_outcome(stream, criterion, mode, WIDE_R, WIDE_R0)
+        # the mv main pass under the inf cap screens by the score bound
+        assert whiten.called == ((criterion, mode) == ("mv", "inf"))
+        for name in want:
+            assert_same_bits(got[name], want[name])
+        for k in (1, 3):
+            for threads in (1, 2):
+                fit = run_distributed(stream, EXP, plan_for(criterion, mode, WIDE_R), WIDE_R0, k, threads=threads)
+                assert_same_bits(fit.beta, fits[k].beta)
+                assert_same_bits(fit.variance, fits[k].variance)
+                assert fit.info["partition_sizes"] == fits[k].info["partition_sizes"]
+
+
 def split_products(beta, sigma_inv):
     """The scorer's product matrices: ``beta`` as a column, and ``sigma_inv'`` for mv."""
     column = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
@@ -260,7 +315,7 @@ def assert_scored_from_own_tile(x, offset, beta, sigma_inv, records):
         alone[row] = x[i]
         z = alone if whitener is None else alone @ whitener
         assert_same_bits(eta[i], (alone @ column)[row, 0])
-        assert_same_bits(h[i], np.sqrt(np.einsum("ij,ij->i", z, z))[row])
+        assert_same_bits(h[i], np.sqrt(sampling._row_sq_norms(z))[row])
     if sigma_inv is not None:
         assert_same_bits(whitened_at(x[records], offset + np.asarray(records), sigma_inv), h[records])
 
@@ -348,14 +403,15 @@ def test_chunk_edges_scored_as_one_block(offset, n, criterion):
 
 @pytest.mark.parametrize("n", [1, TILE_ROWS + 3, CHUNK_ROWS + 5])
 def test_probe_kernels_match_the_scorer(n):
-    """The whole-array kernels give the scorer's own factors, bit for bit."""
+    """The whole-array kernels give the scorer's own factors, bit for bit, with either norm kernel."""
     rng = np.random.default_rng(n)
-    x = rng.normal(size=(n, 7))
-    beta, sigma_inv = rng.normal(size=7), rng.normal(size=(7, 7))
-    eta, h = score_parts(x, 0, beta)
-    assert_same_bits(linear_predictor(x, beta), eta)
-    assert_same_bits(row_norms(x), h)
-    assert_same_bits(whitened_norms(x, sigma_inv), score_parts(x, 0, beta, sigma_inv)[1])
+    for d in (7, 35):
+        x = rng.normal(size=(n, d))
+        beta, sigma_inv = rng.normal(size=d), rng.normal(size=(d, d))
+        eta, h = score_parts(x, 0, beta)
+        assert_same_bits(linear_predictor(x, beta), eta)
+        assert_same_bits(row_norms(x), h)
+        assert_same_bits(whitened_norms(x, sigma_inv), score_parts(x, 0, beta, sigma_inv)[1])
 
 
 # The rule is built from fixed quantities rather than a pilot fit: only the
