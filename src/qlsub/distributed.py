@@ -196,30 +196,25 @@ def aggregate(summaries, n_total: float) -> FitResult:
 def _threaded(job, jobs: list, threads: int) -> list:
     """``[job(j) for j in jobs]`` on up to ``threads`` worker threads.
 
-    Each worker takes the next job that no worker has taken.  Once every
-    worker has joined, the error of the first failing job is raised, so a
-    run reports the same failure under any worker count.  Plain threads
-    need no module that numpy has not loaded already.
+    Worker w runs jobs w, w + threads, ...  Once every worker has joined,
+    the error of the first failing job is raised, so a run reports the
+    same failure under any worker count.  Plain threads need no module
+    that numpy has not loaded already.
     """
     results, errors = [None] * len(jobs), [None] * len(jobs)
-    pending = iter(range(len(jobs)))
-    lock = threading.Lock()
+    workers = min(threads, len(jobs))
 
-    def work():
-        while True:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
+    def work(w):
+        for i in range(w, len(jobs), workers):
             try:
                 results[i] = job(jobs[i])
             except BaseException as err:  # re-raised in the calling thread
                 errors[i] = err
 
-    workers = [threading.Thread(target=work) for _ in range(min(threads, len(jobs)))]
-    for worker in workers:
+    pool = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+    for worker in pool:
         worker.start()
-    for worker in workers:
+    for worker in pool:
         worker.join()
     for err in errors:
         if err is not None:

@@ -66,7 +66,8 @@ THIN_MIN_DIM = 16
 # packing and whitening them costs more than whitening every record.
 THIN_MAX_RATE = 0.01
 # Smallest row length at which :func:`_row_sq_norms` takes squared norms with
-# ``np.vecdot`` (one dot product per row) rather than ``np.einsum``.  Per
+# ``np.vecdot`` (one dot product per row, new in numpy 2.0) rather than
+# ``np.einsum``.  Per
 # 4096-row chunk on one core, vecdot took 1.7-2.2x einsum's time at d <= 12,
 # 1.0-1.4x at d = 16-30 and 0.5-0.8x at d = 32-64.
 DOT_MIN_DIM = 32
