@@ -657,6 +657,20 @@ class TestStartUp:
         assert json.loads(run.stdout) == [[], 0, [], [], [], "qlsub.synth"]
 
 
+    def test_a_threaded_fit_starts_no_pool(self, case_csv, tmp_path):
+        # plain threads run the shards: no executor, and none of the logging it imports
+        probe = (
+            "import sys, qlsub.cli\n"
+            "code = qlsub.cli.main(sys.argv[1:])\n"
+            "print(code, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        )
+        argv = ["fit-distributed", "--data", case_csv, "--k", "4", "--threads", "2", "--r", "600",
+                "--out", str(tmp_path / "o.json")]
+        run = _cli_process(argv, "-c", probe)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "0 []"
+
+
 class TestConfidenceLevel:
     def test_cli_import_leaves_out_scipy_stats(self):
         probe = "import sys, qlsub.cli; print('scipy.stats' in sys.modules)"
