@@ -39,19 +39,22 @@ def derive_seed(seed: int, *parts: int) -> int:
     return key
 
 
-def uniforms(seed: int, indices: np.ndarray, stream: int = MAIN_STREAM) -> np.ndarray:
-    """Uniform(0, 1) variates keyed on (seed, stream, index), elementwise.
+def hashes(seed: int, indices, stream: int = MAIN_STREAM) -> np.ndarray:
+    """53-bit ``uint64`` hashes keyed on (seed, stream, index), elementwise.
 
-    ``indices`` are global record indices; the value for a given index never
-    depends on the other indices in the call.  Each variate is a 53-bit
-    hash times ``2**-53``, so it is a multiple of ``2**-53`` in [0, 1).
+    ``indices`` are global record indices, as an integer array or a
+    ``range``; the hash of a given index never depends on the other
+    indices in the call.
 
     The splitmix rounds run in place on one ``uint64`` copy of the indices
     plus one scratch buffer.  ``(i + 1) * gamma + key`` is folded into
     ``i * gamma + (key + gamma)``, whose constant is reduced as a Python
     int, so no ``uint64`` scalar can overflow.
     """
-    z = np.array(indices, dtype=np.uint64)
+    if isinstance(indices, range):
+        z = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64)
+    else:
+        z = np.array(indices, dtype=np.uint64)
     t = np.empty_like(z)
     z *= np.uint64(_GAMMA)
     z += np.uint64((derive_seed(seed, stream) + _GAMMA) & _MASK)
@@ -60,7 +63,15 @@ def uniforms(seed: int, indices: np.ndarray, stream: int = MAIN_STREAM) -> np.nd
         z *= np.uint64(mul)
     z ^= np.right_shift(z, np.uint64(31), out=t)
     z >>= np.uint64(11)
-    del t  # freed before the float copy, so a call holds two arrays at most
-    u = z.astype(np.float64)
+    return z
+
+
+def uniforms(seed: int, indices, stream: int = MAIN_STREAM) -> np.ndarray:
+    """Uniform(0, 1) variates keyed on (seed, stream, index), elementwise.
+
+    Each variate is the :func:`hashes` value times ``2**-53``, so it is a
+    multiple of ``2**-53`` in [0, 1).
+    """
+    u = hashes(seed, indices, stream).astype(np.float64)
     u *= _INV53
     return u

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateScores, NonFiniteValue
 from .families import LinkFamily
-from .rng import MAIN_STREAM, uniforms
+from .rng import MAIN_STREAM, hashes
 
 if TYPE_CHECKING:  # annotations only: pipeline imports this module
     from .ingest import RecordStream
@@ -57,6 +57,13 @@ class SamplingPlan:
 TILE_ROWS = 512
 # Whole tiles per stacked product, so a chunk is still in cache when normed.
 CHUNK_TILES = 8
+# Row length below which :func:`score_parts` takes x'beta and h from one
+# product per tile (:func:`_fused`) rather than a one-column product, a
+# whitening product (mv) and a row-norm kernel.  Per 4096-row chunk on one
+# core, the fused kernel took 0.72-0.85x mv's time at d = 2-7 and 1.2x
+# mvc's at d = 7; from d = 8 on it saved mv a fifth at most (and lost at
+# d = 8 and 16) while mvc took 1.7-2.2x (ROADMAP, "Measured and not pursued").
+FUSED_DIM_LIMIT = 8
 # Smallest dimension at which an mv main pass screens each record by a cheap
 # score bound before it whitens any (:meth:`ProbabilityRule.screen`).
 # Below it the screen costs more than the whitening it saves.
@@ -67,7 +74,7 @@ THIN_MIN_DIM = 16
 THIN_MAX_RATE = 0.01
 # Smallest row length at which :func:`_row_sq_norms` takes squared norms with
 # ``np.vecdot`` (one dot product per row, new in numpy 2.0) rather than
-# ``np.einsum``.  Per
+# ``np.einsum``; rows shorter than ``FUSED_DIM_LIMIT`` take neither.  Per
 # 4096-row chunk on one core, vecdot took 1.7-2.2x einsum's time at d <= 12,
 # 1.0-1.4x at d = 16-30 and 0.5-0.8x at d = 32-64.
 DOT_MIN_DIM = 32
@@ -115,23 +122,76 @@ def _whitener(sigma_inv) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(sigma_inv, dtype=np.float64).T)
 
 
+def _augmented(beta, sigma_inv, d: int) -> np.ndarray:
+    """``[beta | sigma_inv']`` (mv) or ``[beta | I]`` (mvc): the product matrix of :func:`_fused`."""
+    a = np.empty((d, 1 + (d if sigma_inv is None else np.shape(sigma_inv)[0])))
+    a[:, 0] = beta
+    a[:, 1:] = np.eye(d) if sigma_inv is None else np.asarray(sigma_inv, dtype=np.float64).T
+    return a
+
+
+def _fused(tiles: np.ndarray, a: np.ndarray, eta: np.ndarray, h2: np.ndarray, buf: np.ndarray | None = None):
+    """Each tile row's ``x' a[:, 0]`` into ``eta`` and the squared norm of ``x' a[:, 1:]`` into ``h2``.
+
+    ``tiles`` is a stack of ``TILE_ROWS``-row tiles, and ``eta`` and ``h2``
+    have its first two dimensions.  One stacked matmul makes one BLAS call
+    per tile, into ``buf`` when given.  Its x'beta column is copied out and
+    zeroed before the products are squared in place, so an x'beta whose
+    square overflows leaves h alone, and one stacked matrix-vector product
+    with a ones vector sums each row.  An output column is the same
+    whatever the other columns of ``a`` hold, so mv with ``sigma_inv = I``
+    gives mvc's bits, and ``a[:, 0] = 0`` gives the h of any ``beta``.
+    """
+    p = np.matmul(tiles, a, out=None if buf is None else buf[: len(tiles)])
+    eta[...] = p[..., 0]
+    p[..., 0] = 0.0
+    np.square(p, out=p)
+    np.matmul(p, np.ones(a.shape[1]), out=h2)
+
+
+def _fused_parts(x: np.ndarray, offset: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x_i' a[:, 0], ||x_i' a[:, 1:]||**2)`` of records offset, offset + 1, ... held in ``x``.
+
+    :func:`_fused` takes each run of whole tiles of :func:`_tiled` into the
+    results and each padded partial tile into a scratch row.
+    """
+    n = x.shape[0]
+    buf = np.empty((CHUNK_TILES, TILE_ROWS, a.shape[1]))
+    eta, h2 = np.empty(n), np.empty(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, rows, tiles, row in _tiled(x, offset):
+            j = i + len(rows)
+            if row is None:
+                _fused(tiles, a, eta[i:j].reshape(-1, TILE_ROWS), h2[i:j].reshape(-1, TILE_ROWS), buf)
+            else:
+                e, s = np.empty((2, 1, TILE_ROWS))
+                _fused(tiles[None], a, e, s, buf)
+                eta[i:j], h2[i:j] = e[0, row : row + len(rows)], s[0, row : row + len(rows)]
+    return eta, h2
+
+
 def score_parts(x: np.ndarray, offset: int, beta, sigma_inv=None) -> tuple[np.ndarray, np.ndarray]:
     """``(x_i' beta, h(x_i))`` of records offset, offset + 1, ... held in ``x``.
 
-    Each tile is multiplied by ``beta`` as a one-column matrix and, for mv,
-    by ``sigma_inv'``, in the calls of :func:`_tiled`.  A BLAS call of fixed
-    shape accumulates each output element in an order set by the call's
-    shape and the row's place in it, so every record's products are the
-    same whatever the block size, shard layout or source that delivered it,
-    and no other row can change them.  mv and mvc share ``x_i' beta`` bit
-    for bit; ``h`` is the row-local norm of the ``sigma_inv'`` product (mv)
-    or of ``x_i`` (mvc), taken while the chunk is in cache.  A run of whole
-    tiles writes its ``x_i' beta`` and squared norms straight into the
-    results; its ``sigma_inv'`` product goes into one buffer that every run
-    reuses.
+    Rows shorter than ``FUSED_DIM_LIMIT`` multiply each tile once by
+    ``[beta | sigma_inv']`` (mv) or ``[beta | I]`` (mvc) in :func:`_fused`.
+    Longer rows multiply each tile by ``beta`` as a one-column matrix and,
+    for mv, by ``sigma_inv'``, and ``h`` is the row-local norm of the
+    ``sigma_inv'`` product (mv) or of ``x_i`` (mvc).  Either way the calls
+    are those of :func:`_tiled`.  A BLAS call of fixed shape accumulates
+    each output element in an order set by the call's shape and the row's
+    place in it, so every record's products are the same whatever the block
+    size, shard layout or source that delivered it, and no other row can
+    change them.  mv and mvc share ``x_i' beta`` bit for bit, and the norms
+    are taken while the chunk is in cache.  A run of whole tiles writes its
+    ``x_i' beta`` and squared norms straight into the results; its other
+    products go into one buffer that every run reuses.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n, d = x.shape
+    if d < FUSED_DIM_LIMIT:
+        eta, h2 = _fused_parts(x, offset, _augmented(beta, sigma_inv, d))
+        return eta, np.sqrt(h2, out=h2)
     b = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
     wt = None if sigma_inv is None else _whitener(sigma_inv)
     buf = None if wt is None else np.empty((CHUNK_TILES, TILE_ROWS, wt.shape[1]))
@@ -158,7 +218,8 @@ def whitened_at(x: np.ndarray, indices: np.ndarray, sigma_inv) -> np.ndarray:
     tile: the k-th row bound for one tile row goes to tile k, so there are as
     many tiles as the most rows any tile row receives.  One stacked matmul
     makes one BLAS call per tile, of the shape and at the row that
-    :func:`_tiled` gives the same record.
+    :func:`_tiled` gives the same record; rows shorter than
+    ``FUSED_DIM_LIMIT`` go through :func:`_fused` with a zero x'beta column.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     rows = (np.asarray(indices) % TILE_ROWS).astype(np.uint16)
@@ -169,6 +230,10 @@ def whitened_at(x: np.ndarray, indices: np.ndarray, sigma_inv) -> np.ndarray:
     tiles = np.zeros((int(counts.max(initial=0)), TILE_ROWS, x.shape[1]))
     tiles[rank, rows] = x
     with np.errstate(invalid="ignore", over="ignore"):
+        if x.shape[1] < FUSED_DIM_LIMIT:
+            eta, h2 = np.empty((2, *tiles.shape[:2]))
+            _fused(tiles, _augmented(0.0, sigma_inv, x.shape[1]), eta, h2)
+            return np.sqrt(h2[rank, rows])
         z = np.matmul(tiles, _whitener(sigma_inv))[rank, rows]
         return np.sqrt(_row_sq_norms(z))
 
@@ -200,7 +265,10 @@ def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Row norms: bit for bit the ``h`` of ``score_parts(x, 0, beta)`` (mvc)."""
-    return np.sqrt(_row_sq_norms(np.ascontiguousarray(x, dtype=np.float64)))
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape[1] < FUSED_DIM_LIMIT:
+        return score_parts(x, 0, np.zeros(x.shape[1]))[1]
+    return np.sqrt(_row_sq_norms(x))
 
 
 def whitened_norms(x: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
@@ -281,20 +349,28 @@ def shrinkage_probability(rule, score, r: float, rho: float):
     return out if isinstance(score, np.ndarray) else float(out)
 
 
-def block_mask(seed: int, indices: np.ndarray, probs, stream: int = MAIN_STREAM) -> np.ndarray:
+def block_mask(seed: int, indices, probs, stream: int = MAIN_STREAM) -> np.ndarray:
     """Bernoulli inclusion decisions keyed on (seed, stream, index).
 
     Bit for bit the draws of :func:`_scan`: ``stream`` is ``MAIN_STREAM``
-    in ``second_pass`` and ``PILOT_STREAM`` in ``run_pilot``.  ``probs`` holds
-    one probability per index, or is one float for them all.
+    in ``second_pass`` and ``PILOT_STREAM`` in ``run_pilot``.  ``indices``
+    is an integer array or a ``range``, and ``probs`` holds one probability
+    per index, or is one float for them all.  A record is kept when its
+    uniform ``k * 2**-53`` (``k`` its hash) lies below p, which is decided
+    on ``k`` itself: by ``k < ceil(p * 2**53)`` for one float, and for an
+    array by comparing the int64 view of the hashes with ``p * 2**53``,
+    where both sides are exact.
     """
     p = np.asarray(probs, dtype=np.float64)
     # two reductions screen the block; a NaN fails both comparisons
     if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
-        bad = np.broadcast_to(~((p >= 0.0) & (p <= 1.0)), np.shape(indices))
+        bad = np.broadcast_to(~((p >= 0.0) & (p <= 1.0)), (len(indices),))
         idx = np.asarray(indices)[bad][0]
         raise NonFiniteValue(f"probability outside [0, 1] at record {int(idx)}")
-    return uniforms(seed, indices, stream) < p
+    k = hashes(seed, indices, stream)
+    if p.ndim == 0:
+        return k < np.uint64(math.ceil(float(p) * 2**53))
+    return k.view(np.int64) < p * 2.0**53
 
 
 @dataclass
@@ -354,25 +430,25 @@ def _scan(stream: RecordStream, seed: int, tag: int, rule: ProbabilityRule, fami
     ps, idxs = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     expected, zero_p = 0, False
     for start, xb, yb in stream.iter_blocks():
-        block_idx = np.arange(start, start + xb.shape[0], dtype=np.int64)
+        n = xb.shape[0]
         q, exact = rule.screen(xb, yb, family, start)
         # one index list gathers every field of the kept records
-        keep = np.flatnonzero(block_mask(seed, block_idx, q, tag))
+        keep = np.flatnonzero(block_mask(seed, range(start, start + n), q, tag))
         zero_p = zero_p or np.min(q, initial=1.0) == 0.0
         if exact is None:
-            p = np.broadcast_to(q, block_idx.shape)[keep]
+            p = np.broadcast_to(q, (n,))[keep]
             terms = q
         else:
             p = exact(keep)
             zero_p = zero_p or np.min(p, initial=1.0) == 0.0
             terms = p / q[keep]
-            kept = block_mask(seed, block_idx[keep], p, tag)
+            kept = block_mask(seed, keep + start, p, tag)
             keep, p = keep[kept], p[kept]
         xs.append(xb[keep])
         ys.append(yb[keep])
         ps.append(p)
         idxs.append(keep + start)
-        expected += _fixed_point(terms, block_idx.shape[0])
+        expected += _fixed_point(terms, n)
     return PassSample(
         x=np.concatenate(xs),
         y=np.concatenate(ys),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, uniforms
+from qlsub.rng import MAIN_STREAM, PILOT_STREAM, derive_seed, hashes, uniforms
 
 from _oracles import uniform_one
 
@@ -39,6 +39,14 @@ def test_indices_left_unchanged(dtype):
     idx = np.arange(3000, 6000, dtype=dtype)
     uniforms(8, idx, PILOT_STREAM)
     np.testing.assert_array_equal(idx, np.arange(3000, 6000))
+
+
+def test_uniforms_are_the_scaled_hashes():
+    idx = np.arange(2**40, 2**40 + 3000, dtype=np.int64)
+    k = hashes(4, idx, PILOT_STREAM)
+    assert k.dtype == np.uint64 and int(k.max()) < 2**53
+    np.testing.assert_array_equal(hashes(4, range(2**40, 2**40 + 3000), PILOT_STREAM), k)
+    np.testing.assert_array_equal(uniforms(4, idx, PILOT_STREAM), k * 2.0**-53)
 
 
 def test_streams_are_disjoint():

@@ -9,6 +9,8 @@ from qlsub.families import EXP, IDENTITY
 from qlsub.pipeline import ProbabilityRule
 from qlsub.rng import MAIN_STREAM, PILOT_STREAM, uniforms
 from qlsub.sampling import (
+    CHUNK_TILES,
+    TILE_ROWS,
     SamplingPlan,
     block_mask,
     record_scores,
@@ -58,6 +60,19 @@ class TestScores:
             record_scores(x, y, IDENTITY, beta, np.eye(3)),
             record_scores(x, y, IDENTITY, beta),
         )
+
+    def test_mv_identity_matrix_equals_mvc_on_c4_width(self):
+        # d = 7 takes the fused product; whole tiles, a whole chunk and partial tiles
+        rng = np.random.default_rng(7)
+        n = CHUNK_TILES * TILE_ROWS + TILE_ROWS + 40
+        x = rng.normal(size=(n, 7))
+        y = rng.normal(size=n)
+        beta = rng.normal(size=7) * 0.1
+        for offset in (0, 13):
+            np.testing.assert_array_equal(
+                record_scores(x, y, IDENTITY, beta, np.eye(7), offset),
+                record_scores(x, y, IDENTITY, beta, offset=offset),
+            )
 
     def test_mv_scales_with_matrix(self):
         rng = np.random.default_rng(1)
@@ -285,6 +300,19 @@ class TestPoissonDraw:
             np.testing.assert_array_equal(
                 block_mask(21, idx, p, stream), block_mask(21, idx, np.full(idx.size, p), stream), err_msg=f"p = {p!r}"
             )
+
+    @pytest.mark.parametrize("stream", [PILOT_STREAM, MAIN_STREAM])
+    def test_index_range_matches_index_array(self, stream):
+        # _scan passes a block's index range; the thinned draw an int64 array
+        idx = range(70_000, 90_000)
+        arr = np.arange(70_000, 90_000, dtype=np.int64)
+        u = uniforms(21, arr, stream)
+        per_record = np.random.default_rng(4).uniform(0, 1, len(idx))
+        per_record[:20] = u[:20]  # records on the threshold
+        for p in [0.0, 1.0, 0.004, float(u[0]), per_record]:
+            got = block_mask(21, idx, p, stream)
+            np.testing.assert_array_equal(got, block_mask(21, arr, p, stream))
+            np.testing.assert_array_equal(got, u < p)
 
     @pytest.mark.parametrize("p", [-0.0001, 1.0000000000000002, math.inf, math.nan])
     def test_float_probability_outside_unit_interval_names_first_record(self, p):

@@ -30,6 +30,7 @@ from qlsub.ingest import ArrayStream, CsvStream, SubsetStream
 from qlsub.pipeline import ProbabilityRule, resolve_rule, run_pilot, run_two_step, second_pass
 from qlsub.sampling import (
     CHUNK_TILES,
+    FUSED_DIM_LIMIT,
     THRESHOLD_MODES,
     TILE_ROWS,
     SamplingPlan,
@@ -294,28 +295,50 @@ def test_wide_rows_bit_identical(wide_data, wide_csv, wide_reference, source, bl
                 assert fit.info["partition_sizes"] == fits[k].info["partition_sizes"]
 
 
-def split_products(beta, sigma_inv):
-    """The scorer's product matrices: ``beta`` as a column, and ``sigma_inv'`` for mv."""
+def split_products(beta, sigma_inv, d):
+    """The scorer's product matrices for rows of length ``d``.
+
+    Below ``FUSED_DIM_LIMIT`` one matrix, ``[beta | sigma_inv']`` for mv or
+    ``[beta | I]`` for mvc; from it on ``beta`` as a column, and
+    ``sigma_inv'`` for mv (None for mvc).
+    """
     column = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+    if d < FUSED_DIM_LIMIT:
+        return (np.column_stack([column, np.eye(d) if sigma_inv is None else sigma_inv.T]),)
     return column, None if sigma_inv is None else np.ascontiguousarray(sigma_inv.T)
+
+
+def own_tile_parts(alone, row, beta, sigma_inv):
+    """``(eta, h)`` of the record at ``row`` of its own zero-padded tile ``alone``."""
+    products = split_products(beta, sigma_inv, alone.shape[1])
+    if len(products) == 1:
+        # eta is the product's first column, and h the norm of the others:
+        # squared with that column zeroed, then summed by a product with ones
+        p = alone @ products[0]
+        eta = p[row, 0]
+        p[:, 0] = 0.0
+        return eta, np.sqrt((p * p) @ np.ones(p.shape[1]))[row]
+    column, whitener = products
+    z = alone if whitener is None else alone @ whitener
+    return (alone @ column)[row, 0], np.sqrt(sampling._row_sq_norms(z))[row]
 
 
 def assert_scored_from_own_tile(x, offset, beta, sigma_inv, records):
     """Each record's ``(eta, h)`` is what its own zero-padded tile gives.
 
-    ``eta`` comes from the one-column product and an mv ``h`` from the
-    ``sigma_inv'`` product, the same for mv and mvc; ``whitened_at`` gives
-    the gathered records the same ``h``.
+    Below ``FUSED_DIM_LIMIT`` both come from one product per tile, whose
+    ``eta`` column is the same for mv and mvc; from it on ``eta`` comes from
+    the one-column product and an mv ``h`` from the ``sigma_inv'`` product.
+    ``whitened_at`` gives the gathered records the same ``h``.
     """
     eta, h = score_parts(x, offset, beta, sigma_inv)
-    column, whitener = split_products(beta, sigma_inv)
     for i in records:
         row = (offset + i) % TILE_ROWS
         alone = np.zeros((TILE_ROWS, x.shape[1]))
         alone[row] = x[i]
-        z = alone if whitener is None else alone @ whitener
-        assert_same_bits(eta[i], (alone @ column)[row, 0])
-        assert_same_bits(h[i], np.sqrt(sampling._row_sq_norms(z))[row])
+        want_eta, want_h = own_tile_parts(alone, row, beta, sigma_inv)
+        assert_same_bits(eta[i], want_eta)
+        assert_same_bits(h[i], want_h)
     if sigma_inv is not None:
         assert_same_bits(whitened_at(x[records], offset + np.asarray(records), sigma_inv), h[records])
 
@@ -403,15 +426,30 @@ def test_chunk_edges_scored_as_one_block(offset, n, criterion):
 
 @pytest.mark.parametrize("n", [1, TILE_ROWS + 3, CHUNK_ROWS + 5])
 def test_probe_kernels_match_the_scorer(n):
-    """The whole-array kernels give the scorer's own factors, bit for bit, with either norm kernel."""
+    """The whole-array kernels give the scorer's own factors, bit for bit, with every kernel."""
     rng = np.random.default_rng(n)
-    for d in (7, 35):
+    # the widths on either side of the fused kernel's limit, and the s4 width
+    for d in sorted({7, FUSED_DIM_LIMIT - 1, FUSED_DIM_LIMIT, 35}):
         x = rng.normal(size=(n, d))
         beta, sigma_inv = rng.normal(size=d), rng.normal(size=(d, d))
         eta, h = score_parts(x, 0, beta)
         assert_same_bits(linear_predictor(x, beta), eta)
         assert_same_bits(row_norms(x), h)
         assert_same_bits(whitened_norms(x, sigma_inv), score_parts(x, 0, beta, sigma_inv)[1])
+
+
+def test_overflowing_linear_predictor_leaves_h_finite():
+    """A finite x'beta whose square overflows gives the h of any other beta, as its own tile does."""
+    d = FUSED_DIM_LIMIT - 1
+    x = np.zeros((3, d))
+    x[:, 0] = [1e150, -3e140, 2.0]
+    beta = np.full(d, 1e60)
+    sigma_inv = np.eye(d) * 1e-100
+    for s in (sigma_inv, None):
+        eta, h = score_parts(x, 5, beta, s)
+        assert np.isfinite(eta).all() and np.isfinite(h).all()
+        assert_same_bits(h, score_parts(x, 5, np.zeros(d), s)[1])
+    assert_scored_from_own_tile(x, 5, beta, sigma_inv, [0, 1, 2])
 
 
 # The rule is built from fixed quantities rather than a pilot fit: only the
@@ -443,17 +481,22 @@ print(digest.hexdigest())
 _CHUNK_PROBE = """
 import hashlib
 import numpy as np
-from qlsub.sampling import CHUNK_TILES, TILE_ROWS, score_parts
+from qlsub.sampling import CHUNK_TILES, FUSED_DIM_LIMIT, TILE_ROWS, score_parts, whitened_at
 
 rng = np.random.default_rng(8)
 n = 3 * CHUNK_TILES * TILE_ROWS + 77
-x = rng.normal(size=(n, 35))
-beta, sigma_inv = rng.normal(size=35), rng.normal(size=(35, 35))
 digest = hashlib.sha256()
-for offset in (0, 13):
-    for s in (sigma_inv, None):
-        for part in score_parts(x, offset, beta, s):
-            digest.update(part.tobytes())
+# the s4 width, and the c4 width, which takes the fused product
+for d in (35, 7):
+    x = rng.normal(size=(n, d))
+    beta, sigma_inv = rng.normal(size=d), rng.normal(size=(d, d))
+    for offset in (0, 13):
+        for s in (sigma_inv, None):
+            for part in score_parts(x, offset, beta, s):
+                digest.update(part.tobytes())
+    at = rng.choice(n, 3000, replace=False)
+    digest.update(whitened_at(x[at], at, sigma_inv).tobytes())
+assert 7 < FUSED_DIM_LIMIT <= 35
 print(digest.hexdigest())
 """
 
@@ -508,7 +551,7 @@ def probe_digests(probe):
 
 
 def test_full_chunks_independent_of_blas_threads():
-    """Whole chunks of the s4 width give the same bits on one or two BLAS threads."""
+    """Whole chunks of the s4 and c4 widths give the same bits on one or two BLAS threads."""
     one, two = probe_digests(_CHUNK_PROBE)
     assert one == two
 
