@@ -14,9 +14,14 @@ hashes the JSON document of each cell of the matrix
 
 It then hashes library results on small in-memory cases: ``run_two_step``
 on s4 (N = 12 000, d = 35) x criterion {mvc, mv} x threshold {inf, quantile,
-exact}, and a T = 5 mv ``replicate`` on c4 (N = 6000) x threshold.  Each
-library line hashes the estimates, the variances and the realized subsample
-sizes (or the failure count), not the reported expected size.
+exact} at r = 2000, a T = 5 mv ``replicate`` on c4 (N = 6000) x threshold,
+and ``run_two_step`` at r = 100, where r / N is low enough that an mv pass
+thins, on s4 (mv) and on its first 16 columns (mvc, mv).  Together they
+take every scoring kernel: the fused product at d = 7, einsum norms at
+d = 16 and vecdot norms at d = 35, the last two also whitening only a
+thinned pass's candidates.  Each library line hashes the estimates, the variances
+and the realized subsample sizes (or the failure count), not the reported
+expected size.
 
 Two checkouts that should give the same results print the same lines, so a
 refactor is checked by diffing this script's output before and after it::
@@ -83,18 +88,25 @@ def cells():
 def library_cells(qlsub):
     """``(name, estimates, variances, sizes)`` of each library call, on cases generated in memory."""
     x, y, _ = qlsub.generate_case(qlsub.make_spec("s4", 12_000, seed=7))
-    stream = qlsub.ArrayStream(x, y)
+
+    def two_step(x, criterion, threshold, r):
+        plan = qlsub.SamplingPlan(criterion=criterion, expected_size=r, threshold_mode=threshold, seed=7)
+        fit = qlsub.run_two_step(qlsub.ArrayStream(x, y), qlsub.EXP, plan, 400.0)
+        return fit.beta, fit.variance, [fit.info["realized_r0"], fit.info["realized_second"], fit.subsample_size]
+
     for criterion in ("mvc", "mv"):
         for threshold in THRESHOLDS:
-            plan = qlsub.SamplingPlan(criterion=criterion, expected_size=2000.0, threshold_mode=threshold, seed=7)
-            fit = qlsub.run_two_step(stream, qlsub.EXP, plan, 400.0)
-            sizes = [fit.info["realized_r0"], fit.info["realized_second"], fit.subsample_size]
-            yield f"run_two_step s4 {criterion} {threshold}", fit.beta, fit.variance, sizes
-    x, y, _ = qlsub.generate_case(qlsub.make_spec("c4", 6000, seed=11))
+            yield f"run_two_step s4 {criterion} {threshold}", *two_step(x, criterion, threshold, 2000.0)
+    xc, yc, _ = qlsub.generate_case(qlsub.make_spec("c4", 6000, seed=11))
     for threshold in THRESHOLDS:
-        batch = qlsub.replicate(x, y, qlsub.EXP, "mv", r=1000.0, r0=200.0, t=5, seed=11,
+        batch = qlsub.replicate(xc, yc, qlsub.EXP, "mv", r=1000.0, r0=200.0, t=5, seed=11,
                                 threshold=threshold, keep_variances=True)
         yield f"replicate c4 mv {threshold} t=5", batch.betas, batch.variances, [batch.failures]
+    # r / N at most sampling.THIN_MAX_RATE, so each mv pass thins; at d = 16
+    # the norms are einsum's
+    yield "run_two_step s4 mv inf r=100", *two_step(x, "mv", "inf", 100.0)
+    for criterion in ("mvc", "mv"):
+        yield f"run_two_step s4[:, :16] {criterion} inf r=100", *two_step(x[:, :16], criterion, "inf", 100.0)
 
 
 def array_digest(arrays) -> str:

@@ -96,8 +96,9 @@ class CsvStream(ArrayStream):
 
     ``paths`` may be one path or a list; indices run continuously across
     files in list order.  A constant can be added to the response at parse
-    time (``y + y_shift``), and a constant-one covariate can be injected
-    without touching the stored files.
+    time (``y + y_shift``; the default -0.0 leaves every response as parsed,
+    where 0.0 would turn -0.0 into 0.0), and a constant-one covariate can be
+    injected without touching the stored files.
 
     The constructor reads the files in order, each once, and parses each
     block by block, every record exactly once.  It appends the float64
@@ -120,7 +121,7 @@ class CsvStream(ArrayStream):
         y_col: int = 0,
         x_cols=None,
         intercept: bool = False,
-        y_shift: float = 0.0,
+        y_shift: float = -0.0,
         block_size: int = DEFAULT_BLOCK_SIZE,
         skip_header: bool = False,
         cache: bool = True,

@@ -57,12 +57,12 @@ class SamplingPlan:
 TILE_ROWS = 512
 # Whole tiles per stacked product, so a chunk is still in cache when normed.
 CHUNK_TILES = 8
-# Row length below which :func:`score_parts` takes x'beta and h from one
-# product per tile (:func:`_fused`) rather than a one-column product, a
-# whitening product (mv) and a row-norm kernel.  Per 4096-row chunk on one
-# core, the fused kernel took 0.72-0.85x mv's time at d = 2-7 and 1.2x
-# mvc's at d = 7; from d = 8 on it saved mv a fifth at most (and lost at
-# d = 8 and 16) while mvc took 1.7-2.2x (ROADMAP, "Measured and not pursued").
+# Row length below which :func:`_kernel` takes x'beta and h from one
+# product per tile rather than a one-column product, a whitening product
+# (mv) and a row-norm kernel.  Per 4096-row chunk on one core, the fused
+# kernel took 0.72-0.85x mv's time at d = 2-7 and 1.2x mvc's at d = 7; from
+# d = 8 on it saved mv a fifth at most (and lost at d = 8 and 16) while mvc
+# took 1.7-2.2x (ROADMAP, "Measured and not pursued").
 FUSED_DIM_LIMIT = 8
 # Smallest dimension at which an mv main pass screens each record by a cheap
 # score bound before it whitens any (:meth:`ProbabilityRule.screen`).
@@ -117,95 +117,81 @@ def _row_sq_norms(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.vecdot(z, z, out=out)
 
 
-def _whitener(sigma_inv) -> np.ndarray:
-    """``sigma_inv'`` as the C-ordered matrix that every whitening product uses."""
-    return np.ascontiguousarray(np.asarray(sigma_inv, dtype=np.float64).T)
+def _kernel(beta, sigma_inv, d: int):
+    """``fill(tiles, eta, h2, at)``: each tile row's ``x' beta`` into ``eta`` and ``h(x)**2`` into ``h2``.
 
-
-def _augmented(beta, sigma_inv, d: int) -> np.ndarray:
-    """``[beta | sigma_inv']`` (mv) or ``[beta | I]`` (mvc): the product matrix of :func:`_fused`."""
-    a = np.empty((d, 1 + (d if sigma_inv is None else np.shape(sigma_inv)[0])))
-    a[:, 0] = beta
-    a[:, 1:] = np.eye(d) if sigma_inv is None else np.asarray(sigma_inv, dtype=np.float64).T
-    return a
-
-
-def _fused(tiles: np.ndarray, a: np.ndarray, eta: np.ndarray, h2: np.ndarray, buf: np.ndarray | None = None):
-    """Each tile row's ``x' a[:, 0]`` into ``eta`` and the squared norm of ``x' a[:, 1:]`` into ``h2``.
-
-    ``tiles`` is a stack of ``TILE_ROWS``-row tiles, and ``eta`` and ``h2``
-    have its first two dimensions.  One stacked matmul makes one BLAS call
-    per tile, into ``buf`` when given.  Its x'beta column is copied out and
-    zeroed before the products are squared in place, so an x'beta whose
-    square overflows leaves h alone, and one stacked matrix-vector product
-    with a ones vector sums each row.  An output column is the same
-    whatever the other columns of ``a`` hold, so mv with ``sigma_inv = I``
-    gives mvc's bits, and ``a[:, 0] = 0`` gives the h of any ``beta``.
+    ``tiles`` is a stack of ``TILE_ROWS``-row tiles of rows of length ``d``,
+    and ``eta`` and ``h2`` have its first two dimensions; ``eta`` None skips
+    ``x' beta``.  The kernel is chosen from ``d`` alone, and its product
+    matrices are built once.  Rows shorter than ``FUSED_DIM_LIMIT`` are
+    multiplied once by ``[beta | sigma_inv']`` (mv) or ``[beta | I]`` (mvc).
+    Its x'beta column is copied out and zeroed before the products are
+    squared in place, so an x'beta whose square overflows leaves h alone,
+    and one stacked matrix-vector product with a ones vector sums each row.
+    An output column is the same whatever the other columns hold, so mv with
+    ``sigma_inv = I`` gives mvc's bits.  Longer rows are multiplied by
+    ``beta`` as a one-column matrix and, for mv, by ``sigma_inv'``, and
+    ``h2`` is the row-local squared norm of the ``sigma_inv'`` product (mv)
+    or of the row itself (mvc), taken only in the slice ``at`` of the
+    stack's rows, so a padded tile need not norm its padding.  One stacked
+    matmul makes one BLAS call per tile, into a buffer of ``CHUNK_TILES``
+    tiles that every stack that fits in it reuses.
     """
-    p = np.matmul(tiles, a, out=None if buf is None else buf[: len(tiles)])
-    eta[...] = p[..., 0]
-    p[..., 0] = 0.0
-    np.square(p, out=p)
-    np.matmul(p, np.ones(a.shape[1]), out=h2)
+    fused = d < FUSED_DIM_LIMIT
+    if fused:
+        m = np.empty((d, 1 + (d if sigma_inv is None else np.shape(sigma_inv)[0])))
+        m[:, 0] = beta
+        m[:, 1:] = np.eye(d) if sigma_inv is None else np.asarray(sigma_inv, dtype=np.float64).T
+        ones = np.ones(m.shape[1])
+    else:
+        b = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+        # a C-ordered sigma_inv', which every whitening product is given
+        m = None if sigma_inv is None else np.ascontiguousarray(np.asarray(sigma_inv, dtype=np.float64).T)
+    buf = None if m is None else np.empty((CHUNK_TILES, TILE_ROWS, m.shape[1]))
 
+    def fill(tiles: np.ndarray, eta: np.ndarray | None, h2: np.ndarray, at=slice(None)):
+        p = None if m is None else np.matmul(tiles, m, out=buf[: len(tiles)] if len(tiles) <= CHUNK_TILES else None)
+        if fused:
+            if eta is not None:
+                eta[...] = p[..., 0]
+            p[..., 0] = 0.0
+            np.square(p, out=p)
+            np.matmul(p, ones, out=h2)
+            return
+        if eta is not None:
+            np.matmul(tiles, b, out=eta.reshape(-1, TILE_ROWS, 1))
+        z = tiles if p is None else p
+        _row_sq_norms(z.reshape(-1, z.shape[-1])[at], out=h2.reshape(-1)[at])
 
-def _fused_parts(x: np.ndarray, offset: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(x_i' a[:, 0], ||x_i' a[:, 1:]||**2)`` of records offset, offset + 1, ... held in ``x``.
-
-    :func:`_fused` takes each run of whole tiles of :func:`_tiled` into the
-    results and each padded partial tile into a scratch row.
-    """
-    n = x.shape[0]
-    buf = np.empty((CHUNK_TILES, TILE_ROWS, a.shape[1]))
-    eta, h2 = np.empty(n), np.empty(n)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i, rows, tiles, row in _tiled(x, offset):
-            j = i + len(rows)
-            if row is None:
-                _fused(tiles, a, eta[i:j].reshape(-1, TILE_ROWS), h2[i:j].reshape(-1, TILE_ROWS), buf)
-            else:
-                e, s = np.empty((2, 1, TILE_ROWS))
-                _fused(tiles[None], a, e, s, buf)
-                eta[i:j], h2[i:j] = e[0, row : row + len(rows)], s[0, row : row + len(rows)]
-    return eta, h2
+    return fill
 
 
 def score_parts(x: np.ndarray, offset: int, beta, sigma_inv=None) -> tuple[np.ndarray, np.ndarray]:
     """``(x_i' beta, h(x_i))`` of records offset, offset + 1, ... held in ``x``.
 
-    Rows shorter than ``FUSED_DIM_LIMIT`` multiply each tile once by
-    ``[beta | sigma_inv']`` (mv) or ``[beta | I]`` (mvc) in :func:`_fused`.
-    Longer rows multiply each tile by ``beta`` as a one-column matrix and,
-    for mv, by ``sigma_inv'``, and ``h`` is the row-local norm of the
-    ``sigma_inv'`` product (mv) or of ``x_i`` (mvc).  Either way the calls
-    are those of :func:`_tiled`.  A BLAS call of fixed shape accumulates
-    each output element in an order set by the call's shape and the row's
-    place in it, so every record's products are the same whatever the block
-    size, shard layout or source that delivered it, and no other row can
-    change them.  mv and mvc share ``x_i' beta`` bit for bit, and the norms
-    are taken while the chunk is in cache.  A run of whole tiles writes its
-    ``x_i' beta`` and squared norms straight into the results; its other
-    products go into one buffer that every run reuses.
+    Every tile of :func:`_tiled` goes through the kernel of :func:`_kernel`:
+    a run of whole tiles writes its ``x_i' beta`` and squared norms straight
+    into the results, and a padded partial tile into a scratch row.  A BLAS
+    call of fixed shape accumulates each output element in an order set by
+    the call's shape and the row's place in it, so every record's products
+    are the same whatever the block size, shard layout or source that
+    delivered it, and no other row can change them.  mv and mvc share
+    ``x_i' beta`` bit for bit, and the norms are taken while the chunk is in
+    cache.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n, d = x.shape
-    if d < FUSED_DIM_LIMIT:
-        eta, h2 = _fused_parts(x, offset, _augmented(beta, sigma_inv, d))
-        return eta, np.sqrt(h2, out=h2)
-    b = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
-    wt = None if sigma_inv is None else _whitener(sigma_inv)
-    buf = None if wt is None else np.empty((CHUNK_TILES, TILE_ROWS, wt.shape[1]))
+    fill = _kernel(beta, sigma_inv, d)
     eta, h2 = np.empty(n), np.empty(n)
     with np.errstate(invalid="ignore", over="ignore"):
         for i, rows, tiles, row in _tiled(x, offset):
             j = i + len(rows)
             if row is None:
-                np.matmul(tiles, b, out=eta[i:j].reshape(-1, TILE_ROWS, 1))
-                z = rows if wt is None else np.matmul(tiles, wt, out=buf[: len(tiles)]).reshape(len(rows), -1)
+                fill(tiles, eta[i:j].reshape(-1, TILE_ROWS), h2[i:j].reshape(-1, TILE_ROWS))
             else:
-                eta[i:j] = (tiles @ b)[row : row + len(rows), 0]
-                z = rows if wt is None else (tiles @ wt)[row : row + len(rows)]
-            _row_sq_norms(z, out=h2[i:j])
+                e, s = np.empty((2, 1, TILE_ROWS))
+                fill(tiles[None], e, s, slice(row, row + len(rows)))
+                eta[i:j], h2[i:j] = e[0, row : row + len(rows)], s[0, row : row + len(rows)]
     return eta, np.sqrt(h2, out=h2)
 
 
@@ -216,10 +202,10 @@ def whitened_at(x: np.ndarray, indices: np.ndarray, sigma_inv) -> np.ndarray:
     records, at a cost set by the number of rows, not by the records around
     them.  Row ``j`` goes to row ``indices[j] % TILE_ROWS`` of a zero-filled
     tile: the k-th row bound for one tile row goes to tile k, so there are as
-    many tiles as the most rows any tile row receives.  One stacked matmul
-    makes one BLAS call per tile, of the shape and at the row that
-    :func:`_tiled` gives the same record; rows shorter than
-    ``FUSED_DIM_LIMIT`` go through :func:`_fused` with a zero x'beta column.
+    many tiles as the most rows any tile row receives.  The kernel of
+    :func:`_kernel` takes the whole stack without its x'beta, in one BLAS
+    call per tile of the shape and at the row that :func:`_tiled` gives the
+    same record.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     rows = (np.asarray(indices) % TILE_ROWS).astype(np.uint16)
@@ -229,13 +215,10 @@ def whitened_at(x: np.ndarray, indices: np.ndarray, sigma_inv) -> np.ndarray:
     rank[np.argsort(rows, kind="stable")] = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     tiles = np.zeros((int(counts.max(initial=0)), TILE_ROWS, x.shape[1]))
     tiles[rank, rows] = x
+    h2 = np.empty(tiles.shape[:2])
     with np.errstate(invalid="ignore", over="ignore"):
-        if x.shape[1] < FUSED_DIM_LIMIT:
-            eta, h2 = np.empty((2, *tiles.shape[:2]))
-            _fused(tiles, _augmented(0.0, sigma_inv, x.shape[1]), eta, h2)
-            return np.sqrt(h2[rank, rows])
-        z = np.matmul(tiles, _whitener(sigma_inv))[rank, rows]
-        return np.sqrt(_row_sq_norms(z))
+        _kernel(0.0, sigma_inv, x.shape[1])(tiles, None, h2)
+    return np.sqrt(h2[rank, rows])
 
 
 def abs_residuals(y, family: LinkFamily, eta: np.ndarray) -> np.ndarray:
@@ -265,10 +248,7 @@ def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Row norms: bit for bit the ``h`` of ``score_parts(x, 0, beta)`` (mvc)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape[1] < FUSED_DIM_LIMIT:
-        return score_parts(x, 0, np.zeros(x.shape[1]))[1]
-    return np.sqrt(_row_sq_norms(x))
+    return score_parts(x, 0, np.zeros(np.shape(x)[1]))[1]
 
 
 def whitened_norms(x: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:

@@ -843,6 +843,8 @@ def csv_sources(draw):
 @example(source=(["1,2\x1f\n3\xa0,\u30004\n".encode()], False))
 @example(source=(["1,2\u200b\n".encode()], False))
 @example(source=([b"\n", b"1\n2\n"], False))
+# a response of -0 keeps its sign
+@example(source=([b"-0,0\n"], False))
 @settings(max_examples=200, deadline=None)
 @given(source=csv_sources())
 def test_reader_fuzz(source):

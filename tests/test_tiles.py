@@ -381,7 +381,8 @@ def test_non_finite_row_leaves_neighbours_unchanged(offset):
 @given(
     offset=st.integers(0, 2 * CHUNK_ROWS),
     n=st.integers(1, 2 * CHUNK_ROWS + 3),
-    d=st.sampled_from([1, 4, 35]),
+    # each kernel: fused, one-column with einsum norms, and with vecdot norms
+    d=st.sampled_from([1, 4, FUSED_DIM_LIMIT, sampling.DOT_MIN_DIM - 1, 35]),
     criterion=st.sampled_from(CRITERIA),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -428,8 +429,10 @@ def test_chunk_edges_scored_as_one_block(offset, n, criterion):
 def test_probe_kernels_match_the_scorer(n):
     """The whole-array kernels give the scorer's own factors, bit for bit, with every kernel."""
     rng = np.random.default_rng(n)
-    # the widths on either side of the fused kernel's limit, and the s4 width
-    for d in sorted({7, FUSED_DIM_LIMIT - 1, FUSED_DIM_LIMIT, 35}):
+    # the widths on either side of the fused kernel's limit and of the vecdot
+    # norms' limit, and the s4 width
+    dot = sampling.DOT_MIN_DIM
+    for d in sorted({7, FUSED_DIM_LIMIT - 1, FUSED_DIM_LIMIT, dot - 1, dot, 35}):
         x = rng.normal(size=(n, d))
         beta, sigma_inv = rng.normal(size=d), rng.normal(size=(d, d))
         eta, h = score_parts(x, 0, beta)
@@ -637,6 +640,9 @@ def test_thinned_random_layouts_bit_identical(data, block, bounds, k, threads, m
 @settings(max_examples=60, deadline=None)
 # one record's exp mean clamps near 1e304 and its score overflows to inf
 @example(d=1, log_cond=0.0, n=875, offset=0, rho=0.2, capped=False, seed=875)
+# more packed tiles than the kernel's chunk buffer holds, fused and not
+@example(d=7, log_cond=4.0, n=9 * TILE_ROWS + 5, offset=13, rho=0.2, capped=False, seed=29)
+@example(d=35, log_cond=4.0, n=9 * TILE_ROWS + 5, offset=13, rho=0.2, capped=True, seed=29)
 @given(
     d=st.integers(1, 64),
     log_cond=st.floats(0.0, 8.0),
